@@ -170,7 +170,7 @@ def cmd_mu_scan(args, report: ExperimentReport) -> None:
     for p in _parse_primes(args.primes, args.big):
         table = special_linear_group(2, p)
         est = measures.heavy_mass_mixing_bound(
-            table, args.c0, (p - 1) / 2 if p > 3 else 1.0, samples, seed=args.seed
+            table, args.c0, (p - 1) / 2, samples, seed=args.seed
         )
         common = dict(p=p, d=2, group_order=table.size, samples=samples, seed=args.seed)
         report.add("mu-scan", "mean_heavy_mass", est.mean_heavy_mass, bound=5.0 / p, **common)
@@ -251,7 +251,6 @@ def cmd_varieties(args, report: ExperimentReport) -> None:
             if t in (2, p - 2):
                 continue
             disc = (t * t - 4) % p
-            size = None
             if split_size is None and is_square_mod(disc, p) and disc != 0:
                 split_size = centralizer(table, table.mats[i]).size
             if nonsplit_size is None and not is_square_mod(disc, p):

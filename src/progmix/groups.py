@@ -2,14 +2,25 @@
 
 A GroupTable stores its elements as one (n, d, d) integer array, sorted in
 lexicographic order of the flattened entries, so every index is reproducible
-across runs.  Element-by-element products are computed on the fly; no n x n
-multiplication table is ever materialised.
+across runs.  An element's key is its flattened entries read as a base-p
+number.  No n x n multiplication table is ever materialised.
+
+Lookup.  A d = 2 table maps keys to indices through a dense int32 table over
+all p^4 keys (-1 where a key is absent), built on the first lookup: 3.7 MB at
+p = 31.  The same table for d = 3 would need p^9 entries, 161 MB already at
+p = 7, so a d = 3 table binary searches its sorted keys instead.
+
+Shift permutations.  Row i of x g is (row i of x) g, so right multiplication
+by g acts on each row separately, as a permutation of the p^d row vectors of
+F_p^d.  rmul_perm builds that image table once per g and assembles every key
+of x g from the cached row keys of x, with no per-element product or
+reduction mod p; lmul_perm does the same for g x with the columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -82,7 +93,7 @@ def mat_trace(x: GroupElement) -> FieldElement:
 
 def _mul_many(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Batched product of (..., d, d) integer matrices modulo p."""
-    return np.einsum("...ij,...jk->...ik", a, b) % p
+    return np.matmul(a, b) % p
 
 
 def _det_many(mats: np.ndarray, p: int) -> np.ndarray:
@@ -145,6 +156,7 @@ class GroupTable:
         self.mats.setflags(write=False)
         self._keys.setflags(write=False)
         self.size = int(len(self.mats))
+        self._digit_weights = p ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
         self._inv_perm_cache: np.ndarray | None = None
         self._inv_mats_cache: np.ndarray | None = None
         bad = _det_many(self.mats, p) != 1
@@ -171,24 +183,38 @@ class GroupTable:
     def __len__(self) -> int:
         return self.size
 
+    @cached_property
+    def _dense_index(self) -> np.ndarray:
+        """Index of every key of a 2 x 2 matrix mod p, -1 where absent."""
+        dense = np.full(self.p**4, -1, dtype=np.int32)
+        dense[self._keys] = np.arange(self.size, dtype=np.int32)
+        return dense
+
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Index of each key, -1 where the key is not in the table."""
+        if self.d == 2:
+            return self._dense_index[keys].astype(np.intp)
+        if self.size == 0:
+            return np.full(len(keys), -1, dtype=np.intp)
+        pos = np.minimum(np.searchsorted(self._keys, keys), self.size - 1)
+        return np.where(self._keys[pos] == keys, pos, -1)
+
+    def _indices(self, keys: np.ndarray) -> np.ndarray:
+        idx = self._lookup(keys)
+        if np.any(idx < 0):
+            raise KeyError(f"element not in table '{self.label}'")
+        return idx
+
+    def _find(self, mat: np.ndarray) -> int:
+        """Index of one matrix, -1 when it is not in the table."""
+        return int(self._lookup(self._encode(mat[None]))[0])
+
     def __contains__(self, x) -> bool:
-        mat, _ = _as_array(x, self.p)
-        key = self._encode(mat[None])[0]
-        pos = np.searchsorted(self._keys, key)
-        return pos < self.size and self._keys[pos] == key
+        return self._find(_as_array(x, self.p)[0]) >= 0
 
     def indices_of(self, mats: np.ndarray) -> np.ndarray:
         """Indices of the given (n, d, d) matrices; raises if any is absent."""
-        keys = self._encode(np.asarray(mats, dtype=np.int64) % self.p)
-        if self.size == 0:
-            if len(keys):
-                raise KeyError(f"element not in table '{self.label}'")
-            return np.empty(0, dtype=np.int64)
-        pos = np.searchsorted(self._keys, keys)
-        pos_clipped = np.minimum(pos, self.size - 1)
-        if not np.all(self._keys[pos_clipped] == keys):
-            raise KeyError(f"element not in table '{self.label}'")
-        return pos_clipped
+        return self._indices(self._encode(np.asarray(mats, dtype=np.int64) % self.p))
 
     def index_of(self, x) -> int:
         mat, _ = _as_array(x, self.p)
@@ -199,11 +225,8 @@ class GroupTable:
 
     @property
     def identity_index(self) -> int | None:
-        key = self._encode(np.eye(self.d, dtype=np.int64)[None])[0]
-        pos = np.searchsorted(self._keys, key)
-        if pos < self.size and self._keys[pos] == key:
-            return int(pos)
-        return None
+        i = self._find(np.eye(self.d, dtype=np.int64))
+        return i if i >= 0 else None
 
     def inv_mats(self) -> np.ndarray:
         if self._inv_mats_cache is None:
@@ -218,18 +241,48 @@ class GroupTable:
             self._inv_perm_cache.setflags(write=False)
         return self._inv_perm_cache
 
+    @cached_property
+    def _row_keys(self) -> np.ndarray:
+        """(d, n) array: entry (i, x) is the base-p key of row i of element x."""
+        return np.ascontiguousarray((self.mats @ self._digit_weights).T)
+
+    @cached_property
+    def _col_keys(self) -> np.ndarray:
+        """(d, n) array: entry (j, x) is the base-p key of column j of element x."""
+        return np.ascontiguousarray((self._digit_weights @ self.mats).T)
+
+    def _image_indices(self, parts: np.ndarray, image: np.ndarray, scales: np.ndarray):
+        """Indices of the products whose key is sum_t scales[t] * image[parts[t]]."""
+        spread = scales[:, None] * image
+        keys = spread[0][parts[0]]
+        for t in range(1, self.d):
+            keys += spread[t][parts[t]]
+        return self._indices(keys)
+
     def rmul_perm(self, gi: int) -> np.ndarray:
-        """Indices of x * g over all table elements x, for g = element gi."""
-        return self.indices_of(_mul_many(self.mats, self.mats[gi], self.p))
+        """Indices of x * g over all table elements x, for g = element gi.
+
+        image[u] is the key of the row vector u g; row i of x g is then
+        image[row i of x], and contributes at weight p^(d (d - 1 - i)).
+        """
+        w = self._digit_weights
+        image = (_vectors(self.d, self.p) @ self.mats[gi] % self.p) @ w
+        return self._image_indices(self._row_keys, image, w**self.d)
 
     def lmul_perm(self, gi: int) -> np.ndarray:
-        """Indices of g * x over all table elements x, for g = element gi."""
-        return self.indices_of(_mul_many(self.mats[gi][None], self.mats, self.p))
+        """Indices of g * x over all table elements x, for g = element gi.
+
+        image[v] is the column vector g v keyed at the weights of column 0;
+        column j of g x is image[column j of x], shifted by weight p^(d - 1 - j).
+        """
+        w = self._digit_weights
+        image = (_vectors(self.d, self.p) @ self.mats[gi].T % self.p) @ w**self.d
+        return self._image_indices(self._col_keys, image, w)
 
     def rmul_indices_many(self, x_idx: np.ndarray, g_idx: np.ndarray) -> np.ndarray:
         """Indices of x_i * g_i for paired index arrays (sampling paths)."""
         prods = _mul_many(self.mats[x_idx], self.mats[g_idx], self.p)
-        return self.indices_of(prods)
+        return self._indices(self._encode(prods))
 
 
 class CyclicTable:
@@ -255,6 +308,14 @@ class CyclicTable:
 
     def rmul_indices_many(self, x_idx: np.ndarray, g_idx: np.ndarray) -> np.ndarray:
         return (np.asarray(x_idx) + np.asarray(g_idx)) % self.size
+
+
+@lru_cache(maxsize=32)
+def _vectors(d: int, p: int) -> np.ndarray:
+    """All p^d vectors of F_p^d as rows, row u holding the base-p digits of u."""
+    vectors = np.indices((p,) * d).reshape(d, -1).T.copy()
+    vectors.setflags(write=False)
+    return vectors
 
 
 def special_linear_order(d: int, p: int) -> int:

@@ -83,7 +83,6 @@ def conjugate_product_fibres(table: GroupTable, b, h) -> np.ndarray:
 def conjugate_product_measure(table: GroupTable, b, h) -> Measure:
     """Exact probability histogram of the conjugate-product distribution."""
     counts = conjugate_product_fibres(table, b, h)
-    z_size = int(counts.sum()) // table.size if table.size else 0
     denom = int(counts.sum())
     return Measure(
         weights=counts / denom,

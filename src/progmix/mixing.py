@@ -9,9 +9,10 @@ to the variant that starts the progression at xg^{-1}.  The deviation form
 replaces the inner x-average by its absolute distance from the product of
 the means, measuring how far a single shift g is from mixing.
 
-Integer-valued inputs (indicators, +-1 signs) are accumulated exactly in
-integer arithmetic, and the exact value is reported as a Fraction alongside
-the float.
+Every exact statistic is a reduction of one kernel, `shift_sums`, which
+returns the per-shift sums s[g] = sum_x prod_i f_i(x g^i).  Integer-valued
+inputs (indicators, +-1 signs) are accumulated exactly in integer arithmetic,
+and the exact value is reported as a Fraction alongside the float.
 """
 
 from __future__ import annotations
@@ -102,21 +103,28 @@ def _exact_inputs(fs) -> bool:
     return all(f.is_integer_valued for f in fs)
 
 
-def _per_shift_sums(table, fs):
-    """Yield (gi, sum over x of the product along the progression)."""
-    n = table.size
-    k = len(fs)
+def shift_sums(table, fs, shifts=None) -> np.ndarray:
+    """The per-shift sums s[j] = sum_x prod_i f_i(x g_j^i).
+
+    `shifts` is an index array of shifts g_j, every table element by default.
+    The result is int64 for integer-valued inputs, so each exact statistic is
+    an exact reduction of it.  Only `table.rmul_perm` is used.
+    """
     vals = [f.values for f in fs]
-    for gi in range(n):
-        prod = vals[0].copy()
-        if k > 1:
-            perm = table.rmul_perm(gi)
+    shifts = range(table.size) if shifts is None else shifts
+    dtype = np.int64 if _exact_inputs(fs) else np.result_type(*vals, np.float64)
+    out = np.empty(len(shifts), dtype=dtype)
+    for j, gi in enumerate(shifts):
+        prod = vals[0]
+        if len(vals) > 1:
+            perm = table.rmul_perm(int(gi))
             cursor = perm
             prod = prod * vals[1][cursor]
-            for i in range(2, k):
+            for v in vals[2:]:
                 cursor = perm[cursor]
-                prod = prod * vals[i][cursor]
-        yield gi, prod.sum()
+                prod = prod * v[cursor]
+        out[j] = prod.sum()
+    return out
 
 
 def progression_average(table=None, fs=None, samples=None, seed=None) -> MixingResult:
@@ -134,9 +142,7 @@ def progression_average(table=None, fs=None, samples=None, seed=None) -> MixingR
         return _progression_average_sampled(table, fs, int(samples), seed)
     charge(k * n * n, OP_BUDGET, f"exact {k}-term average on {n} elements")
     exact = _exact_inputs(fs)
-    total = 0 if exact else 0.0
-    for _, s in _per_shift_sums(table, fs):
-        total += int(s) if exact else s
+    total = sum(shift_sums(table, fs).tolist())  # Python ints stay exact
     value = total / (n * n)
     means = [f.mean() for f in fs]
     prod_means = np.prod(means)
@@ -148,15 +154,16 @@ def progression_average(table=None, fs=None, samples=None, seed=None) -> MixingR
     )
     if exact:
         result.exact_value = Fraction(total, n * n)
-        result.exact_product = _exact_mean_product(fs, n)
+        result.exact_product = Fraction(_product_of_sums(fs), n**k)
         result.deviation = abs(float(result.exact_value - result.exact_product))
     return result
 
 
-def _exact_mean_product(fs, n: int) -> Fraction:
-    prod = Fraction(1)
+def _product_of_sums(fs) -> int:
+    """prod_i sum_x f_i(x) for integer-valued inputs, as a Python int."""
+    prod = 1
     for f in fs:
-        prod *= Fraction(int(f.values.sum(dtype=np.int64)), n)
+        prod *= int(f.values.sum(dtype=np.int64))
     return prod
 
 
@@ -204,10 +211,7 @@ def progression_deviation(table=None, fs=None, samples=None, seed=None) -> Mixin
             raise ValueError("samples must be positive")
         rng = np.random.default_rng(seed)
         g_indices = rng.integers(0, n, size=samples)
-        devs = np.empty(samples, dtype=np.float64)
-        for j, gi in enumerate(g_indices):
-            inner = _single_shift_sum(table, fs, int(gi)) / n
-            devs[j] = abs(inner - prod_means)
+        devs = np.abs(shift_sums(table, fs, g_indices) / n - prod_means)
         stderr = float(devs.std(ddof=1) / np.sqrt(samples)) if samples > 1 else float("inf")
         value = float(devs.mean())
         return MixingResult(
@@ -219,12 +223,12 @@ def progression_deviation(table=None, fs=None, samples=None, seed=None) -> Mixin
         )
 
     charge(k * n * n, OP_BUDGET, f"exact {k}-term deviation on {n} elements")
+    sums = shift_sums(table, fs)
     if exact:
-        exact_prod = _exact_mean_product(fs, n)
-        total = Fraction(0)
-        for _, s in _per_shift_sums(table, fs):
-            total += abs(Fraction(int(s), n) - exact_prod)
-        exact_value = total / n
+        # E_g |s_g / n - prod_i (sum f_i) / n| = sum_g |s_g n^(k-1) - prod_i sum f_i| / n^(k+1)
+        target = _product_of_sums(fs)
+        scale = n ** (k - 1)
+        exact_value = Fraction(sum(abs(s * scale - target) for s in sums.tolist()), n ** (k + 1))
         value = float(exact_value)
         return MixingResult(
             value=value,
@@ -232,30 +236,15 @@ def progression_deviation(table=None, fs=None, samples=None, seed=None) -> Mixin
             deviation=value,
             samples_used="exact",
             exact_value=exact_value,
-            exact_product=exact_prod,
+            exact_product=Fraction(target, n**k),
         )
-    acc = 0.0
-    for _, s in _per_shift_sums(table, fs):
-        acc += abs(s / n - prod_means)
-    value = acc / n
+    value = float(np.abs(sums / n - prod_means).mean())
     return MixingResult(
         value=value,
         product_of_means=prod_means,
         deviation=value,
         samples_used="exact",
     )
-
-
-def _single_shift_sum(table, fs, gi: int):
-    prod = fs[0].values.copy()
-    if len(fs) > 1:
-        perm = table.rmul_perm(gi)
-        cursor = perm
-        prod = prod * fs[1].values[cursor]
-        for f in fs[2:]:
-            cursor = perm[cursor]
-            prod = prod * f.values[cursor]
-    return prod.sum()
 
 
 def restricted_progression_deviation(table, shift_set, fs, signed: bool = False) -> MixingResult:
@@ -271,7 +260,7 @@ def restricted_progression_deviation(table, shift_set, fs, signed: bool = False)
     shift_indices = table.indices_of(shift_set.mats)
     n = table.size
     prod_means = np.prod([f.mean() for f in fs])
-    inner = np.asarray([_single_shift_sum(table, fs, int(gi)) / n for gi in shift_indices])
+    inner = shift_sums(table, fs, shift_indices) / n
     if signed:
         value = abs(inner.mean() - prod_means)
     else:

@@ -284,3 +284,112 @@ def test_group_element_membership():
     table = special_linear_group(2, 5)
     assert element([[1, 1], [0, 1]], 5).array()[None] in table
     assert np.array([[1, 1], [1, 1]])[None] not in table
+
+
+# Oracle for the table lookups: explicit einsum products, then a binary search
+# over the sorted keys of the flattened entries read as base-p numbers.
+
+
+def oracle_keys(mats, p):
+    flat = np.asarray(mats, dtype=np.int64).reshape(len(mats), -1) % p
+    return flat @ p ** np.arange(flat.shape[1] - 1, -1, -1, dtype=np.int64)
+
+
+def oracle_indices(table, mats):
+    """Indices of the given matrices in the table, or None if one is absent."""
+    sorted_keys = oracle_keys(table.mats, table.p)
+    assert np.all(np.diff(sorted_keys) > 0)
+    keys = oracle_keys(mats, table.p)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), table.size - 1)
+    return pos if np.array_equal(sorted_keys[pos], keys) else None
+
+
+def oracle_product(a, b, p):
+    return np.einsum("...ij,...jk->...ik", a, b) % p
+
+
+def assert_matches_oracle(fast, expected):
+    """`fast` is a zero-argument call; `expected` None means it must raise KeyError."""
+    if expected is None:
+        with pytest.raises(KeyError):
+            fast()
+    else:
+        assert np.array_equal(fast(), expected)
+
+
+def lookup_tables(p):
+    full = special_linear_group(2, p)
+    return [
+        full,
+        borel_subgroup(p),
+        unipotent_subgroup(p),
+        diagonalisable_set(p),  # not closed under products: some shifts raise
+        centralizer(full, element([[1, 1], [0, 1]], p)),
+    ]
+
+
+def check_shift_perms(table, shifts):
+    for gi in shifts:
+        g = table.mats[gi]
+        right = oracle_indices(table, oracle_product(table.mats, g, table.p))
+        left = oracle_indices(table, oracle_product(g, table.mats, table.p))
+        assert_matches_oracle(lambda: table.rmul_perm(gi), right)
+        assert_matches_oracle(lambda: table.lmul_perm(gi), left)
+
+
+def check_paired_products(table, rng, count=200):
+    x_idx = rng.integers(0, table.size, size=count)
+    g_idx = rng.integers(0, table.size, size=count)
+    prods = oracle_product(table.mats[x_idx], table.mats[g_idx], table.p)
+    expected = oracle_indices(table, prods)
+    assert_matches_oracle(lambda: table.rmul_indices_many(x_idx, g_idx), expected)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_shift_permutations_match_oracle_for_every_shift(p):
+    for table in lookup_tables(p):
+        check_shift_perms(table, range(table.size))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_lookups_match_oracle(p):
+    rng = np.random.default_rng(p)
+    full = special_linear_group(2, p)
+    for table in lookup_tables(p):
+        check_paired_products(table, rng)
+        shuffled = table.mats[rng.permutation(table.size)]
+        assert np.array_equal(table.indices_of(shuffled), oracle_indices(table, shuffled))
+        assert np.array_equal(full.indices_of(table.mats), oracle_indices(full, table.mats))
+        inverses = oracle_indices(table, table.inv_mats())
+        assert_matches_oracle(table.inv_perm, inverses)
+        assert table.identity_index == oracle_indices(table, np.eye(2, dtype=np.int64)[None])[0]
+
+
+def test_d3_lookups_match_oracle_on_sampled_shifts():
+    table = special_linear_group(3, 3)
+    rng = np.random.default_rng(0)
+    check_shift_perms(table, rng.integers(0, table.size, size=12))
+    check_paired_products(table, rng, count=1000)
+    sample = table.mats[rng.integers(0, table.size, size=500)]
+    assert np.array_equal(table.indices_of(sample), oracle_indices(table, sample))
+    assert table.identity_index == oracle_indices(table, np.eye(3, dtype=np.int64)[None])[0]
+
+
+def test_absent_elements_raise_key_error():
+    lower = np.array([[1, 0], [1, 1]])
+    b = borel_subgroup(5)
+    assert lower[None] not in b
+    with pytest.raises(KeyError):
+        b.indices_of(lower[None])
+    with pytest.raises(KeyError):
+        b.index_of(element(lower, 5))
+    with pytest.raises(KeyError):
+        b.indices_of(np.stack([np.eye(2, dtype=np.int64), lower]))
+    for d in (2, 3):
+        empty = GroupTable(np.empty((0, d, d), dtype=np.int64), 5, "empty")
+        eye = np.eye(d, dtype=np.int64)
+        assert empty.identity_index is None
+        assert eye[None] not in empty
+        assert len(empty.indices_of(np.empty((0, d, d)))) == 0
+        with pytest.raises(KeyError):
+            empty.indices_of(eye[None])

@@ -16,6 +16,7 @@ from progmix.mixing import (
     progression_deviation,
     random_sign_function,
     restricted_progression_deviation,
+    shift_sums,
 )
 
 
@@ -270,3 +271,104 @@ def test_coset_smoothing_of_point_mass():
     expected = np.zeros(b.size)
     expected[coset] = 1 / u.size
     assert np.allclose(smoothed.values, expected)
+
+
+# Brute-force oracle for the exact statistics: a double loop over (x, g) that
+# multiplies group elements itself and never calls rmul_perm.
+
+
+def cayley_step(table):
+    """step(x, g) = index of x * g, by explicit multiplication."""
+    if isinstance(table, CyclicTable):
+        return lambda x, g: (x + g) % table.size
+    index = {tuple(m.ravel()): i for i, m in enumerate(table.mats)}
+    return lambda x, g: index[tuple((table.mats[x] @ table.mats[g] % table.p).ravel())]
+
+
+def brute_shift_sums(table, values):
+    step = cayley_step(table)
+    sums = []
+    for g in range(table.size):
+        total = 0
+        for x in range(table.size):
+            prod, y = values[0][x], x
+            for v in values[1:]:
+                y = step(y, g)
+                prod *= v[y]
+            total += prod
+        sums.append(total)
+    return sums
+
+
+def brute_statistics(table, fs, shift_subset=None):
+    """Average, product of means, deviation and restricted deviations, as exact
+    Fractions for integer inputs and as floats otherwise."""
+    n = table.size
+    exact = all(f.is_integer_valued for f in fs)
+    values = [[int(v) for v in f.values] if exact else list(f.values) for f in fs]
+    scalar = Fraction if exact else lambda a, b: a / b
+    sums = brute_shift_sums(table, values)
+    means = [scalar(sum(v), n) for v in values]
+    prod_means = 1
+    for m in means:
+        prod_means *= m
+    inner = [scalar(s, n) for s in sums]
+    out = {
+        "average": scalar(sum(sums), n * n),
+        "product": prod_means,
+        "deviation": sum(abs(i - prod_means) for i in inner) / n,
+    }
+    if shift_subset is not None:
+        sub = [inner[g] for g in shift_subset]
+        out["unsigned"] = sum(abs(i - prod_means) for i in sub) / len(sub)
+        out["signed"] = abs(sum(sub) / len(sub) - prod_means)
+    return out
+
+
+def input_functions(table, kind, k, rng):
+    if kind == "sign":
+        return [random_sign_function(table, rng) for _ in range(k)]
+    if kind == "indicator":
+        draws = [(rng.random(table.size) < 0.4).astype(np.int64) for _ in range(k)]
+        return [GroupFunction(v, table) for v in draws]
+    return [GroupFunction(rng.standard_normal(table.size), table) for _ in range(k)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["sign", "indicator", "float"])
+@pytest.mark.parametrize("p", [3, 5, "cyclic"])
+def test_exact_statistics_match_brute_force(p, kind, k):
+    table = CyclicTable(11) if p == "cyclic" else special_linear_group(2, p)
+    rng = np.random.default_rng([k, table.size])
+    fs = input_functions(table, kind, k, rng)
+    shift_subset = None if p == "cyclic" else table.indices_of(borel_subgroup(p).mats)
+    want = brute_statistics(table, fs, shift_subset)
+    avg = progression_average(table, fs)
+    dev = progression_deviation(table, fs)
+    if kind == "float":
+        assert abs(avg.value - want["average"]) < 1e-12
+        assert abs(dev.value - want["deviation"]) < 1e-12
+    else:
+        assert avg.exact_value == want["average"]
+        assert avg.exact_product == dev.exact_product == want["product"]
+        assert dev.exact_value == want["deviation"]
+        assert avg.value == float(want["average"])
+        assert dev.value == float(want["deviation"])
+    if shift_subset is not None:
+        shift_set = borel_subgroup(p)
+        unsigned = restricted_progression_deviation(table, shift_set, fs)
+        signed = restricted_progression_deviation(table, shift_set, fs, signed=True)
+        assert abs(unsigned.value - float(want["unsigned"])) < 1e-12
+        assert abs(signed.value - float(want["signed"])) < 1e-12
+
+
+def test_shift_sums_match_brute_force_on_given_shifts():
+    table = special_linear_group(2, 5)
+    rng = np.random.default_rng(13)
+    fs = input_functions(table, "sign", 3, rng)
+    want = brute_shift_sums(table, [[int(v) for v in f.values] for f in fs])
+    sums = shift_sums(table, fs)
+    assert sums.dtype == np.int64
+    assert sums.tolist() == want
+    shifts = np.array([7, 0, 7, 119])
+    assert shift_sums(table, fs, shifts).tolist() == [want[g] for g in shifts]
