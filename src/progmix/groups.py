@@ -450,14 +450,38 @@ def centralizer(table: GroupTable, b) -> GroupTable:
     return GroupTable(table.mats[mask], table.p, "centralizer")
 
 
+def _conjugates(table: GroupTable, a_mat: np.ndarray) -> np.ndarray:
+    """Index of g a g^-1 for every table element g (with repeats)."""
+    # One reduction mod p after both products: the entries stay far below 2^63.
+    conj = _mul_many(table.mats @ a_mat, table.inv_mats(), table.p)
+    return table._indices(table._encode(conj))
+
+
 def conjugacy_class(table: GroupTable, a) -> GroupTable:
     """The orbit {g a g^-1 : g in table}."""
     a_mat, _ = _as_array(a, table.p)
     if a_mat[None] not in table:
         raise KeyError("a is not an element of the table")
-    conj = _mul_many(_mul_many(table.mats, a_mat, table.p), table.inv_mats(), table.p)
-    idx = np.unique(table.indices_of(conj))
+    idx = np.unique(_conjugates(table, a_mat))
     return GroupTable(table.mats[idx], table.p, "class")
+
+
+@lru_cache(maxsize=32)
+def conjugacy_classes(table: GroupTable) -> np.ndarray:
+    """Class label of every element under conjugation by the table.
+
+    Classes are numbered in order of their smallest index, so the first
+    element carrying label l is the representative of class l.  Each class
+    costs one conjugation sweep over the table: k sweeps for k classes.
+    Cached per table, like the tables themselves; the labels are read-only.
+    """
+    labels = np.full(table.size, -1, dtype=np.intp)
+    label = 0
+    while (unlabelled := np.flatnonzero(labels < 0)).size:
+        labels[_conjugates(table, table.mats[unlabelled[0]])] = label
+        label += 1
+    labels.setflags(write=False)
+    return labels
 
 
 @lru_cache(maxsize=32)

@@ -2,8 +2,17 @@
 
 The reduced spectral norm of mu: G -> C is the operator norm of the right
 convolution f -> f * mu restricted to mean-zero f, with the averaged L^2
-norm on both sides.  It is computed here either from a full SVD of the
-projected convolution matrix or by power iteration on the normal operator.
+norm on both sides.  For a general mu, spectral_norm computes it from the
+n x n convolution matrix, by a full SVD (up to FULL_SVD_LIMIT elements) or
+by power iteration applying the matrix and its adjoint.
+
+A class function mu acts on each irreducible representation rho as the
+scalar sum_g mu(g) chi_rho(g) / chi_rho(1), and the character of rho is a
+class function carrying that scalar, so class_function_norm works on the k
+conjugacy classes instead of the n elements: it builds the k x k matrix of
+the operator on class indicators from k shift permutations, rescales it to
+an orthonormal basis, projects off the constants and takes its norm.  No
+n x n array is formed; class_expansion uses this path.
 """
 
 from __future__ import annotations
@@ -13,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mixing
-from .groups import conjugacy_class, element, special_linear_group
+from .budget import OP_BUDGET, charge
+from .groups import conjugacy_classes, element, special_linear_group
 from .fields import inv_mod
 
 FULL_SVD_LIMIT = 5000
@@ -64,11 +74,6 @@ def convolution_matrix(table, mu) -> np.ndarray:
     return out
 
 
-def _projected(matrix: np.ndarray) -> np.ndarray:
-    # restrict the domain to mean-zero functions
-    return matrix - matrix.mean(axis=1, keepdims=True)
-
-
 def spectral_norm(
     table,
     mu,
@@ -84,7 +89,8 @@ def spectral_norm(
             f"table of size {table.size} exceeds the full SVD limit "
             f"{FULL_SVD_LIMIT}; use power_iteration"
         )
-    mat = _projected(convolution_matrix(table, mu))
+    mat = convolution_matrix(table, mu)
+    mat -= mat.mean(axis=1, keepdims=True)  # restrict the domain to mean-zero f
     if method == "full_svd":
         top = float(np.linalg.svd(mat, compute_uv=False)[0])
         return SpectralEstimate(top, "full_svd", 0, 0.0)
@@ -100,10 +106,10 @@ def _power_iteration(mat: np.ndarray, tol: float, max_iterations: int) -> Spectr
     if norm_v == 0:
         return SpectralEstimate(0.0, "power_iteration", 0, 0.0)
     v /= norm_v
-    herm = np.conj(mat.T) @ mat
+    adjoint = mat.conj().T
     sigma = 0.0
     for it in range(1, max_iterations + 1):
-        w = herm @ v
+        w = adjoint @ (mat @ v)
         norm_w = np.linalg.norm(w)
         if norm_w == 0:
             return SpectralEstimate(0.0, "power_iteration", it, 0.0)
@@ -117,6 +123,36 @@ def _power_iteration(mat: np.ndarray, tol: float, max_iterations: int) -> Spectr
         f"power iteration did not reach relative residual {tol} "
         f"in {max_iterations} iterations"
     )
+
+
+def _class_sums(labels: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
+    if np.iscomplexobj(weights):
+        return _class_sums(labels, weights.real, k) + 1j * _class_sums(labels, weights.imag, k)
+    return np.bincount(labels, weights, minlength=k)
+
+
+def class_function_norm(table, mu) -> float:
+    """Reduced spectral norm of a class function mu, from the class algebra.
+
+    M[l, j] = (1_{C_j} * mu)(x_l) at the representative x_l of class l is the
+    operator on class indicators; N = S M S^-1 with S = diag(sqrt |C_j|) is
+    the same operator in the orthonormal basis 1_{C_j} / sqrt |C_j|, so it is
+    normal.  Its norm off the constant direction v_j = sqrt(|C_j| / n) is the
+    reduced norm.  Costs k shift permutations for k classes.
+    """
+    vals = _values(mu)
+    labels = conjugacy_classes(table)
+    _, reps, sizes = np.unique(labels, return_index=True, return_counts=True)
+    if np.any(vals != vals[reps][labels]):
+        raise ValueError("mu is not constant on conjugacy classes")
+    k, n = len(reps), table.size
+    charge(k * n, OP_BUDGET, f"class-sum matrix of {k} classes on {n} elements")
+    inv = table.inv_perm()
+    m = np.array([_class_sums(labels, vals[table.rmul_perm(int(x))[inv]], k) for x in reps])
+    root = np.sqrt(sizes)
+    normal = m * root[:, None] / root
+    proj = np.eye(k) - np.outer(root, root) / n
+    return float(np.linalg.norm(proj @ normal @ proj, 2))
 
 
 def cyclic_spectral_oracle(mu) -> float:
@@ -275,16 +311,17 @@ def class_expansion(
         arr = a.array()
         if arr[0, 1] == 0 and arr[1, 0] == 0 and arr[0, 0] == arr[1, 1]:
             raise ValueError("base point is central; expansion needs a non-central class")
-        cls = conjugacy_class(tbl, a)
-        ind = mixing.indicator_function(tbl, tbl.indices_of(cls.mats))
-        norm = spectral_norm(tbl, ind.values.astype(np.float64)).norm
+        labels = conjugacy_classes(tbl)
+        ind = (labels == labels[tbl.index_of(a)]).astype(np.float64)
+        norm = class_function_norm(tbl, ind)
+        class_size = int(ind.sum())
         rows.append(
             ClassExpansionRow(
                 p=p,
                 group_order=tbl.size,
-                class_size=cls.size,
+                class_size=class_size,
                 norm=norm,
-                ratio=norm / cls.size,
+                ratio=norm / class_size,
             )
         )
     logs_p = np.log([r.p for r in rows])

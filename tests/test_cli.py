@@ -114,6 +114,12 @@ def test_spectral_class_rows(capsys):
     assert len(ratios) == 2 and ratios[0] > ratios[1]
 
 
+def test_spectral_class_big_grid(capsys):
+    code, out, _ = run_cli(capsys, "spectral-class", "--big", "--primes", "17,19")
+    assert code == 0
+    assert len(parse_csv(out)) == 5
+
+
 def test_borel4_and_mixing4_run(capsys):
     assert run_cli(capsys, "borel4", "--primes", "3")[0] == 0
     assert run_cli(capsys, "mixing4-diag", "--primes", "3")[0] == 0

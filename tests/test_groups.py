@@ -8,6 +8,7 @@ from progmix.groups import (
     borel_character,
     centralizer,
     conjugacy_class,
+    conjugacy_classes,
     diagonalisable_set,
     distinct_conjugate_count,
     element,
@@ -166,6 +167,20 @@ def test_conjugacy_class_examples():
     assert conjugacy_class(table, identity_element(2, 5)).size == 1
     cls = conjugacy_class(table, element([[1, 1], [0, 1]], 5))
     assert cls.size == 12 == table.size // centralizer(table, element([[1, 1], [0, 1]], 5)).size
+
+
+def test_conjugacy_classes_match_single_orbits():
+    for table, count in [(special_linear_group(2, p), p + 4) for p in (3, 5, 7)] + [
+        (borel_subgroup(5), 5 + 3)
+    ]:
+        labels = conjugacy_classes(table)
+        assert labels.max() + 1 == count
+        _, reps = np.unique(labels, return_index=True)
+        assert np.all(np.diff(reps) > 0) and reps[0] == 0
+        for label, rep in enumerate(reps):
+            members = np.flatnonzero(labels == label)
+            orbit = conjugacy_class(table, table.mats[rep])
+            assert np.array_equal(table.mats[members], orbit.mats)
 
 
 def test_orbit_stabilizer_exhaustive_sl2_f3():

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from progmix.groups import CyclicTable, special_linear_group
+from progmix.cli import BIG_PRIMES
+from progmix.groups import (
+    CyclicTable,
+    borel_subgroup,
+    conjugacy_classes,
+    special_linear_group,
+)
 from progmix.mixing import GroupFunction, constant_function, delta_function, random_sign_function
 from progmix.spectral import (
     QuasirandomnessParameter,
@@ -9,6 +15,7 @@ from progmix.spectral import (
     check_spectral_bounds,
     check_two_point_mixing,
     class_expansion,
+    class_function_norm,
     classical_sl2_parameter,
     cyclic_spectral_oracle,
     convolution_matrix,
@@ -239,3 +246,63 @@ def test_class_expansion_split_torus():
     for row in report.rows:
         assert row.ratio <= 1 + 1e-12
     assert report.rows[0].class_size == 30  # |G| / (p - 1) at p = 5
+
+
+def assert_matches_svd(table, mu):
+    svd = spectral_norm(table, mu, method="full_svd").norm
+    assert abs(class_function_norm(table, mu) - svd) <= 1e-12 * svd
+
+
+def test_class_function_norm_every_class_indicator():
+    for p in (3, 5, 7):
+        table = special_linear_group(2, p)
+        labels = conjugacy_classes(table)
+        for label in range(labels.max() + 1):
+            assert_matches_svd(table, (labels == label).astype(np.float64))
+
+
+def test_class_function_norm_random_class_functions():
+    rng = np.random.default_rng(9)
+    for table in (special_linear_group(2, 3), special_linear_group(2, 5), borel_subgroup(5)):
+        labels = conjugacy_classes(table)
+        k = labels.max() + 1
+        for _ in range(5):
+            assert_matches_svd(table, rng.standard_normal(k)[labels])
+            values = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            assert_matches_svd(table, values[labels])
+
+
+def test_class_function_norm_central_point_masses():
+    for p in (3, 5, 7):
+        table = special_linear_group(2, p)
+        for m in (1, p - 1):  # I and -I
+            mu = np.zeros(table.size)
+            mu[table.index_of(m * np.eye(2, dtype=np.int64))] = 1.0
+            assert abs(class_function_norm(table, mu) - 1.0) <= 1e-12
+
+
+def test_class_function_norm_rejects_non_class_function():
+    table = special_linear_group(2, 5)
+    mu = np.zeros(table.size)
+    mu[table.index_of(np.array([[1, 1], [0, 1]]))] = 1.0
+    with pytest.raises(ValueError):
+        class_function_norm(table, mu)
+
+
+def test_class_expansion_unipotent_closed_form():
+    # |C| |chi(u)| / chi(1) over the SL_2(F_p) character table peaks at the two
+    # characters of degree (p - 1) / 2, where chi(u) = (-1 +- sqrt(+-p)) / 2 with
+    # the sign of p that makes +-p = 1 mod 4; |C| = (p^2 - 1) / 2.
+    for row in class_expansion(BIG_PRIMES).rows:
+        p = row.p
+        if p % 4 == 1:
+            expected = (p + 1) * (1 + np.sqrt(p)) / 2
+        else:
+            expected = (p + 1) ** 1.5 / 2
+        assert abs(row.norm - expected) <= 1e-12 * expected
+
+
+def test_class_expansion_split_torus_closed_form():
+    # |C| = p (p + 1); the peak is 2 |C| / (p + 1) at a principal series character.
+    for row in class_expansion(BIG_PRIMES, selector="split_torus").rows:
+        assert abs(row.norm - 2 * row.p) <= 1e-12 * 2 * row.p
