@@ -51,12 +51,9 @@ def borel_context(p: int) -> BorelContext:
     unip_idx = group.indices_of(unip.mats)
     pi_values = group.mats[:, 1, 1].copy()
     upper_left = group.mats[:, 0, 0].copy()
-    shear_mul = np.empty((p, group.size), dtype=np.int64)
-    for a in range(p):
-        sh = np.array([[1, a], [0, 1]], dtype=np.int64)
-        prods = np.einsum("ij,njk->nik", sh, group.mats) % p
-        shear_mul[a] = group.indices_of(prods)
-    shear_idx = unip.indices_of(np.array([[[1, a], [0, 1]] for a in range(p)]))
+    shears = np.array([[[1, a], [0, 1]] for a in range(p)])
+    shear_mul = np.stack([group.lmul_perm(int(g)) for g in group.indices_of(shears)])
+    shear_idx = unip.indices_of(shears)
     section = np.zeros(p, dtype=np.int64)
     for t in range(1, p):
         section[t] = group.index_of(np.array([[inv_mod(t, p), 0], [0, t]]))
@@ -88,28 +85,27 @@ def smoothing_gap(ctx: BorelContext, fs) -> float:
 
 
 def _sheared_layers(ctx: BorelContext, fs):
-    """Per-shift data for the shear-coordinate form of the 4-term average."""
+    """Per-shift blocks of the shear-coordinate form of the 4-term average.
+
+    Block g has entry ((a, b), x) = prod_i f_i(psi(a + c_i b) x g^i), with
+    c_i = 1 + w + .. + w^(i-1) and w = t^2 for the upper-left entry t of g.
+    Each f_i is gathered once onto the shear cosets, F_i[a, x] =
+    f_i(psi(a) x); per shift, the columns x -> x g^i are gathered at p x n,
+    the rows a + c_i b at p^2 x n, and multiplied into one reused buffer.
+    """
     p = ctx.p
-    n = ctx.group.size
-    ab = np.indices((p, p)).reshape(2, -1)  # rows: a, b over all p^2 pairs
-    a_row, b_row = ab
-    for gi in range(n):
+    a_row, b_row = np.indices((p, p)).reshape(2, -1)  # all p^2 pairs (a, b)
+    on_cosets = [f.values[ctx.shear_mul_index] for f in fs]  # F_i, p x n
+    t0 = on_cosets[0][a_row]
+    block = np.empty(t0.shape, dtype=np.result_type(*on_cosets))  # reused for every shift
+    for gi in range(ctx.group.size):
         perm = ctx.group.rmul_perm(gi)
-        i1 = perm
-        i2 = perm[i1]
-        i3 = perm[i2]
         w = int(ctx.upper_left[gi]) ** 2 % p
-        c2 = (1 + w) % p
-        c3 = (1 + w + w * w) % p
-        s0 = a_row
-        s1 = (a_row + b_row) % p
-        s2 = (a_row + c2 * b_row) % p
-        s3 = (a_row + c3 * b_row) % p
-        t0 = fs[0].values[ctx.shear_mul_index[s0]]
-        t1 = fs[1].values[ctx.shear_mul_index[s1][:, i1]]
-        t2 = fs[2].values[ctx.shear_mul_index[s2][:, i2]]
-        t3 = fs[3].values[ctx.shear_mul_index[s3][:, i3]]
-        yield t0 * t1 * t2 * t3
+        lhs, cursor, c = t0, perm, 1
+        for f_i in on_cosets[1:]:
+            np.multiply(lhs, f_i[:, cursor][(a_row + c * b_row) % p], out=block)
+            lhs, cursor, c = block, perm[cursor], (1 + w * c) % p
+        yield block
 
 
 def sheared_average(ctx: BorelContext, fs) -> float:

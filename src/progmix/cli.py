@@ -54,7 +54,9 @@ def _parse_primes(raw: str | None, big: bool) -> list[int]:
         if p > max(DEFAULT_PRIMES) and not big:
             raise ConfigError(f"prime {p} needs --big (larger runtimes)")
     if big and any(p > max(DEFAULT_PRIMES) for p in primes):
-        print("warning: primes above 13 can take minutes per experiment", file=sys.stderr)
+        print("warning: an exact sweep costs about n^2 group operations per prime, "
+              "n = |SL_d(F_p)|; --samples N is the cheaper route where offered",
+              file=sys.stderr)
     return primes
 
 
@@ -69,12 +71,10 @@ def _make_functions(kind: str, table, rng, count: int):
         if getattr(table, "label", "") != "full":
             raise ConfigError("coset-borel functions need the full group table")
         b = borel_subgroup(table.p)
+        b_idx = table.indices_of(b.mats)
         out = []
         for _ in range(count):
-            g = int(rng.integers(table.size))
-            coset = table.indices_of(
-                np.einsum("ij,njk->nik", table.mats[g], b.mats) % table.p
-            )
+            coset = table.lmul_perm(int(rng.integers(table.size)))[b_idx]
             values = np.full(table.size, -b.size / table.size)
             values[coset] += 1.0
             out.append(mixing.GroupFunction(values, table))
@@ -116,8 +116,11 @@ def cmd_mixing3(args, report: ExperimentReport) -> None:
     for p in _parse_primes(args.primes, args.big):
         table = special_linear_group(args.d, p)
         fs = _make_functions(args.functions, table, _rng(args.seed, p, 0), 3)
-        avg = mixing.progression_average(table, fs, samples=samples, seed=[args.seed, p, 1])
-        dev = mixing.progression_deviation(table, fs, samples=samples, seed=[args.seed, p, 2])
+        if samples is None:
+            avg, dev = mixing.exact_progression_statistics(table, fs)
+        else:
+            avg = mixing.progression_average(table, fs, samples=samples, seed=[args.seed, p, 1])
+            dev = mixing.progression_deviation(table, fs, samples=samples, seed=[args.seed, p, 2])
         common = dict(p=p, d=args.d, group_order=table.size, seed=args.seed)
         report.add("mixing3", "progression_average_3", avg.value,
                    samples=_samples_column(samples), **common)
@@ -132,8 +135,7 @@ def cmd_mixing4_diag(args, report: ExperimentReport) -> None:
         table = special_linear_group(2, p)
         shift_set = diagonalisable_set(p)
         fs = _make_functions(args.functions, table, _rng(args.seed, p, 0), 4)
-        unsigned = mixing.restricted_progression_deviation(table, shift_set, fs, signed=False)
-        signed = mixing.restricted_progression_deviation(table, shift_set, fs, signed=True)
+        unsigned, signed = mixing.restricted_progression_deviation(table, shift_set, fs)
         common = dict(p=p, d=2, group_order=table.size, seed=args.seed)
         report.add("mixing4-diag", "restricted_deviation_unsigned", unsigned.value, **common)
         report.add("mixing4-diag", "restricted_deviation_signed", signed.value, **common)

@@ -20,6 +20,7 @@ from .budget import OP_BUDGET, charge
 from .groups import (
     GroupTable,
     _as_array,
+    _conjugates,
     _inverse_many,
     _mul_many,
     centralizer,
@@ -176,14 +177,11 @@ def check_conjugate_average_identity(table: GroupTable, sub: GroupTable) -> Conj
 
     Both sides are assembled exactly as rationals and compared pointwise.
     """
-    p = table.p
     n = table.size
     u_count = sub.size
-    inv_mats = table.inv_mats()
     lhs_counts = np.zeros(n, dtype=np.int64)
     for u in sub.mats:
-        conj = _mul_many(_mul_many(table.mats, u, p), inv_mats, p)
-        lhs_counts += np.bincount(table.indices_of(conj), minlength=n)
+        lhs_counts += np.bincount(_conjugates(table, u), minlength=n)
     lhs = [Fraction(int(c), n * u_count) for c in lhs_counts]
 
     rhs = [Fraction(0)] * n

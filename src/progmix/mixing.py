@@ -10,9 +10,12 @@ replaces the inner x-average by its absolute distance from the product of
 the means, measuring how far a single shift g is from mixing.
 
 Every exact statistic is a reduction of one kernel, `shift_sums`, which
-returns the per-shift sums s[g] = sum_x prod_i f_i(x g^i).  Integer-valued
-inputs (indicators, +-1 signs) are accumulated exactly in integer arithmetic,
-and the exact value is reported as a Fraction alongside the float.
+returns the per-shift sums s[g] = sum_x prod_i f_i(x g^i).  The exact average
+and deviation are two reductions of one sweep (`exact_progression_statistics`),
+and the restricted deviations two reductions of one sweep over the shift set.
+Integer-valued inputs (indicators, +-1 signs) are accumulated exactly in
+integer arithmetic, and the exact value is reported as a Fraction alongside
+the float.
 """
 
 from __future__ import annotations
@@ -136,27 +139,56 @@ def progression_average(table=None, fs=None, samples=None, seed=None) -> MixingR
     """
     fs = list(fs)
     table = _common_table(fs, table)
-    n = table.size
-    k = len(fs)
     if samples is not None and samples != "exact":
         return _progression_average_sampled(table, fs, int(samples), seed)
-    charge(k * n * n, OP_BUDGET, f"exact {k}-term average on {n} elements")
-    exact = _exact_inputs(fs)
-    total = sum(shift_sums(table, fs).tolist())  # Python ints stay exact
+    return exact_progression_statistics(table, fs)[0]
+
+
+def exact_progression_statistics(table, fs) -> tuple[MixingResult, MixingResult]:
+    """The exact progression average and deviation, from one `shift_sums` sweep.
+
+    Returns (average, deviation), the results of the exact modes of
+    `progression_average` and `progression_deviation`, and charges the
+    k n^2 operations of the sweep once.
+    """
+    fs = list(fs)
+    table = _common_table(fs, table)
+    n = table.size
+    k = len(fs)
+    charge(k * n * n, OP_BUDGET, f"exact {k}-term average and deviation on {n} elements")
+    sums = shift_sums(table, fs)
+    prod_means = np.prod([f.mean() for f in fs])
+    total = sum(sums.tolist())  # Python ints stay exact
     value = total / (n * n)
-    means = [f.mean() for f in fs]
-    prod_means = np.prod(means)
-    result = MixingResult(
+    average = MixingResult(
         value=value,
         product_of_means=prod_means,
         deviation=abs(value - prod_means),
         samples_used="exact",
     )
-    if exact:
-        result.exact_value = Fraction(total, n * n)
-        result.exact_product = Fraction(_product_of_sums(fs), n**k)
-        result.deviation = abs(float(result.exact_value - result.exact_product))
-    return result
+    if not _exact_inputs(fs):
+        dev = float(np.abs(sums / n - prod_means).mean())
+        deviation = MixingResult(
+            value=dev, product_of_means=prod_means, deviation=dev, samples_used="exact"
+        )
+        return average, deviation
+    target = _product_of_sums(fs)
+    exact_product = Fraction(target, n**k)
+    average.exact_value = Fraction(total, n * n)
+    average.exact_product = exact_product
+    average.deviation = abs(float(average.exact_value - exact_product))
+    # E_g |s_g / n - prod_i (sum f_i) / n| = sum_g |s_g n^(k-1) - prod_i sum f_i| / n^(k+1)
+    scale = n ** (k - 1)
+    exact_dev = Fraction(sum(abs(s * scale - target) for s in sums.tolist()), n ** (k + 1))
+    deviation = MixingResult(
+        value=float(exact_dev),
+        product_of_means=prod_means,
+        deviation=float(exact_dev),
+        samples_used="exact",
+        exact_value=exact_dev,
+        exact_product=exact_product,
+    )
+    return average, deviation
 
 
 def _product_of_sums(fs) -> int:
@@ -200,76 +232,49 @@ def progression_deviation(table=None, fs=None, samples=None, seed=None) -> Mixin
     """
     fs = list(fs)
     table = _common_table(fs, table)
+    if samples is None or samples == "exact":
+        return exact_progression_statistics(table, fs)[1]
+    samples = int(samples)
+    if samples < 1:
+        raise ValueError("samples must be positive")
     n = table.size
-    k = len(fs)
-    exact = _exact_inputs(fs)
     prod_means = np.prod([f.mean() for f in fs])
-
-    if samples is not None and samples != "exact":
-        samples = int(samples)
-        if samples < 1:
-            raise ValueError("samples must be positive")
-        rng = np.random.default_rng(seed)
-        g_indices = rng.integers(0, n, size=samples)
-        devs = np.abs(shift_sums(table, fs, g_indices) / n - prod_means)
-        stderr = float(devs.std(ddof=1) / np.sqrt(samples)) if samples > 1 else float("inf")
-        value = float(devs.mean())
-        return MixingResult(
-            value=value,
-            product_of_means=prod_means,
-            deviation=value,
-            samples_used=samples,
-            stderr=stderr,
-        )
-
-    charge(k * n * n, OP_BUDGET, f"exact {k}-term deviation on {n} elements")
-    sums = shift_sums(table, fs)
-    if exact:
-        # E_g |s_g / n - prod_i (sum f_i) / n| = sum_g |s_g n^(k-1) - prod_i sum f_i| / n^(k+1)
-        target = _product_of_sums(fs)
-        scale = n ** (k - 1)
-        exact_value = Fraction(sum(abs(s * scale - target) for s in sums.tolist()), n ** (k + 1))
-        value = float(exact_value)
-        return MixingResult(
-            value=value,
-            product_of_means=prod_means,
-            deviation=value,
-            samples_used="exact",
-            exact_value=exact_value,
-            exact_product=Fraction(target, n**k),
-        )
-    value = float(np.abs(sums / n - prod_means).mean())
+    rng = np.random.default_rng(seed)
+    g_indices = rng.integers(0, n, size=samples)
+    devs = np.abs(shift_sums(table, fs, g_indices) / n - prod_means)
+    stderr = float(devs.std(ddof=1) / np.sqrt(samples)) if samples > 1 else float("inf")
+    value = float(devs.mean())
     return MixingResult(
         value=value,
         product_of_means=prod_means,
         deviation=value,
-        samples_used="exact",
+        samples_used=samples,
+        stderr=stderr,
     )
 
 
-def restricted_progression_deviation(table, shift_set, fs, signed: bool = False) -> MixingResult:
-    """Deviation with the shift g restricted to a subset of the group.
+def restricted_progression_deviation(table, shift_set, fs) -> tuple[MixingResult, MixingResult]:
+    """Deviations with the shift g restricted to a subset S of the group.
 
-    Unsigned (default): E_{g in S} | E_x prod f_i(x g^i) - prod E f_i |.
-    Signed: | E_{g in S} E_x prod f_i(x g^i) - prod E f_i |.
+    Returns (unsigned, signed) from one `shift_sums` sweep over S:
+    unsigned is E_{g in S} | E_x prod f_i(x g^i) - prod E f_i |, signed is
+    | E_{g in S} E_x prod f_i(x g^i) - prod E f_i |.  Charges k |S| n.
     """
     fs = list(fs)
     _common_table(fs, table)
     if shift_set.size == 0:
         raise ValueError("shift set is empty")
-    shift_indices = table.indices_of(shift_set.mats)
     n = table.size
+    charge(len(fs) * shift_set.size * n, OP_BUDGET,
+           f"restricted {len(fs)}-term deviation over {shift_set.size} shifts on {n} elements")
+    shift_indices = table.indices_of(shift_set.mats)
     prod_means = np.prod([f.mean() for f in fs])
     inner = shift_sums(table, fs, shift_indices) / n
-    if signed:
-        value = abs(inner.mean() - prod_means)
-    else:
-        value = float(np.mean(np.abs(inner - prod_means)))
-    return MixingResult(
-        value=value,
-        product_of_means=prod_means,
-        deviation=value,
-        samples_used="exact",
+    unsigned = float(np.mean(np.abs(inner - prod_means)))
+    signed = abs(inner.mean() - prod_means)
+    return tuple(
+        MixingResult(value=v, product_of_means=prod_means, deviation=v, samples_used="exact")
+        for v in (unsigned, signed)
     )
 
 

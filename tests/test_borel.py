@@ -97,6 +97,58 @@ def test_sheared_average_exact_rational_equality():
         assert sheared_average_exact(ctx, fs) == four_term_average(ctx, fs).exact_value
 
 
+def old_sheared_layers(ctx, fs):
+    """The shear-coordinate blocks built from p^2 x n index copies per factor
+    and shift; the oracle for `_sheared_layers`."""
+    p, n = ctx.p, ctx.group.size
+    a_row, b_row = np.indices((p, p)).reshape(2, -1)
+    for gi in range(n):
+        perm = ctx.group.rmul_perm(gi)
+        i1 = perm
+        i2 = perm[i1]
+        i3 = perm[i2]
+        w = int(ctx.upper_left[gi]) ** 2 % p
+        c2 = (1 + w) % p
+        c3 = (1 + w + w * w) % p
+        t0 = fs[0].values[ctx.shear_mul_index[a_row]]
+        t1 = fs[1].values[ctx.shear_mul_index[(a_row + b_row) % p][:, i1]]
+        t2 = fs[2].values[ctx.shear_mul_index[(a_row + c2 * b_row) % p][:, i2]]
+        t3 = fs[3].values[ctx.shear_mul_index[(a_row + c3 * b_row) % p][:, i3]]
+        yield t0 * t1 * t2 * t3
+
+
+@pytest.mark.parametrize("kind", ["sign", "indicator", "integer", "float"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sheared_kernel_matches_old_loop(p, kind):
+    ctx = borel_context(p)
+    n = ctx.group.size
+    rng = np.random.default_rng([p, len(kind)])
+    if kind == "sign":
+        draws = [rng.choice([-1, 1], size=n) for _ in range(4)]
+    elif kind == "indicator":
+        draws = [(rng.random(n) < 0.4).astype(np.int64) for _ in range(4)]
+    elif kind == "integer":
+        draws = [rng.integers(-3, 4, size=n) for _ in range(4)]
+    else:
+        draws = [rng.standard_normal(n) for _ in range(4)]
+    fs = [GroupFunction(v, ctx.group) for v in draws]
+    scale = n * n * p * p
+    want = sum(float(block.sum(dtype=np.float64)) for block in old_sheared_layers(ctx, fs))
+    assert abs(sheared_average(ctx, fs) - want / scale) < 1e-12
+    if kind != "float":
+        exact = sum(int(block.sum(dtype=np.int64)) for block in old_sheared_layers(ctx, fs))
+        assert sheared_average_exact(ctx, fs) == Fraction(exact, scale)
+
+
+def test_shear_mul_index_matches_explicit_products():
+    for p in (3, 5, 7):
+        ctx = borel_context(p)
+        for a in range(p):
+            sh = np.array([[1, a], [0, 1]], dtype=np.int64)
+            prods = np.einsum("ij,njk->nik", sh, ctx.group.mats) % p
+            assert ctx.shear_mul_index[a].tolist() == ctx.group.indices_of(prods).tolist()
+
+
 def test_smoothing_gap_vanishes_on_coset_constant_inputs():
     ctx = borel_context(5)
     rng = np.random.default_rng(3)

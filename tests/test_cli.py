@@ -2,9 +2,11 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from progmix.cli import main
+from progmix.cli import _make_functions, _rng, main
+from progmix.groups import GroupTable, borel_subgroup, diagonalisable_set, special_linear_group
 from progmix.report import COLUMNS, ExperimentReport
 
 
@@ -150,6 +152,55 @@ def test_budget_exceeded_exit_code(capsys, monkeypatch):
         assert "budget" in err
     finally:
         special_linear_group.cache_clear()
+
+
+def test_restricted_budget_exceeded_exit_code(capsys, monkeypatch):
+    table, shift_set = special_linear_group(2, 3), diagonalisable_set(3)
+    cost = 4 * shift_set.size * table.size
+    monkeypatch.setenv("PROGMIX_BUDGET", str(cost - 1))
+    code, _, err = run_cli(capsys, "mixing4-diag", "--primes", "3")
+    assert code == 3
+    assert "restricted 4-term deviation" in err
+    monkeypatch.setenv("PROGMIX_BUDGET", str(cost))
+    assert run_cli(capsys, "mixing4-diag", "--primes", "3")[0] == 0
+
+
+def count_rmul_perm(monkeypatch):
+    calls = []
+    original = GroupTable.rmul_perm
+
+    def counted(self, gi):
+        calls.append(gi)
+        return original(self, gi)
+
+    monkeypatch.setattr(GroupTable, "rmul_perm", counted)
+    return calls
+
+
+def test_exact_mixing3_sweeps_each_prime_once(capsys, monkeypatch):
+    calls = count_rmul_perm(monkeypatch)
+    assert run_cli(capsys, "mixing3", "--primes", "3,5", "--samples", "exact")[0] == 0
+    assert len(calls) == 24 + 120
+
+
+def test_mixing4_diag_sweeps_each_shift_once(capsys, monkeypatch):
+    calls = count_rmul_perm(monkeypatch)
+    assert run_cli(capsys, "mixing4-diag", "--primes", "3,5")[0] == 0
+    assert len(calls) == diagonalisable_set(3).size + diagonalisable_set(5).size
+
+
+def test_coset_borel_functions_match_explicit_cosets():
+    for p in (3, 5, 7):
+        table = special_linear_group(2, p)
+        b = borel_subgroup(p)
+        got = _make_functions("coset-borel", table, _rng(4, p, 0), 3)
+        rng = _rng(4, p, 0)
+        for f in got:
+            g = int(rng.integers(table.size))
+            coset = table.indices_of(np.einsum("ij,njk->nik", table.mats[g], b.mats) % p)
+            want = np.full(table.size, -b.size / table.size)
+            want[coset] += 1.0
+            assert f.values.tolist() == want.tolist()
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -11,6 +11,7 @@ from progmix.mixing import (
     convolve,
     coset_smooth,
     delta_function,
+    exact_progression_statistics,
     indicator_function,
     progression_average,
     progression_deviation,
@@ -140,7 +141,7 @@ def test_restricted_deviation_identity_shift():
     table = special_linear_group(2, 5)
     ident = GroupTable(table.mats[table.identity_index][None], 5, "subset")
     full = constant_function(table)
-    result = restricted_progression_deviation(table, ident, [full] * 4)
+    result, _ = restricted_progression_deviation(table, ident, [full] * 4)
     assert result.value == 0
 
 
@@ -150,8 +151,7 @@ def test_restricted_deviation_signed_le_unsigned():
     rng = np.random.default_rng(6)
     for _ in range(10):
         fs = [random_sign_function(table, rng) for _ in range(4)]
-        unsigned = restricted_progression_deviation(table, shift_set, fs, signed=False)
-        signed = restricted_progression_deviation(table, shift_set, fs, signed=True)
+        unsigned, signed = restricted_progression_deviation(table, shift_set, fs)
         assert signed.value <= unsigned.value + 1e-12
 
 
@@ -166,7 +166,7 @@ def test_restricted_deviation_bounded_for_signs():
     rng.shuffle(balanced)
     f3 = GroupFunction(balanced, table)
     assert f3.mean() == 0
-    result = restricted_progression_deviation(table, s, fs + [f3])
+    result, _ = restricted_progression_deviation(table, s, fs + [f3])
     assert 0 <= result.value <= 1 + 1e-12
 
 
@@ -207,6 +207,19 @@ def test_restricted_deviation_rejects_empty_shifts():
     empty = GroupTable(np.empty((0, 2, 2), dtype=np.int64), 3, "subset")
     with pytest.raises(ValueError):
         restricted_progression_deviation(table, empty, fs)
+
+
+def test_restricted_deviation_charges_one_sweep(monkeypatch):
+    table = special_linear_group(2, 5)
+    shift_set = borel_subgroup(5)
+    fs = [constant_function(table)] * 4
+    cost = 4 * shift_set.size * table.size
+    monkeypatch.setenv("PROGMIX_BUDGET", str(cost - 1))
+    with pytest.raises(BudgetExceededError, match="restricted 4-term deviation"):
+        restricted_progression_deviation(table, shift_set, fs)
+    monkeypatch.setenv("PROGMIX_BUDGET", str(cost))
+    unsigned, signed = restricted_progression_deviation(table, shift_set, fs)
+    assert unsigned.value == signed.value == 0
 
 
 def test_convolution_with_point_mass_translates():
@@ -356,8 +369,7 @@ def test_exact_statistics_match_brute_force(p, kind, k):
         assert dev.value == float(want["deviation"])
     if shift_subset is not None:
         shift_set = borel_subgroup(p)
-        unsigned = restricted_progression_deviation(table, shift_set, fs)
-        signed = restricted_progression_deviation(table, shift_set, fs, signed=True)
+        unsigned, signed = restricted_progression_deviation(table, shift_set, fs)
         assert abs(unsigned.value - float(want["unsigned"])) < 1e-12
         assert abs(signed.value - float(want["signed"])) < 1e-12
 
@@ -372,3 +384,45 @@ def test_shift_sums_match_brute_force_on_given_shifts():
     assert sums.tolist() == want
     shifts = np.array([7, 0, 7, 119])
     assert shift_sums(table, fs, shifts).tolist() == [want[g] for g in shifts]
+
+
+def separate_sweep_statistics(table, fs):
+    """Average and deviation from two independent `shift_sums` sweeps, exact
+    Fractions for integer inputs and floats otherwise."""
+    n = table.size
+    exact = all(f.is_integer_valued for f in fs)
+    scalar = Fraction if exact else lambda a, b: a / b
+    means = [scalar(int(f.values.sum()) if exact else f.values.sum(), n) for f in fs]
+    prod_means = 1
+    for m in means:
+        prod_means *= m
+    average = scalar(sum(shift_sums(table, fs).tolist()), n * n)
+    inner = [scalar(s, n) for s in shift_sums(table, fs).tolist()]
+    deviation = sum(abs(i - prod_means) for i in inner) / n
+    return average, deviation, prod_means
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["sign", "indicator", "float"])
+@pytest.mark.parametrize("p", [3, 5, "cyclic"])
+def test_shared_exact_sweep_matches_separate_sweeps(p, kind, k, monkeypatch):
+    table = CyclicTable(11) if p == "cyclic" else special_linear_group(2, p)
+    rng = np.random.default_rng([k, table.size, 7])
+    fs = input_functions(table, kind, k, rng)
+    want_avg, want_dev, want_prod = separate_sweep_statistics(table, fs)
+    charges = []
+    monkeypatch.setattr("progmix.mixing.charge", lambda cost, *a: charges.append(cost))
+    avg, dev = exact_progression_statistics(table, fs)
+    assert charges == [k * table.size**2]  # one sweep, charged once
+    if kind == "float":
+        assert abs(avg.value - want_avg) < 1e-12
+        assert abs(dev.value - want_dev) < 1e-12
+    else:
+        assert avg.exact_value == want_avg
+        assert dev.exact_value == want_dev
+        assert avg.exact_product == dev.exact_product == want_prod
+        assert avg.value == float(want_avg) and dev.value == float(want_dev)
+    assert dev.deviation == dev.value
+    # the public exact modes are the same reductions of the same sweep
+    assert progression_average(table, fs, samples="exact") == avg
+    assert progression_deviation(table, fs) == dev
