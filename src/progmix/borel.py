@@ -77,11 +77,15 @@ def four_term_average(ctx: BorelContext, fs) -> mixing.MixingResult:
     return mixing.progression_average(ctx.group, fs)
 
 
+def smoothed(ctx: BorelContext, fs) -> list[mixing.GroupFunction]:
+    """The U-smoothed functions f * mu_U, constant on the shear cosets U x."""
+    return [mixing.coset_smooth(f, ctx.unipotent) for f in fs]
+
+
 def smoothing_gap(ctx: BorelContext, fs) -> float:
     """|four-term average of fs - four-term average of the U-smoothed fs|."""
     raw = four_term_average(ctx, fs).value
-    smoothed = [mixing.coset_smooth(f, ctx.unipotent) for f in fs]
-    return abs(raw - four_term_average(ctx, smoothed).value)
+    return abs(raw - four_term_average(ctx, smoothed(ctx, fs)).value)
 
 
 def _sheared_layers(ctx: BorelContext, fs):

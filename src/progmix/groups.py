@@ -15,6 +15,15 @@ by g acts on each row separately, as a permutation of the p^d row vectors of
 F_p^d.  rmul_perm builds that image table once per g and assembles every key
 of x g from the cached row keys of x, with no per-element product or
 reduction mod p; lmul_perm does the same for g x with the columns.
+
+Coset composition.  For the full SL_2(F_p) table, coset_decomposition writes
+every g as h r, with h in the Borel subgroup B and r one of the p + 1
+representatives of the right cosets B g.  Since x g = (x h) r, the shift
+permutation of g is rmul_perm(r)[rmul_perm(h)], so a sweep over all n shifts
+assembles |B| + p permutations (the representative of B is the identity) and
+composes the rest with one gather each.  Every other table gets the trivial
+decomposition: each g is its own h, and the identity is the only
+representative.
 """
 
 from __future__ import annotations
@@ -482,6 +491,47 @@ def conjugacy_classes(table: GroupTable) -> np.ndarray:
         label += 1
     labels.setflags(write=False)
     return labels
+
+
+@dataclass(frozen=True)
+class CosetDecomposition:
+    """Every table element written as g = h r, with h in a subgroup H and r
+    the representative of the right coset H g.  Coset 0 is H itself, and its
+    representative is the identity.  The arrays are read-only."""
+
+    coset: np.ndarray  # coset label of every element g
+    reps: np.ndarray  # table index of the representative of each coset
+    h: np.ndarray  # table index of h = g r^-1 for every element g
+
+
+@lru_cache(maxsize=32)
+def coset_decomposition(table) -> CosetDecomposition:
+    """g = h r over the Borel subgroup B, for the full SL_2(F_p) table.
+
+    The right coset B g is the line through g's bottom row (c, d), because
+    h g has bottom row t^-1 (c, d) for h = [[t, a], [0, t^-1]].  Its label is
+    c / d for d != 0 and p for d = 0, so B has label 0.  Each representative
+    is the first element of its coset, which for B is the identity, and all
+    n indices of h come from one batched product and lookup.  Any other table
+    (d = 3, subgroups, CyclicTable) gets the trivial decomposition.  Cached
+    per table, like `conjugacy_classes`.
+    """
+    n = table.size
+    if getattr(table, "d", None) == 2 and n == special_linear_order(2, table.p):
+        p = table.p
+        c, d = table.mats[:, 1, 0], table.mats[:, 1, 1]
+        inverses = np.array([0] + [inv_mod(t, p) for t in range(1, p)], dtype=np.int64)
+        coset = np.where(d == 0, p, c * inverses[d] % p)
+        reps = np.unique(coset, return_index=True)[1]
+        r_inv = _inverse_many(table.mats[reps], p)[coset]
+        h = table.indices_of(_mul_many(table.mats, r_inv, p))
+    else:
+        coset = np.zeros(n, dtype=np.intp)
+        reps = np.array([table.identity_index], dtype=np.intp)
+        h = np.arange(n)
+    for array in (coset, reps, h):
+        array.setflags(write=False)
+    return CosetDecomposition(coset, reps, h)
 
 
 @lru_cache(maxsize=32)

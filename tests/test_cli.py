@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from progmix.cli import _make_functions, _rng, main
-from progmix.groups import GroupTable, borel_subgroup, diagonalisable_set, special_linear_group
+from progmix.groups import (
+    GroupTable,
+    borel_subgroup,
+    coset_decomposition,
+    diagonalisable_set,
+    special_linear_group,
+)
 from progmix.report import COLUMNS, ExperimentReport
 
 
@@ -180,13 +186,32 @@ def count_rmul_perm(monkeypatch):
 def test_exact_mixing3_sweeps_each_prime_once(capsys, monkeypatch):
     calls = count_rmul_perm(monkeypatch)
     assert run_cli(capsys, "mixing3", "--primes", "3,5", "--samples", "exact")[0] == 0
-    assert len(calls) == 24 + 120
+    # Per prime: one permutation per h in the Borel subgroup, p(p - 1), and one per
+    # representative of the p + 1 cosets B g but the identity.  Building the
+    # decomposition assembles none.
+    assert len(calls) == sum(p * (p - 1) + p for p in (3, 5))
 
 
 def test_mixing4_diag_sweeps_each_shift_once(capsys, monkeypatch):
     calls = count_rmul_perm(monkeypatch)
     assert run_cli(capsys, "mixing4-diag", "--primes", "3,5")[0] == 0
-    assert len(calls) == diagonalisable_set(3).size + diagonalisable_set(5).size
+    want = []
+    for p in (3, 5):
+        table = special_linear_group(2, p)
+        dec = coset_decomposition(table)
+        shifts = table.indices_of(diagonalisable_set(p).mats)
+        want += np.unique(dec.h[shifts]).tolist()  # one per distinct h
+        used = np.unique(dec.coset[shifts])
+        want += dec.reps[used[used > 0]].tolist()  # one per used rep; B's is the identity
+    assert sorted(calls) == sorted(want)
+    assert len(calls) < diagonalisable_set(3).size + diagonalisable_set(5).size
+
+
+def test_borel4_sweeps_twice_per_prime(capsys, monkeypatch):
+    calls = count_rmul_perm(monkeypatch)
+    assert run_cli(capsys, "borel4", "--primes", "3,5")[0] == 0
+    # the raw and the U-smoothed four-term average, one permutation per shift each
+    assert len(calls) == sum(2 * borel_subgroup(p).size for p in (3, 5))
 
 
 def test_coset_borel_functions_match_explicit_cosets():

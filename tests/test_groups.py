@@ -9,6 +9,7 @@ from progmix.groups import (
     centralizer,
     conjugacy_class,
     conjugacy_classes,
+    coset_decomposition,
     diagonalisable_set,
     distinct_conjugate_count,
     element,
@@ -181,6 +182,29 @@ def test_conjugacy_classes_match_single_orbits():
             members = np.flatnonzero(labels == label)
             orbit = conjugacy_class(table, table.mats[rep])
             assert np.array_equal(table.mats[members], orbit.mats)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_coset_decomposition_over_borel(p):
+    table = special_linear_group(2, p)
+    dec = coset_decomposition(table)
+    assert len(dec.reps) == p + 1 and dec.reps[0] == table.identity_index
+    assert np.array_equal(dec.coset[dec.reps], np.arange(p + 1))
+    assert np.bincount(dec.coset).tolist() == [p * (p - 1)] * (p + 1)
+    h, r = table.mats[dec.h], table.mats[dec.reps[dec.coset]]
+    assert np.all(h[:, 1, 0] == 0)  # every h is upper-triangular
+    for gi in range(table.size):
+        assert np.array_equal(h[gi] @ r[gi] % p, table.mats[gi])
+    assert len(set(zip(dec.h.tolist(), dec.coset.tolist()))) == table.size
+    assert coset_decomposition(table) is dec
+
+
+@pytest.mark.parametrize("table", [borel_subgroup(5), special_linear_group(3, 3)],
+                         ids=["borel", "sl3"])
+def test_coset_decomposition_trivial_elsewhere(table):
+    dec = coset_decomposition(table)
+    assert dec.reps.tolist() == [table.identity_index]
+    assert not dec.coset.any() and np.array_equal(dec.h, np.arange(table.size))
 
 
 def test_orbit_stabilizer_exhaustive_sl2_f3():

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from progmix.budget import BudgetExceededError
 from progmix.fourier import ap3_average
-from progmix.groups import CyclicTable, GroupTable, special_linear_group, unipotent_subgroup, borel_subgroup
+from progmix.groups import (
+    CyclicTable,
+    GroupTable,
+    borel_subgroup,
+    diagonalisable_set,
+    special_linear_group,
+    unipotent_subgroup,
+)
 from progmix.mixing import (
     GroupFunction,
     constant_function,
@@ -344,6 +352,9 @@ def input_functions(table, kind, k, rng):
     if kind == "indicator":
         draws = [(rng.random(table.size) < 0.4).astype(np.int64) for _ in range(k)]
         return [GroupFunction(v, table) for v in draws]
+    if kind == "complex":
+        draws = [rng.standard_normal((2, table.size)) for _ in range(k)]
+        return [GroupFunction(re + 1j * im, table) for re, im in draws]
     return [GroupFunction(rng.standard_normal(table.size), table) for _ in range(k)]
 
 
@@ -426,3 +437,76 @@ def test_shared_exact_sweep_matches_separate_sweeps(p, kind, k, monkeypatch):
     # the public exact modes are the same reductions of the same sweep
     assert progression_average(table, fs, samples="exact") == avg
     assert progression_deviation(table, fs) == dev
+
+
+def direct_shift_sums(table, fs, shifts=None):
+    """The per-shift loop that `shift_sums` replaced: one fresh permutation per shift."""
+    vals = [f.values for f in fs]
+    shifts = range(table.size) if shifts is None else shifts
+    exact = all(f.is_integer_valued for f in fs)
+    out = np.empty(len(shifts), dtype=np.int64 if exact else np.result_type(*vals, np.float64))
+    for j, gi in enumerate(shifts):
+        prod = vals[0]
+        if len(vals) > 1:
+            perm = table.rmul_perm(int(gi))
+            cursor = perm
+            prod = prod * vals[1][cursor]
+            for v in vals[2:]:
+                cursor = perm[cursor]
+                prod = prod * v[cursor]
+        out[j] = prod.sum()
+    return out
+
+
+def assert_same_sums(table, fs, shifts=None):
+    got, want = shift_sums(table, fs, shifts), direct_shift_sums(table, fs, shifts)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)  # bit for bit, floats included
+
+
+KINDS = ["sign", "indicator", "float", "complex"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_composed_shift_sums_match_direct_loop(p, k, kind):
+    table = special_linear_group(2, p)
+    rng = np.random.default_rng([p, k, KINDS.index(kind)])
+    fs = input_functions(table, kind, k, rng)
+    sampled = rng.integers(0, table.size, size=table.size // 2)
+    sampled = np.concatenate([sampled, sampled[::-3]])  # unsorted, with repeats
+    assert_same_sums(table, fs)
+    assert_same_sums(table, fs, table.indices_of(diagonalisable_set(p).mats))
+    assert_same_sums(table, fs, sampled)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["borel", "sl3", "cyclic"])
+def test_shift_sums_unchanged_on_undecomposed_tables(name, k, kind):
+    table = {"borel": borel_subgroup(7), "sl3": special_linear_group(3, 3),
+             "cyclic": CyclicTable(11)}[name]
+    rng = np.random.default_rng([k, table.size, KINDS.index(kind)])
+    fs = input_functions(table, kind, k, rng)
+    sampled = rng.integers(0, table.size, size=30)
+    assert_same_sums(table, fs, np.concatenate([sampled, sampled[:7]]))
+    if name != "sl3":
+        assert_same_sums(table, fs)
+
+
+@st.composite
+def shift_problems(draw):
+    """A table SL_2(F_p), p in {3, 5, 7}, a function tuple and a shift multiset."""
+    table = special_linear_group(2, draw(st.sampled_from([3, 5, 7])))
+    k = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(KINDS))
+    fs = input_functions(table, kind, k, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    shifts = draw(st.lists(st.integers(0, table.size - 1), max_size=80))
+    return table, fs, np.array(shifts, dtype=np.intp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shift_problems())
+def test_composed_shift_sums_property(problem):
+    assert_same_sums(*problem)
