@@ -5,10 +5,12 @@ lexicographic order of the flattened entries, so every index is reproducible
 across runs.  An element's key is its flattened entries read as a base-p
 number.  No n x n multiplication table is ever materialised.
 
-Lookup.  A d = 2 table maps keys to indices through a dense int32 table over
-all p^4 keys (-1 where a key is absent), built on the first lookup: 3.7 MB at
-p = 31.  The same table for d = 3 would need p^9 entries, 161 MB already at
-p = 7, so a d = 3 table binary searches its sorted keys instead.
+Lookup.  Every table maps keys to indices through one dense int32 table over
+all p^(d^2) keys (-1 where a key is absent), built on the first lookup.  For
+d = 2 that is 3.7 MB at p = 31; for d = 3 it is 79 KB at p = 3, 7.8 MB at
+p = 5 and 161 MB at p = 7.  The default enumeration budget stops SL_3 at
+p = 7, whose full table holds 405 MB of matrices, so the index of a full table
+is about p / 18 of the matrices it indexes.
 
 Shift permutations.  Row i of x g is (row i of x) g, so right multiplication
 by g acts on each row separately, as a permutation of the p^d row vectors of
@@ -34,7 +36,7 @@ from itertools import product
 
 import numpy as np
 
-from .budget import ENUMERATION_BUDGET, charge
+from .budget import ENUMERATION_BUDGET, OP_BUDGET, charge
 from .fields import FieldElement, check_odd_prime, inv_mod, squares_mod
 
 
@@ -194,19 +196,14 @@ class GroupTable:
 
     @cached_property
     def _dense_index(self) -> np.ndarray:
-        """Index of every key of a 2 x 2 matrix mod p, -1 where absent."""
-        dense = np.full(self.p**4, -1, dtype=np.int32)
+        """Index of every key of a d x d matrix mod p, -1 where absent."""
+        dense = np.full(self.p ** (self.d * self.d), -1, dtype=np.int32)
         dense[self._keys] = np.arange(self.size, dtype=np.int32)
         return dense
 
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
         """Index of each key, -1 where the key is not in the table."""
-        if self.d == 2:
-            return self._dense_index[keys].astype(np.intp)
-        if self.size == 0:
-            return np.full(len(keys), -1, dtype=np.intp)
-        pos = np.minimum(np.searchsorted(self._keys, keys), self.size - 1)
-        return np.where(self._keys[pos] == keys, pos, -1)
+        return self._dense_index[keys].astype(np.intp)
 
     def _indices(self, keys: np.ndarray) -> np.ndarray:
         idx = self._lookup(keys)
@@ -493,6 +490,19 @@ def conjugacy_classes(table: GroupTable) -> np.ndarray:
     return labels
 
 
+@lru_cache(maxsize=32)
+def class_members(table: GroupTable) -> tuple[np.ndarray, ...]:
+    """Table indices of the members of each conjugacy class, by class label.
+
+    Grouped once from the `conjugacy_classes` labels and cached per table
+    next to them; the arrays are read-only and sorted.
+    """
+    labels = conjugacy_classes(table)
+    order = np.argsort(labels, kind="stable")
+    order.setflags(write=False)
+    return tuple(np.split(order, np.cumsum(np.bincount(labels))[:-1]))
+
+
 @dataclass(frozen=True)
 class CosetDecomposition:
     """Every table element written as g = h r, with h in a subgroup H and r
@@ -570,13 +580,18 @@ def borel_character(x: GroupElement) -> FieldElement:
 
 
 def distinct_conjugate_count(table: GroupTable, sub: GroupTable) -> int:
-    """Number of distinct conjugates g * sub * g^-1 with g ranging over table."""
-    sub_mats = sub.mats
-    seen = set()
-    for gi in range(table.size):
-        g = table.mats[gi]
-        g_inv = table.inv_mats()[gi]
-        conj = _mul_many(_mul_many(g[None], sub_mats, table.p), g_inv[None], table.p)
-        keys = np.sort(table._encode(conj))
-        seen.add(keys.tobytes())
-    return len(seen)
+    """Number of distinct conjugates g * sub * g^-1 with g ranging over table.
+
+    By orbit-stabiliser this is |table| / |Stab(S)| for S = sub, where
+    Stab(S) = {g : g u g^-1 in S for every u in S}: a conjugate of the finite
+    set S that lies inside S equals it, so this holds for any subset, not only
+    subgroups.  One conjugation sweep per element of S, charged |S| * |table|.
+    S must lie in the table.
+    """
+    charge(sub.size * table.size, OP_BUDGET, "distinct conjugate count")
+    in_sub = np.zeros(table.size, dtype=bool)
+    in_sub[table.indices_of(sub.mats)] = True
+    stabilises = np.ones(table.size, dtype=bool)
+    for u in sub.mats:
+        stabilises &= in_sub[_conjugates(table, u)]
+    return table.size // int(stabilises.sum())

@@ -6,7 +6,13 @@ For b, h in G the conjugate-product measure is the distribution of
 
 with g uniform in G and c uniform in the centralizer of b.  Its histogram
 is always computed exactly as integer fibre counts over the (g, c) grid;
-only the choice of (b, h) pairs is ever sampled.
+only the choice of (b, h) pairs is ever sampled.  The counts come from the
+cached conjugacy classes, not from a sweep over g: g k g^-1 runs over the
+class Cl(k), hitting each member |Z(k)| = |G| / |Cl(k)| times, so
+
+    fibres = sum over c in Z(b) of |Z(k_c)| * 1_{Cl(k_c) k_c},
+
+and every term is an exact integer.
 """
 
 from __future__ import annotations
@@ -24,7 +30,9 @@ from .groups import (
     _inverse_many,
     _mul_many,
     centralizer,
+    class_members,
     conjugacy_class,
+    conjugacy_classes,
     is_regular_semisimple,
     element,
 )
@@ -61,7 +69,13 @@ def uniform_measure(table) -> Measure:
 def conjugate_product_fibres(table: GroupTable, b, h) -> np.ndarray:
     """Integer fibre counts of (g, c) -> g (c^-1 h^-1) g^-1 (c^-1 h^-1).
 
-    The counts sum to |table| * |Z(b)|.
+    For k = c^-1 h^-1 the map g -> g k g^-1 k is |Z(k)|-to-one onto Cl(k) k,
+    so each c adds |table| / |Cl(k)| to the members of Cl(k) k, read from the
+    cached `class_members`.  Right multiplication by k is injective, so no
+    index repeats within one term and the fancy-index add is exact.  The
+    terms are added one at a time: batching them all would hold sum |Cl|^2
+    rows for a central b.  The counts sum to |table| * |Z(b)|, and the charge
+    n * |Z(b)| bounds the sum over c of |Cl(k_c)| rows multiplied.
     """
     p = table.p
     b_mat, _ = _as_array(b, p)
@@ -69,15 +83,13 @@ def conjugate_product_fibres(table: GroupTable, b, h) -> np.ndarray:
     z = centralizer(table, b_mat)
     n = table.size
     charge(n * z.size, OP_BUDGET, "exact conjugate-product histogram")
-    h_inv = _inverse_many(h_mat[None], p)[0]
+    ks = _mul_many(_inverse_many(z.mats, p), _inverse_many(h_mat[None], p), p)
+    labels = conjugacy_classes(table)[table.indices_of(ks)]
+    members = class_members(table)
     counts = np.zeros(n, dtype=np.int64)
-    inv_mats = table.inv_mats()
-    for c_inv in _inverse_many(z.mats, p):
-        k = c_inv @ h_inv % p
-        t = _mul_many(table.mats, k, p)
-        t = _mul_many(t, inv_mats, p)
-        t = _mul_many(t, k, p)
-        counts += np.bincount(table.indices_of(t), minlength=n)
+    for k, label in zip(ks, labels):
+        cls = members[label]
+        counts[table.indices_of(_mul_many(table.mats[cls], k, p))] += n // cls.size
     return counts
 
 

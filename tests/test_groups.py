@@ -237,6 +237,39 @@ def test_conjugates_of_borel_count():
         assert distinct_conjugate_count(g, borel_subgroup(p)) == p + 1
 
 
+def direct_distinct_conjugate_count(table, sub):
+    """Oracle: the sorted key set of g * sub * g^-1 for every g, counted."""
+    seen = set()
+    for gi in range(table.size):
+        g = table.mats[gi]
+        g_inv = table.inv_mats()[gi]
+        conj = np.einsum("ij,njk,kl->nil", g, sub.mats, g_inv) % table.p
+        seen.add(np.sort(oracle_keys(conj, table.p)).tobytes())
+    return len(seen)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_distinct_conjugate_count_matches_direct_loop(p, monkeypatch):
+    table = special_linear_group(2, p)
+    rng = np.random.default_rng(p)
+    torus = [[[t, 0], [0, pow(t, -1, p)]] for t in range(1, p)]
+    subsets = [
+        borel_subgroup(p),
+        unipotent_subgroup(p),
+        GroupTable(np.array(torus), p, "split_torus"),
+        GroupTable(np.eye(2, dtype=np.int64)[None], p, "trivial"),
+        GroupTable(table.mats[rng.choice(table.size, 5, replace=False)], p, "subset"),
+    ]
+    for sub in subsets:
+        assert distinct_conjugate_count(table, sub) == direct_distinct_conjugate_count(table, sub)
+    sub = subsets[-1]
+    monkeypatch.setenv("PROGMIX_BUDGET", str(sub.size * table.size - 1))
+    with pytest.raises(BudgetExceededError):
+        distinct_conjugate_count(table, sub)
+    monkeypatch.setenv("PROGMIX_BUDGET", str(sub.size * table.size))
+    distinct_conjugate_count(table, sub)
+
+
 def has_eigenbasis(mat, p):
     """Oracle: search all nonzero vectors for two independent eigenvectors."""
     eig = []
@@ -412,6 +445,13 @@ def test_d3_lookups_match_oracle_on_sampled_shifts():
     sample = table.mats[rng.integers(0, table.size, size=500)]
     assert np.array_equal(table.indices_of(sample), oracle_indices(table, sample))
     assert table.identity_index == oracle_indices(table, np.eye(3, dtype=np.int64)[None])[0]
+    subset = GroupTable(table.mats[rng.choice(table.size, 50, replace=False)], 3, "subset")
+    check_paired_products(subset, rng)  # not closed under products: raises KeyError
+    absent = 2 * np.eye(3, dtype=np.int64)  # determinant 2
+    assert absent[None] not in table
+    with pytest.raises(KeyError):
+        table.indices_of(np.stack([sample[0], absent]))
+    assert table._dense_index.shape == (3**9,)  # the one lookup path, dense for d = 3 too
 
 
 def test_absent_elements_raise_key_error():

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
+from progmix.budget import BudgetExceededError
 from progmix.groups import (
+    GroupTable,
+    _inverse_many,
+    _mul_many,
+    centralizer,
+    conjugacy_class,
     element,
     identity_element,
     is_regular_semisimple,
@@ -41,6 +48,95 @@ def brute_fibres(table, b, h):
             key = table.index_of(point)
             counts[key] = counts.get(key, 0) + 1
     return counts, z.size
+
+
+def direct_fibres(table, b, h):
+    """Oracle: the (g, c) sweep, n products and one bincount for each c in Z(b)."""
+    p = table.p
+    z = centralizer(table, b.array())
+    h_inv = _inverse_many(h.array()[None], p)[0]
+    counts = np.zeros(table.size, dtype=np.int64)
+    inv_mats = table.inv_mats()
+    for c_inv in _inverse_many(z.mats, p):
+        k = c_inv @ h_inv % p
+        t = _mul_many(table.mats, k, p)
+        t = _mul_many(t, inv_mats, p)
+        t = _mul_many(t, k, p)
+        counts += np.bincount(table.indices_of(t), minlength=table.size)
+    return counts
+
+
+def fibre_test_elements(p):
+    """+-I, a unipotent, a split-torus and a non-split-torus element, with the
+    centralizer order expected of the tori."""
+    t = next(t for t in range(p) if not any((t * t - 4 - s * s) % p == 0 for s in range(p)))
+    elements = {
+        "identity": ([[1, 0], [0, 1]], None),
+        "minus_identity": ([[p - 1, 0], [0, p - 1]], None),
+        "unipotent": ([[1, 1], [0, 1]], None),
+        "split_torus": ([[2, 0], [0, (p + 1) // 2]], p - 1),
+        "non_split_torus": ([[0, p - 1], [1, t]], p + 1),
+    }
+    if p == 3:
+        del elements["split_torus"]  # diag(2, 2) is -I
+    return elements
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fibres_match_direct_sweep(p):
+    table = special_linear_group(2, p)
+    rng = np.random.default_rng([p, 1])
+    for mat, z_size in fibre_test_elements(p).values():
+        b = element(mat, p)
+        assert z_size in (None, centralizer(table, b.array()).size)
+        for _ in range(3):
+            h = table.element(int(rng.integers(table.size)))
+            assert np.array_equal(conjugate_product_fibres(table, b, h), direct_fibres(table, b, h))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_fibres_match_direct_sweep_property(p, bi, hi):
+    table = special_linear_group(2, p)
+    b, h = table.element(bi % table.size), table.element(hi % table.size)
+    assert np.array_equal(conjugate_product_fibres(table, b, h), direct_fibres(table, b, h))
+
+
+def test_fibre_budget_boundary(monkeypatch):
+    table = special_linear_group(2, 5)
+    for mat in ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[2, 0], [0, 3]]):
+        b = element(mat, 5)
+        cost = table.size * centralizer(table, b.array()).size
+        monkeypatch.setenv("PROGMIX_BUDGET", str(cost - 1))
+        with pytest.raises(BudgetExceededError):
+            conjugate_product_fibres(table, b, identity_element(2, 5))
+        monkeypatch.setenv("PROGMIX_BUDGET", str(cost))
+        assert conjugate_product_fibres(table, b, identity_element(2, 5)).sum() == cost
+
+
+def test_fibres_look_up_only_the_classes_they_hit(monkeypatch):
+    # one lookup of the k_c plus |Cl(k_c)| keys per c, never a sweep over all g
+    p = 7
+    table = special_linear_group(2, p)
+    cases = [(element(mat, p), table.element(i)) for mat, i in
+             (([[1, 0], [0, 1]], 5), ([[1, 1], [0, 1]], 100), ([[2, 0], [0, 4]], 200))]
+    bounds = []
+    for b, h in cases:
+        z = centralizer(table, b.array())
+        ks = _mul_many(_inverse_many(z.mats, p), _inverse_many(h.array()[None], p), p)
+        bounds.append(z.size + sum(conjugacy_class(table, k).size for k in ks))
+    keys = []
+    lookup = GroupTable.indices_of
+
+    def counted(self, mats):
+        keys.append(len(mats))
+        return lookup(self, mats)
+
+    monkeypatch.setattr(GroupTable, "indices_of", counted)
+    for (b, h), bound in zip(cases, bounds):
+        keys.clear()
+        conjugate_product_fibres(table, b, h)
+        assert sum(keys) <= bound < table.size * centralizer(table, b.array()).size
 
 
 def test_histogram_matches_brute_force_oracle():
