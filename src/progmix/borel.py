@@ -12,6 +12,12 @@ dilates the shear parameter by the square of the *upper-left* entry of x:
 
 a fact verified exhaustively in the test suite; all shear bookkeeping here
 uses this dilation factor.
+
+Each statistic has one code path for every dtype.  `sheared_average` and
+`zero_frequency_mass` reduce integer-valued inputs in int64 and return a
+Fraction, and return a float otherwise.  The U-smoothed functions are
+`mixing.coset_smooth` over U, which sums over U's p elements; U is normal in
+B, so its left and right cosets agree.
 """
 
 from __future__ import annotations
@@ -112,59 +118,33 @@ def _sheared_layers(ctx: BorelContext, fs):
         yield block
 
 
-def sheared_average(ctx: BorelContext, fs) -> float:
+def sheared_average(ctx: BorelContext, fs) -> float | Fraction:
     """The 4-term average computed in shear coordinates.
 
     For each (x, g) the progression is rewritten through the substitution
     (x, g) -> (psi(a) x, psi(b) g) and averaged over (a, b) in F^2; the
-    result agrees with the plain four-term average identically.
+    result agrees with the plain four-term average identically.  Integer
+    inputs are reduced in int64 and give the exact Fraction; other inputs
+    give a float (complex for complex input).
     """
     if len(fs) != 4:
         raise ValueError("need exactly four functions")
     p, n = ctx.p, ctx.group.size
     charge(4 * n * n * p * p, OP_BUDGET, "shear-coordinate 4-term average")
-    total = 0.0
-    for block in _sheared_layers(ctx, fs):
-        total += float(block.sum(dtype=np.float64))
-    return total / (n * n * p * p)
+    exact = all(f.is_integer_valued for f in fs)
+    dtype = np.int64 if exact else np.result_type(*(f.values for f in fs), np.float64)
+    total = sum(block.sum(dtype=dtype).item() for block in _sheared_layers(ctx, fs))
+    scale = n * n * p * p
+    return Fraction(total, scale) if exact else total / scale
 
 
-def sheared_average_exact(ctx: BorelContext, fs) -> Fraction:
-    """Exact rational value of sheared_average for integer-valued inputs."""
-    if not all(f.is_integer_valued for f in fs):
-        raise ValueError("exact evaluation needs integer-valued functions")
-    p, n = ctx.p, ctx.group.size
-    charge(4 * n * n * p * p, OP_BUDGET, "shear-coordinate 4-term average")
-    total = 0
-    for block in _sheared_layers(ctx, fs):
-        total += int(block.sum(dtype=np.int64))
-    return Fraction(total, n * n * p * p)
-
-
-def coset_means(ctx: BorelContext, f: mixing.GroupFunction) -> np.ndarray:
-    """Mean of f over the shear-coset of each element (constant on cosets)."""
-    sums = np.zeros(ctx.group.size)
-    for a in range(ctx.p):
-        sums += np.asarray(f.values, dtype=np.float64)[ctx.shear_mul_index[a]]
-    return sums / ctx.p
-
-
-def _restriction_tables(ctx: BorelContext, fs):
-    """|dft of a -> f_i(shear(a) x_t)|^2 for i = 1, 2, 3 and each pi-value t."""
-    p = ctx.p
-    tables = {}
-    for i in (1, 2, 3):
-        rows = np.zeros((p, p))
-        for t in range(1, p):
-            xi = int(ctx.pi_section[t])
-            restricted = np.asarray(fs[i].values, dtype=complex)[ctx.shear_mul_index[:, xi]]
-            rows[t] = np.abs(dft(restricted)) ** 2
-        tables[i] = rows
-    return tables
+def sheared_average_exact(ctx: BorelContext, fs) -> float | Fraction:
+    """sheared_average under a second name, so a trace can time it apart."""
+    return sheared_average(ctx, fs)
 
 
 def _check_coset_mean_zero(ctx: BorelContext, f: mixing.GroupFunction, tol: float = 1e-9):
-    worst = float(np.max(np.abs(coset_means(ctx, f))))
+    worst = float(np.max(np.abs(mixing.coset_smooth(f, ctx.unipotent).values)))
     if worst > tol:
         raise ValueError(
             f"function must have mean zero on every shear coset "
@@ -172,7 +152,16 @@ def _check_coset_mean_zero(ctx: BorelContext, f: mixing.GroupFunction, tol: floa
         )
 
 
-def zero_frequency_mass(ctx: BorelContext, fs, i0: int) -> float:
+def _autocorrelations(ctx: BorelContext, f: mixing.GroupFunction) -> np.ndarray:
+    """Row t - 1 is h -> sum_a r(a) conj(r(a + h)) for the shear restriction
+    r(a) = f(shear(a) x) at the x with pi(x) = t, for t = 1 .. p - 1."""
+    p = ctx.p
+    r = f.values[ctx.shear_mul_index[:, ctx.pi_section[1:]]].T  # (p - 1, p)
+    lagged = (np.arange(p)[:, None] + np.arange(p)) % p  # [h, a] -> a + h
+    return np.einsum("ta,tha->th", r, np.conj(r)[:, lagged])
+
+
+def zero_frequency_mass(ctx: BorelContext, fs, i0: int) -> float | Fraction:
     """Constrained frequency-side mass of the smoothed 4-term average.
 
     With mu_{i,t}(xi) the squared Fourier magnitude of the shear restriction
@@ -182,73 +171,30 @@ def zero_frequency_mass(ctx: BorelContext, fs, i0: int) -> float:
             mu_{1,s}(xi1) mu_{2,st}(xi2) mu_{3,st^2}(xi3).
 
     Requires f_{i0} to have mean zero on every shear coset, which forces
-    mu_{i0,.}(0) = 0.
+    mu_{i0,.}(0) = 0, so the excluded slice xi_{i0} = 0 adds nothing.  Each
+    (s, t) term is then p^-4 sum_h A1(h) A2(c2 h) A3(c3 h) with A_i the
+    autocorrelation of the restriction of f_i.  Integer f_1, f_2, f_3 give
+    the exact Fraction, other inputs the real part as a float.  Charges the
+    3 (p-1) p^2 autocorrelation and (p-1)^2 p summation operations.
     """
     if i0 not in (2, 3):
         raise ValueError("i0 must be 2 or 3")
+    p = ctx.p
+    charge(3 * (p - 1) * p * p + (p - 1) ** 2 * p, OP_BUDGET, "zero-frequency mass")
     _check_coset_mean_zero(ctx, fs[i0])
-    p = ctx.p
-    tables = _restriction_tables(ctx, fs)
-    xi2 = np.arange(p)[:, None]
-    xi3 = np.arange(p)[None, :]
-    total = 0.0
+    a1, a2, a3 = (_autocorrelations(ctx, fs[i]) for i in (1, 2, 3))
+    h = np.arange(p)
+    s = np.arange(1, p)
+    total = 0
     for t in range(1, p):
         c2 = (1 + t * t) % p
         c3 = (1 + t * t + pow(t, 4, p)) % p
-        xi1 = (-(c2 * xi2 + c3 * xi3)) % p
-        mask = np.ones((p, p), dtype=bool)
-        if i0 == 2:
-            mask[0, :] = False
-        else:
-            mask[:, 0] = False
-        for s in range(1, p):
-            m1 = tables[1][s]
-            m2 = tables[2][(s * t) % p]
-            m3 = tables[3][(s * t * t) % p]
-            grid = m1[xi1] * m2[xi2] * m3[xi3]
-            total += float(grid[mask].sum())
-    return total / (p - 1) ** 2
-
-
-def zero_frequency_mass_exact(ctx: BorelContext, fs, i0: int) -> Fraction:
-    """Exact rational route to zero_frequency_mass for integer-valued inputs.
-
-    Uses the autocorrelation identity: for each (s, t) the constrained
-    frequency sum equals p^-4 sum_h A1(h) A2(c2 h) A3(c3 h), where A_i is
-    the integer autocorrelation of the shear restriction.  Valid because
-    the coset-mean-zero hypothesis kills the excluded xi_{i0} = 0 slice.
-    """
-    if i0 not in (2, 3):
-        raise ValueError("i0 must be 2 or 3")
-    if not all(fs[i].is_integer_valued for i in (1, 2, 3)):
-        raise ValueError("exact evaluation needs integer-valued functions")
-    p = ctx.p
-    # integer autocorrelations of each restriction, indexed by pi-value
-    auto = {}
-    for i in (1, 2, 3):
-        rows = np.zeros((p, p), dtype=np.int64)
-        for t in range(1, p):
-            xi = int(ctx.pi_section[t])
-            r = np.asarray(fs[i].values, dtype=np.int64)[ctx.shear_mul_index[:, xi]]
-            for h in range(p):
-                rows[t, h] = int(np.dot(r, np.roll(r, -h)))
-        auto[i] = rows
-    # sum_h A(h) = (sum_a f(a))^2, so a nonzero row sum means a coset mean survives
-    if np.any(auto[i0].sum(axis=1)[1:] != 0):
-        raise ValueError("function i0 must have exactly zero mean on every shear coset")
-    h_row = np.arange(p)
-    total = Fraction(0)
-    for t in range(1, p):
-        c2 = (1 + t * t) % p
-        c3 = (1 + t * t + pow(t, 4, p)) % p
-        i2 = (c2 * h_row) % p
-        i3 = (c3 * h_row) % p
-        for s in range(1, p):
-            a1 = auto[1][s]
-            a2 = auto[2][(s * t) % p]
-            a3 = auto[3][(s * t * t) % p]
-            total += int(np.sum(a1 * a2[i2] * a3[i3]))
-    return total / Fraction((p - 1) ** 2 * p**4)
+        terms = a1[s - 1] * a2[s * t % p - 1][:, c2 * h % p]
+        total += (terms * a3[s * t * t % p - 1][:, c3 * h % p]).sum().item()
+    scale = (p - 1) ** 2 * p**4
+    if all(fs[i].is_integer_valued for i in (1, 2, 3)):
+        return Fraction(total, scale)
+    return total.real / scale
 
 
 def sum_product_collision_rate(p: int, eta1, eta2, eta3) -> Fraction:

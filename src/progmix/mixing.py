@@ -302,26 +302,31 @@ def restricted_progression_deviation(table, shift_set, fs) -> tuple[MixingResult
 
 
 def convolve(f: GroupFunction, mu: GroupFunction) -> GroupFunction:
-    """Discrete convolution (f * mu)(x) = sum_y f(y) mu(y^-1 x)."""
+    """Discrete convolution (f * mu)(x) = sum_y f(y) mu(y^-1 x) = sum_z mu(z) f(x z^-1).
+
+    Sums over the support of mu, one right-multiplication permutation per
+    point, and charges |supp mu| n.  Integer inputs give an int64 result.
+    """
     if f.table is not mu.table:
         raise ValueError("functions must live on the same table")
     table = f.table
+    support = np.flatnonzero(mu.values)
+    charge(len(support) * table.size, OP_BUDGET,
+           f"convolution over {len(support)} points on {table.size} elements")
     inv = table.inv_perm()
-    out_dtype = np.result_type(f.values.dtype, mu.values.dtype, np.float64)
-    if np.issubdtype(f.values.dtype, np.integer) and np.issubdtype(
-        mu.values.dtype, np.integer
-    ):
-        out_dtype = np.int64
-    out = np.zeros(table.size, dtype=out_dtype)
-    for yi in np.flatnonzero(f.values):
-        out += f.values[yi] * mu.values[table.lmul_perm(int(inv[yi]))]
+    exact = f.is_integer_valued and mu.is_integer_valued
+    out = np.zeros(table.size, dtype=np.int64 if exact else
+                   np.result_type(f.values, mu.values, np.float64))
+    for z in support:
+        out += mu.values[z] * f.values[table.rmul_perm(int(inv[z]))]
     return GroupFunction(out, table)
 
 
 def coset_smooth(f: GroupFunction, subgroup) -> GroupFunction:
     """Convolve f with the uniform probability on a subgroup.
 
-    The result is constant on the subgroup's cosets, with the same mean as f.
+    The result is constant on the left cosets x H, with the same mean as f;
+    its value at x is the mean of f over x H, at |H| permutations.
     """
     table = f.table
     sub_idx = table.indices_of(subgroup.mats)

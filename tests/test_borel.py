@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from progmix.borel import (
     alpha_shift_identity,
     beta_prime_closed_form,
     borel_context,
     conic_analysis,
-    coset_means,
     difference_spectrum_invariance,
     elimination_constants,
     four_term_average,
@@ -16,8 +16,9 @@ from progmix.borel import (
     smoothing_gap,
     sum_product_collision_rate,
     zero_frequency_mass,
-    zero_frequency_mass_exact,
 )
+from progmix.budget import BudgetExceededError
+from progmix.fourier import dft
 from progmix.mixing import (
     GroupFunction,
     coset_smooth,
@@ -37,6 +38,67 @@ def coset_mean_zero_function(ctx, rng):
         rng.shuffle(signs)
         vals[idx] = signs
     return GroupFunction(vals, ctx.group)
+
+
+def coset_mean_zero_projection(ctx, values):
+    """p f(x) - sum_a f(shear(a) x): integer for integer f, mean zero on every shear coset."""
+    return ctx.p * values - values[ctx.shear_mul_index].sum(axis=0)
+
+
+def dft_zero_frequency_mass(ctx, fs, i0):
+    """The frequency-side sum by DFT of each shear restriction, with the
+    xi_{i0} = 0 slice masked out; the oracle for `zero_frequency_mass`."""
+    p = ctx.p
+    tables = {}
+    for i in (1, 2, 3):
+        rows = np.zeros((p, p))
+        for t in range(1, p):
+            xi = int(ctx.pi_section[t])
+            restricted = np.asarray(fs[i].values, dtype=complex)[ctx.shear_mul_index[:, xi]]
+            rows[t] = np.abs(dft(restricted)) ** 2
+        tables[i] = rows
+    xi2 = np.arange(p)[:, None]
+    xi3 = np.arange(p)[None, :]
+    total = 0.0
+    for t in range(1, p):
+        c2 = (1 + t * t) % p
+        c3 = (1 + t * t + pow(t, 4, p)) % p
+        xi1 = (-(c2 * xi2 + c3 * xi3)) % p
+        mask = np.ones((p, p), dtype=bool)
+        if i0 == 2:
+            mask[0, :] = False
+        else:
+            mask[:, 0] = False
+        for s in range(1, p):
+            grid = tables[1][s][xi1] * tables[2][(s * t) % p][xi2] * tables[3][(s * t * t) % p][xi3]
+            total += float(grid[mask].sum())
+    return total / (p - 1) ** 2
+
+
+def rolled_zero_frequency_mass(ctx, fs):
+    """The exact value by integer autocorrelations built with np.roll, one lag
+    at a time; the oracle for integer inputs."""
+    p = ctx.p
+    auto = {}
+    for i in (1, 2, 3):
+        rows = np.zeros((p, p), dtype=np.int64)
+        for t in range(1, p):
+            xi = int(ctx.pi_section[t])
+            r = np.asarray(fs[i].values, dtype=np.int64)[ctx.shear_mul_index[:, xi]]
+            for h in range(p):
+                rows[t, h] = int(np.dot(r, np.roll(r, -h)))
+        auto[i] = rows
+    h_row = np.arange(p)
+    total = 0
+    for t in range(1, p):
+        c2 = (1 + t * t) % p
+        c3 = (1 + t * t + pow(t, 4, p)) % p
+        for s in range(1, p):
+            a1 = auto[1][s]
+            a2 = auto[2][(s * t) % p][(c2 * h_row) % p]
+            a3 = auto[3][(s * t * t) % p][(c3 * h_row) % p]
+            total += int(np.sum(a1 * a2 * a3))
+    return Fraction(total, (p - 1) ** 2 * p**4)
 
 
 def test_context_invariants():
@@ -95,6 +157,15 @@ def test_sheared_average_exact_rational_equality():
             vals[chosen] = 1
             fs.append(GroupFunction(vals, ctx.group))
         assert sheared_average_exact(ctx, fs) == four_term_average(ctx, fs).exact_value
+
+
+def test_sheared_average_needs_four_functions():
+    ctx = borel_context(5)
+    rng = np.random.default_rng(2)
+    fs = [random_sign_function(ctx.group, rng) for _ in range(3)]
+    for fn in (sheared_average, sheared_average_exact):
+        with pytest.raises(ValueError, match="four functions"):
+            fn(ctx, fs)
 
 
 def old_sheared_layers(ctx, fs):
@@ -181,26 +252,35 @@ def test_smoothing_gap_median_trend():
     assert medians[5] > medians[7] > medians[11]
 
 
-def test_coset_means_constant_on_cosets():
-    ctx = borel_context(5)
-    rng = np.random.default_rng(5)
-    f = GroupFunction(rng.standard_normal(ctx.group.size), ctx.group)
-    means = coset_means(ctx, f)
-    smoothed = coset_smooth(f, ctx.unipotent)
-    assert np.max(np.abs(means - smoothed.values)) < 1e-12
-
-
 def test_zero_frequency_mass_nonnegative_and_exact():
     ctx = borel_context(5)
     rng = np.random.default_rng(6)
     for _ in range(3):
         fs = [random_sign_function(ctx.group, rng) for _ in range(3)]
         fs.append(coset_mean_zero_function(ctx, rng))
-        value = zero_frequency_mass(ctx, fs, 3)
-        exact = zero_frequency_mass_exact(ctx, fs, 3)
-        assert value >= 0
+        exact = zero_frequency_mass(ctx, fs, 3)
+        value = zero_frequency_mass(ctx, [GroupFunction(f.values * 1.0, ctx.group) for f in fs], 3)
+        assert isinstance(exact, Fraction) and isinstance(value, float)
+        assert exact == rolled_zero_frequency_mass(ctx, fs)
         assert exact >= 0
         assert abs(value - float(exact)) < 1e-10
+        assert abs(value - dft_zero_frequency_mass(ctx, fs, 3)) < 1e-10
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_zero_frequency_mass_matches_dft_route(p):
+    ctx = borel_context(p)
+    n = ctx.group.size
+    rng = np.random.default_rng([11, p])
+    fs = [GroupFunction(rng.standard_normal(n), ctx.group) for _ in range(4)]
+    fs[3] = GroupFunction(coset_mean_zero_projection(ctx, fs[3].values), ctx.group)
+    cfs = [GroupFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n), ctx.group)
+           for _ in range(4)]
+    cfs[2] = GroupFunction(coset_mean_zero_projection(ctx, cfs[2].values), ctx.group)
+    for inputs, i0 in ((fs, 3), (cfs, 2)):
+        got, want = zero_frequency_mass(ctx, inputs, i0), dft_zero_frequency_mass(ctx, inputs, i0)
+        assert isinstance(got, float)
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_zero_frequency_mass_of_coset_constant_inputs():
@@ -224,6 +304,30 @@ def test_zero_frequency_mass_requires_coset_mean_zero():
         zero_frequency_mass(ctx, fs, 2)
     with pytest.raises(ValueError):
         zero_frequency_mass(ctx, fs, 1)
+
+
+def test_zero_frequency_mass_sees_complex_coset_means():
+    ctx = borel_context(5)
+    rng = np.random.default_rng(8)
+    fs = [random_sign_function(ctx.group, rng) for _ in range(3)]
+    # real part mean zero on every shear coset, imaginary part 1 everywhere
+    fs.append(GroupFunction(coset_mean_zero_function(ctx, rng).values + 1j, ctx.group))
+    with pytest.raises(ValueError, match="mean zero on every shear coset"):
+        zero_frequency_mass(ctx, fs, 3)
+
+
+def test_zero_frequency_mass_budget_boundary(monkeypatch):
+    p = 7
+    ctx = borel_context(p)
+    rng = np.random.default_rng(9)
+    fs = [random_sign_function(ctx.group, rng) for _ in range(3)]
+    fs.append(coset_mean_zero_function(ctx, rng))
+    cost = 3 * (p - 1) * p * p + (p - 1) ** 2 * p
+    monkeypatch.setenv("PROGMIX_BUDGET", str(cost - 1))
+    with pytest.raises(BudgetExceededError, match="zero-frequency mass"):
+        zero_frequency_mass(ctx, fs, 3)
+    monkeypatch.setenv("PROGMIX_BUDGET", str(cost))
+    assert zero_frequency_mass(ctx, fs, 3) == rolled_zero_frequency_mass(ctx, fs)
 
 
 def test_zero_frequency_mass_median_trend():
@@ -344,3 +448,58 @@ def test_difference_spectrum_invariance():
     ctx7 = borel_context(7)
     f7 = GroupFunction(rng.standard_normal(ctx7.group.size), ctx7.group)
     assert difference_spectrum_invariance(ctx7, f7, trials=100, seed=2).max_difference < 1e-10
+
+
+# Integer inputs on B at p in {3, 5, 7}: +-1 signs, 0/1 indicators and small
+# integers.  Each exact value is checked against an independent exact route,
+# and the same values cast to float (and complex) against the float routes.
+VALUE_KINDS = {
+    "sign": st.sampled_from([-1, 1]),
+    "indicator": st.integers(0, 1),
+    "small": st.integers(-3, 3),
+}
+
+
+@st.composite
+def integer_inputs(draw):
+    ctx = borel_context(draw(st.sampled_from([3, 5, 7])))
+    n = ctx.group.size
+    values = VALUE_KINDS[draw(st.sampled_from(sorted(VALUE_KINDS)))]
+    fs = [
+        GroupFunction(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.int64),
+                      ctx.group)
+        for _ in range(4)
+    ]
+    return ctx, fs
+
+
+def cast(ctx, fs, dtype):
+    return [GroupFunction(f.values.astype(dtype), ctx.group) for f in fs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(integer_inputs())
+def test_sheared_average_property(inputs):
+    ctx, fs = inputs
+    exact = sheared_average(ctx, fs)
+    assert isinstance(exact, Fraction)
+    assert exact == four_term_average(ctx, fs).exact_value
+    value = sheared_average(ctx, cast(ctx, fs, np.float64))
+    assert isinstance(value, float)
+    assert abs(value - float(exact)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(integer_inputs(), st.sampled_from([2, 3]))
+def test_zero_frequency_mass_property(inputs, i0):
+    ctx, fs = inputs
+    fs[i0] = GroupFunction(coset_mean_zero_projection(ctx, fs[i0].values), ctx.group)
+    exact = zero_frequency_mass(ctx, fs, i0)
+    assert isinstance(exact, Fraction)
+    assert exact == rolled_zero_frequency_mass(ctx, fs)
+    want = dft_zero_frequency_mass(ctx, fs, i0)
+    for dtype in (np.float64, np.complex128):
+        value = zero_frequency_mass(ctx, cast(ctx, fs, dtype), i0)
+        assert isinstance(value, float)
+        # an exact zero comes back from the DFT as rounding noise
+        assert abs(value - want) <= 1e-12 * want + 1e-18

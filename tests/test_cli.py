@@ -210,8 +210,9 @@ def test_mixing4_diag_sweeps_each_shift_once(capsys, monkeypatch):
 def test_borel4_sweeps_twice_per_prime(capsys, monkeypatch):
     calls = count_rmul_perm(monkeypatch)
     assert run_cli(capsys, "borel4", "--primes", "3,5")[0] == 0
-    # the raw and the U-smoothed four-term average, one permutation per shift each
-    assert len(calls) == sum(2 * borel_subgroup(p).size for p in (3, 5))
+    # the raw and the U-smoothed four-term average, one permutation per shift
+    # each, and the U-smoothing of the four functions, one per element of U
+    assert len(calls) == sum(2 * borel_subgroup(p).size + 4 * p for p in (3, 5))
 
 
 def test_coset_borel_functions_match_explicit_cosets():

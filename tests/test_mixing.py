@@ -263,6 +263,58 @@ def test_convolution_rejects_table_mismatch():
         convolve(constant_function(t1), constant_function(t2))
 
 
+def supp_f_convolve(f, mu):
+    """sum over y in supp f of f(y) mu(y^-1 x), one left-multiplication
+    permutation per point; the oracle for `convolve`."""
+    table = f.table
+    inv = table.inv_perm()
+    exact = f.is_integer_valued and mu.is_integer_valued
+    out = np.zeros(table.size, dtype=np.int64 if exact else
+                   np.result_type(f.values, mu.values, np.float64))
+    for yi in np.flatnonzero(f.values):
+        out += f.values[yi] * mu.values[table.lmul_perm(int(inv[yi]))]
+    return out
+
+
+@pytest.mark.parametrize("make_table", [
+    lambda: special_linear_group(2, 3),
+    lambda: special_linear_group(2, 5),
+    lambda: borel_subgroup(5),
+    lambda: CyclicTable(11),
+], ids=["sl2_3", "sl2_5", "borel_5", "cyclic_11"])
+def test_convolve_matches_supp_f_loop(make_table):
+    table = make_table()
+    n = table.size
+    rng = np.random.default_rng(n)
+    sparse = np.where(rng.random(n) < 0.2, rng.integers(-3, 4, size=n), 0)
+    pairs = [
+        (rng.integers(-3, 4, size=n), sparse),
+        (rng.choice([-1, 1], size=n), (rng.random(n) < 0.5).astype(np.int64)),
+        (rng.standard_normal(n), rng.standard_normal(n) * (rng.random(n) < 0.3)),
+        (rng.standard_normal(n) + 1j * rng.standard_normal(n), rng.standard_normal(n)),
+    ]
+    for fv, mv in pairs:
+        f, mu = GroupFunction(fv, table), GroupFunction(mv, table)
+        got, want = convolve(f, mu).values, supp_f_convolve(f, mu)
+        if f.is_integer_valued and mu.is_integer_valued:
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        else:
+            assert got.dtype == want.dtype
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_convolve_charges_support_of_mu(monkeypatch):
+    table = special_linear_group(2, 5)
+    f = indicator_function(table, [0, 3, 7])
+    mu = indicator_function(table, np.arange(0, table.size, 10))
+    cost = int(np.count_nonzero(mu.values)) * table.size
+    monkeypatch.setenv("PROGMIX_BUDGET", str(cost - 1))
+    with pytest.raises(BudgetExceededError, match="convolution over 12 points"):
+        convolve(f, mu)
+    monkeypatch.setenv("PROGMIX_BUDGET", str(cost))
+    assert np.array_equal(convolve(f, mu).values, supp_f_convolve(f, mu))
+
+
 def test_coset_smoothing_properties():
     p = 5
     b = borel_subgroup(p)
