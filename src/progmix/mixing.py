@@ -34,13 +34,19 @@ from .groups import coset_decomposition
 
 @dataclass
 class GroupFunction:
-    """A dense function on the elements of a group table."""
+    """A dense function on the elements of a group table.
+
+    Integer values are held as int64, the dtype in which every exact route
+    multiplies and sums them, so narrower integer input cannot overflow there.
+    """
 
     values: np.ndarray
     table: object
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
+        if self.is_integer_valued:
+            self.values = self.values.astype(np.int64, copy=False)
         if len(self.values) != self.table.size:
             raise ValueError("value array does not match the table size")
 

@@ -262,7 +262,7 @@ def test_zero_frequency_mass_nonnegative_and_exact():
         value = zero_frequency_mass(ctx, [GroupFunction(f.values * 1.0, ctx.group) for f in fs], 3)
         assert isinstance(exact, Fraction) and isinstance(value, float)
         assert exact == rolled_zero_frequency_mass(ctx, fs)
-        assert exact >= 0
+        assert exact >= 0 and value >= 0
         assert abs(value - float(exact)) < 1e-10
         assert abs(value - dft_zero_frequency_mass(ctx, fs, 3)) < 1e-10
 
@@ -280,6 +280,7 @@ def test_zero_frequency_mass_matches_dft_route(p):
     for inputs, i0 in ((fs, 3), (cfs, 2)):
         got, want = zero_frequency_mass(ctx, inputs, i0), dft_zero_frequency_mass(ctx, inputs, i0)
         assert isinstance(got, float)
+        assert got >= 0
         assert abs(got - want) <= 1e-12 * want
 
 
@@ -496,10 +497,25 @@ def test_zero_frequency_mass_property(inputs, i0):
     fs[i0] = GroupFunction(coset_mean_zero_projection(ctx, fs[i0].values), ctx.group)
     exact = zero_frequency_mass(ctx, fs, i0)
     assert isinstance(exact, Fraction)
-    assert exact == rolled_zero_frequency_mass(ctx, fs)
+    assert exact >= 0 and exact == rolled_zero_frequency_mass(ctx, fs)
     want = dft_zero_frequency_mass(ctx, fs, i0)
     for dtype in (np.float64, np.complex128):
         value = zero_frequency_mass(ctx, cast(ctx, fs, dtype), i0)
-        assert isinstance(value, float)
+        assert isinstance(value, float) and value >= 0
         # an exact zero comes back from the DFT as rounding noise
         assert abs(value - want) <= 1e-12 * want + 1e-18
+
+
+# Scaled so that the products and autocorrelations overflow the narrow dtype
+# but stay well inside int64.
+@pytest.mark.parametrize("dtype, m", [(np.int8, 10), (np.int16, 100), (np.int32, 300)])
+def test_narrow_integer_inputs_stay_exact(dtype, m):
+    ctx = borel_context(5)
+    rng = np.random.default_rng(12)
+    fs = [GroupFunction(m * random_sign_function(ctx.group, rng).values, ctx.group)
+          for _ in range(3)]
+    fs.append(GroupFunction(m * coset_mean_zero_function(ctx, rng).values, ctx.group))
+    narrow = cast(ctx, fs, dtype)
+    assert sheared_average(ctx, narrow) == four_term_average(ctx, fs).exact_value
+    assert four_term_average(ctx, narrow).exact_value == four_term_average(ctx, fs).exact_value
+    assert zero_frequency_mass(ctx, narrow, 3) == rolled_zero_frequency_mass(ctx, fs)

@@ -303,6 +303,19 @@ def test_convolve_matches_supp_f_loop(make_table):
             assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.abs(want).max())
 
 
+# m^2 overflows each narrow dtype.
+@pytest.mark.parametrize("dtype, m", [(np.int8, 100), (np.int16, 200), (np.int32, 50000)])
+def test_convolve_widens_narrow_integers(dtype, m):
+    table = special_linear_group(2, 5)
+    rng = np.random.default_rng(13)
+    fv = m * rng.choice([-1, 1], size=table.size)
+    mv = np.where(rng.random(table.size) < 0.2, m, 0)
+    f, mu = GroupFunction(fv, table), GroupFunction(mv, table)
+    want = supp_f_convolve(f, mu)
+    got = convolve(GroupFunction(fv.astype(dtype), table), GroupFunction(mv.astype(dtype), table))
+    assert got.values.dtype == np.int64 and np.array_equal(got.values, want)
+
+
 def test_convolve_charges_support_of_mu(monkeypatch):
     table = special_linear_group(2, 5)
     f = indicator_function(table, [0, 3, 7])
