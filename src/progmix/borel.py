@@ -15,7 +15,8 @@ uses this dilation factor.
 
 Each statistic has one code path for every dtype.  `sheared_average` and
 `zero_frequency_mass` reduce integer-valued inputs in int64 and return a
-Fraction, and return a float otherwise.  The U-smoothed functions are
+Fraction, and return a float otherwise; the sheared kernel multiplies
+integer inputs in the narrowest integer type that holds their products.  The U-smoothed functions are
 `mixing.coset_smooth` over U, which sums over U's p elements; U is normal in
 B, so its left and right cosets agree.
 """
@@ -32,7 +33,7 @@ from . import mixing
 from .budget import OP_BUDGET, charge
 from .fields import inv_mod
 from .fourier import dft
-from .groups import GroupTable, borel_subgroup, unipotent_subgroup
+from .groups import GroupTable, borel_subgroup, shift_perms, unipotent_subgroup
 
 
 @dataclass
@@ -94,28 +95,54 @@ def smoothing_gap(ctx: BorelContext, fs) -> float:
     return abs(raw - four_term_average(ctx, smoothed(ctx, fs)).value)
 
 
+def _kernel_values(fs) -> list[np.ndarray]:
+    """The values of fs in the dtype the sheared kernel multiplies them in.
+
+    Integer-valued fs are narrowed to the smallest signed integer type that
+    holds every product of their values exactly, int8 for signs and
+    indicators, which cuts the kernel's memory traffic up to eightfold; the
+    block sums are still taken in int64.  Other inputs keep their dtype.
+    """
+    if not all(f.is_integer_valued for f in fs):
+        return [f.values for f in fs]
+    bound = 1
+    for f in fs:
+        bound *= max(-int(f.values.min(initial=0)), int(f.values.max(initial=0)), 1)
+    dtype = next((t for t in (np.int8, np.int16, np.int32) if bound <= np.iinfo(t).max), np.int64)
+    return [f.values.astype(dtype) for f in fs]
+
+
 def _sheared_layers(ctx: BorelContext, fs):
     """Per-shift blocks of the shear-coordinate form of the 4-term average.
 
-    Block g has entry ((a, b), x) = prod_i f_i(psi(a + c_i b) x g^i), with
-    c_i = 1 + w + .. + w^(i-1) and w = t^2 for the upper-left entry t of g.
-    Each f_i is gathered once onto the shear cosets, F_i[a, x] =
-    f_i(psi(a) x); per shift, the columns x -> x g^i are gathered at p x n,
-    the rows a + c_i b at p^2 x n, and multiplied into one reused buffer.
+    Yields (gi, block) for every shift g = element gi, in the order of
+    `shift_perms`, which composes the permutations x -> x g over the shear
+    cosets of B.  Block g has entry ((a, b), x) = prod_i f_i(psi(a + c_i b)
+    x g^i), with c_i = 1 + w + .. + w^(i-1) and w = t^2 for the upper-left
+    entry t of g.  Each f_i is gathered once onto the shear cosets, F_i[a, x]
+    = f_i(psi(a) x); the row indices a + c_i b depend only on w, so they are
+    built once per dilation, at most (p - 1) / 2 of them.  Per shift, the
+    columns x -> x g^i are gathered at p x n, the rows at p^2 x n, and
+    multiplied into one reused buffer, in the dtype of `_kernel_values`.
     """
     p = ctx.p
     a_row, b_row = np.indices((p, p)).reshape(2, -1)  # all p^2 pairs (a, b)
-    on_cosets = [f.values[ctx.shear_mul_index] for f in fs]  # F_i, p x n
+    on_cosets = [v[ctx.shear_mul_index] for v in _kernel_values(fs)]  # F_i, p x n
     t0 = on_cosets[0][a_row]
     block = np.empty(t0.shape, dtype=np.result_type(*on_cosets))  # reused for every shift
-    for gi in range(ctx.group.size):
-        perm = ctx.group.rmul_perm(gi)
+    rows = {}  # w -> the row indices a + c_i b of each factor i >= 1
+    for gi, perm in shift_perms(ctx.group, np.arange(ctx.group.size)):
         w = int(ctx.upper_left[gi]) ** 2 % p
-        lhs, cursor, c = t0, perm, 1
-        for f_i in on_cosets[1:]:
-            np.multiply(lhs, f_i[:, cursor][(a_row + c * b_row) % p], out=block)
-            lhs, cursor, c = block, perm[cursor], (1 + w * c) % p
-        yield block
+        if w not in rows:
+            rows[w], c = [], 1
+            for _ in on_cosets[1:]:
+                rows[w].append((a_row + c * b_row) % p)
+                c = (1 + w * c) % p
+        lhs, cursor = t0, perm
+        for f_i, r in zip(on_cosets[1:], rows[w]):
+            np.multiply(lhs, np.take(f_i[:, cursor], r, axis=0), out=block)
+            lhs, cursor = block, perm[cursor]
+        yield gi, block
 
 
 def sheared_average(ctx: BorelContext, fs) -> float | Fraction:
@@ -125,7 +152,9 @@ def sheared_average(ctx: BorelContext, fs) -> float | Fraction:
     (x, g) -> (psi(a) x, psi(b) g) and averaged over (a, b) in F^2; the
     result agrees with the plain four-term average identically.  Integer
     inputs are reduced in int64 and give the exact Fraction; other inputs
-    give a float (complex for complex input).
+    give a float (complex for complex input).  The block sums are stored by
+    shift index and added in that order, so the float result does not depend
+    on the order in which the shifts are visited.
     """
     if len(fs) != 4:
         raise ValueError("need exactly four functions")
@@ -133,7 +162,10 @@ def sheared_average(ctx: BorelContext, fs) -> float | Fraction:
     charge(4 * n * n * p * p, OP_BUDGET, "shear-coordinate 4-term average")
     exact = all(f.is_integer_valued for f in fs)
     dtype = np.int64 if exact else np.result_type(*(f.values for f in fs), np.float64)
-    total = sum(block.sum(dtype=dtype).item() for block in _sheared_layers(ctx, fs))
+    sums = np.empty(n, dtype=dtype)
+    for gi, block in _sheared_layers(ctx, fs):
+        sums[gi] = block.sum(dtype=dtype)
+    total = sum(sums.tolist())  # Python numbers, in shift-index order
     scale = n * n * p * p
     return Fraction(total, scale) if exact else total / scale
 

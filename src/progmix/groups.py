@@ -18,14 +18,17 @@ F_p^d.  rmul_perm builds that image table once per g and assembles every key
 of x g from the cached row keys of x, with no per-element product or
 reduction mod p; lmul_perm does the same for g x with the columns.
 
-Coset composition.  For the full SL_2(F_p) table, coset_decomposition writes
-every g as h r, with h in the Borel subgroup B and r one of the p + 1
-representatives of the right cosets B g.  Since x g = (x h) r, the shift
-permutation of g is rmul_perm(r)[rmul_perm(h)], so a sweep over all n shifts
-assembles |B| + p permutations (the representative of B is the identity) and
-composes the rest with one gather each.  Every other table gets the trivial
-decomposition: each g is its own h, and the identity is the only
-representative.
+Coset composition.  coset_decomposition writes every g as h r, with h in a
+subgroup H and r the representative of the right coset H g.  Since
+x g = (x h) r, the shift permutation of g is rmul_perm(r)[rmul_perm(h)], and
+shift_perms assembles one permutation per h and per representative used and
+composes the rest with one gather each.  For the full SL_2(F_p) table H is the
+Borel subgroup B, with p + 1 cosets, so a sweep over all n shifts assembles
+|B| + p permutations (B's representative is the identity).  For the Borel
+table H is the shear group U, with the p - 1 diagonal matrices as
+representatives, so a sweep over B assembles p + (p - 2) = 2p - 2.  Every other
+table gets the trivial decomposition: each g is its own h, and the identity is
+the only representative.
 """
 
 from __future__ import annotations
@@ -446,14 +449,27 @@ def _poly_gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def centralizer(table: GroupTable, b) -> GroupTable:
-    """All table elements commuting with b (a subgroup when the table is one)."""
-    b_mat, _ = _as_array(b, table.p)
+    """All table elements commuting with b (a subgroup when the table is one).
+
+    For d = 2 and non-scalar b, the matrices commuting with b are the
+    polynomials alpha I + beta b, so the p^2 candidates of determinant one are
+    looked up and those absent from the table dropped.  Scalar b and d = 3
+    compare the two products b x and x b for every table element x.
+    """
+    p = table.p
+    b_mat, _ = _as_array(b, p)
     if b_mat[None] not in table:
         raise KeyError("b is not an element of the table")
-    left = _mul_many(table.mats, b_mat, table.p)
-    right = _mul_many(b_mat[None], table.mats, table.p)
+    scalar = not np.any(b_mat - b_mat[0, 0] * np.eye(table.d, dtype=np.int64))
+    if table.d == 2 and not scalar:
+        alpha, beta = np.indices((p, p)).reshape(2, -1, 1, 1)
+        cands = (alpha * np.eye(2, dtype=np.int64) + beta * b_mat) % p
+        idx = table._lookup(table._encode(cands[_det_many(cands, p) == 1]))
+        return GroupTable(table.mats[idx[idx >= 0]], p, "centralizer")
+    left = _mul_many(table.mats, b_mat, p)
+    right = _mul_many(b_mat[None], table.mats, p)
     mask = (left == right).all(axis=(1, 2))
-    return GroupTable(table.mats[mask], table.p, "centralizer")
+    return GroupTable(table.mats[mask], p, "centralizer")
 
 
 def _conjugates(table: GroupTable, a_mat: np.ndarray) -> np.ndarray:
@@ -478,12 +494,15 @@ def conjugacy_classes(table: GroupTable) -> np.ndarray:
 
     Classes are numbered in order of their smallest index, so the first
     element carrying label l is the representative of class l.  Each class
-    costs one conjugation sweep over the table: k sweeps for k classes.
-    Cached per table, like the tables themselves; the labels are read-only.
+    costs one conjugation sweep over the table: k sweeps for k classes, and
+    the running count of sweeps times n is charged before each one.  Cached
+    per table, like the tables themselves; the labels are read-only.
     """
     labels = np.full(table.size, -1, dtype=np.intp)
     label = 0
     while (unlabelled := np.flatnonzero(labels < 0)).size:
+        charge((label + 1) * table.size, OP_BUDGET,
+               f"conjugacy classes of {table.size} elements")
         labels[_conjugates(table, table.mats[unlabelled[0]])] = label
         label += 1
     labels.setflags(write=False)
@@ -516,32 +535,71 @@ class CosetDecomposition:
 
 @lru_cache(maxsize=32)
 def coset_decomposition(table) -> CosetDecomposition:
-    """g = h r over the Borel subgroup B, for the full SL_2(F_p) table.
+    """g = h r over a subgroup H, for the full SL_2(F_p) and the Borel tables.
 
-    The right coset B g is the line through g's bottom row (c, d), because
-    h g has bottom row t^-1 (c, d) for h = [[t, a], [0, t^-1]].  Its label is
-    c / d for d != 0 and p for d = 0, so B has label 0.  Each representative
-    is the first element of its coset, which for B is the identity, and all
-    n indices of h come from one batched product and lookup.  Any other table
-    (d = 3, subgroups, CyclicTable) gets the trivial decomposition.  Cached
-    per table, like `conjugacy_classes`.
+    Full SL_2(F_p): H = B.  The right coset B g is the line through g's bottom
+    row (c, d), because h g has bottom row t^-1 (c, d) for h = [[t, a], [0,
+    t^-1]].  Its label is c / d for d != 0 and p for d = 0, so B has label 0.
+
+    Borel table (d = 2, every lower-left entry 0, n = p(p - 1)): H = U, the
+    shears.  The right coset U g is fixed by g's upper-left entry t, because
+    [[1, s], [0, 1]] g changes only the upper-right entry; its label is t - 1,
+    so U has label 0, and its representative is diag(t, t^-1).
+
+    Each representative is the first element of its coset, which is the
+    identity for H and diag(t, t^-1) on the Borel table, and all n indices of
+    h come from one batched product and lookup.  Any other table (d = 3, other
+    subgroups, CyclicTable) gets the trivial decomposition.  Cached per table,
+    like `conjugacy_classes`.
     """
-    n = table.size
-    if getattr(table, "d", None) == 2 and n == special_linear_order(2, table.p):
-        p = table.p
-        c, d = table.mats[:, 1, 0], table.mats[:, 1, 1]
-        inverses = np.array([0] + [inv_mod(t, p) for t in range(1, p)], dtype=np.int64)
-        coset = np.where(d == 0, p, c * inverses[d] % p)
-        reps = np.unique(coset, return_index=True)[1]
-        r_inv = _inverse_many(table.mats[reps], p)[coset]
-        h = table.indices_of(_mul_many(table.mats, r_inv, p))
-    else:
+    n, p = table.size, getattr(table, "p", None)
+    coset = None
+    if getattr(table, "d", None) == 2:
+        if n == special_linear_order(2, p):
+            c, d = table.mats[:, 1, 0], table.mats[:, 1, 1]
+            inverses = np.array([0] + [inv_mod(t, p) for t in range(1, p)], dtype=np.int64)
+            coset = np.where(d == 0, p, c * inverses[d] % p)
+        elif n == p * (p - 1) and not table.mats[:, 1, 0].any():
+            coset = table.mats[:, 0, 0] - 1
+    if coset is None:
         coset = np.zeros(n, dtype=np.intp)
         reps = np.array([table.identity_index], dtype=np.intp)
         h = np.arange(n)
+    else:
+        reps = np.unique(coset, return_index=True)[1]
+        r_inv = _inverse_many(table.mats[reps], p)[coset]
+        h = table.indices_of(_mul_many(table.mats, r_inv, p))
     for array in (coset, reps, h):
         array.setflags(write=False)
     return CosetDecomposition(coset, reps, h)
+
+
+def shift_perms(table, shifts):
+    """Yield (j, perm) with perm the index array of x -> x g_j, once for each
+    position j of the shift index array `shifts` (repeats included).
+
+    The shifts are visited grouped by h in their `coset_decomposition`
+    g = h r: `table.rmul_perm` assembles x -> x h once per h and x -> x r
+    once per representative used, and x -> x g is the gather of the second
+    by the first (none for the identity representative).  That is the same
+    index array as `table.rmul_perm(g)`.  The representative permutations
+    are held for the whole sweep, at most (number of cosets) * n ints.  A
+    yielded array may be yielded again, so it must not be written to.
+    """
+    shifts = np.asarray(shifts, dtype=np.intp)
+    dec = coset_decomposition(table)
+    hs, cosets = dec.h[shifts], dec.coset[shifts]
+    rep_perms = {}  # coset label -> x -> x r for its representative r
+    h_done = perm_h = None
+    for j in np.lexsort((cosets, hs)):
+        if hs[j] != h_done:
+            h_done, perm_h = hs[j], table.rmul_perm(int(hs[j]))
+        perm, r = perm_h, int(cosets[j])
+        if r:
+            if r not in rep_perms:
+                rep_perms[r] = table.rmul_perm(int(dec.reps[r]))
+            perm = rep_perms[r][perm_h]
+        yield int(j), perm
 
 
 @lru_cache(maxsize=32)

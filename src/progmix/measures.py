@@ -188,9 +188,12 @@ def check_conjugate_average_identity(table: GroupTable, sub: GroupTable) -> Conj
     """Compare E_g (uniform on g U g^-1) with E_{u in U} |C(u)|^-1 1_C(u).
 
     Both sides are assembled exactly as rationals and compared pointwise.
+    Each side makes one conjugation sweep of the table per element of U, so
+    the check charges 2 |U| n.
     """
     n = table.size
     u_count = sub.size
+    charge(2 * u_count * n, OP_BUDGET, "conjugate-average identity")
     lhs_counts = np.zeros(n, dtype=np.int64)
     for u in sub.mats:
         lhs_counts += np.bincount(_conjugates(table, u), minlength=n)

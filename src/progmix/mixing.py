@@ -10,10 +10,11 @@ replaces the inner x-average by its absolute distance from the product of
 the means, measuring how far a single shift g is from mixing.
 
 Every exact statistic is a reduction of one kernel, `shift_sums`, which
-returns the per-shift sums s[g] = sum_x prod_i f_i(x g^i).  It composes each
-shift's permutation x -> x g from the permutations of h and r in the table's
-coset decomposition g = h r, so a full SL_2(F_p) sweep assembles p^2
-permutations rather than one per shift.  The exact average
+returns the per-shift sums s[g] = sum_x prod_i f_i(x g^i).  It takes each
+shift's permutation x -> x g from `groups.shift_perms`, composed from the
+permutations of h and r in the table's coset decomposition g = h r, so a full
+SL_2(F_p) sweep assembles p^2 permutations and a Borel sweep 2p - 2, rather
+than one per shift.  The exact average
 and deviation are two reductions of one sweep (`exact_progression_statistics`),
 and the restricted deviations two reductions of one sweep over the shift set.
 Integer-valued inputs (indicators, +-1 signs) are accumulated exactly in
@@ -29,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .budget import OP_BUDGET, charge
-from .groups import coset_decomposition
+from .groups import shift_perms
 
 
 @dataclass
@@ -124,37 +125,24 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
     an exact reduction of it.
 
     Each distinct shift is summed once, and a repeated shift copies its sum.
-    The shifts are visited grouped by h in their `coset_decomposition`
-    g = h r: `table.rmul_perm` assembles x -> x h once per h and x -> x r
-    once per representative used, and x -> x g is the gather of the second
-    by the first (none for the identity representative).  That is the same
-    index array as `table.rmul_perm(g)`, so every sum is bit-identical to the
-    one from a fresh permutation per shift.
+    The permutations x -> x g come from `shift_perms`, which composes them
+    over the table's coset decomposition; each is the same index array as
+    `table.rmul_perm(g)`, so every sum is bit-identical to the one from a
+    fresh permutation per shift.
     """
     vals = [f.values for f in fs]
     shifts = np.arange(table.size) if shifts is None else np.asarray(shifts, dtype=np.intp)
     dtype = np.int64 if _exact_inputs(fs) else np.result_type(*vals, np.float64)
+    if len(vals) == 1:
+        return np.full(len(shifts), vals[0].sum(), dtype=dtype)
     distinct, where = np.unique(shifts, return_inverse=True)
-    dec = coset_decomposition(table)
-    hs, cosets = dec.h[distinct], dec.coset[distinct]
     sums = np.empty(len(distinct), dtype=dtype)
-    rep_perms = {}  # coset label -> x -> x r for its representative r; at most (p + 1) n ints
-    h_done = perm_h = None
-    for j in np.lexsort((cosets, hs)):
-        prod = vals[0]
-        if len(vals) > 1:
-            if hs[j] != h_done:
-                h_done, perm_h = hs[j], table.rmul_perm(int(hs[j]))
-            perm, r = perm_h, int(cosets[j])
-            if r:
-                if r not in rep_perms:
-                    rep_perms[r] = table.rmul_perm(int(dec.reps[r]))
-                perm = rep_perms[r][perm_h]
-            cursor = perm
-            prod = prod * vals[1][cursor]
-            for v in vals[2:]:
-                cursor = perm[cursor]
-                prod = prod * v[cursor]
+    for j, perm in shift_perms(table, distinct):
+        cursor = perm
+        prod = vals[0] * vals[1][cursor]
+        for v in vals[2:]:
+            cursor = perm[cursor]
+            prod = prod * v[cursor]
         sums[j] = prod.sum()
     return sums[where]
 

@@ -64,9 +64,10 @@ def _values(mu) -> np.ndarray:
 
 
 def convolution_matrix(table, mu) -> np.ndarray:
-    """Matrix of f -> f * mu: out[x, y] = mu(y^-1 x)."""
+    """Matrix of f -> f * mu: out[x, y] = mu(y^-1 x).  Charges its n^2 entries."""
     vals = _values(mu)
     n = table.size
+    charge(n * n, OP_BUDGET, f"{n} x {n} convolution matrix")
     out = np.empty((n, n), dtype=vals.dtype if np.iscomplexobj(vals) else np.float64)
     inv = table.inv_perm()
     for y in range(n):

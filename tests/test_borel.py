@@ -19,6 +19,7 @@ from progmix.borel import (
 )
 from progmix.budget import BudgetExceededError
 from progmix.fourier import dft
+from progmix.groups import GroupTable
 from progmix.mixing import (
     GroupFunction,
     coset_smooth,
@@ -204,11 +205,37 @@ def test_sheared_kernel_matches_old_loop(p, kind):
         draws = [rng.standard_normal(n) for _ in range(4)]
     fs = [GroupFunction(v, ctx.group) for v in draws]
     scale = n * n * p * p
-    want = sum(float(block.sum(dtype=np.float64)) for block in old_sheared_layers(ctx, fs))
-    assert abs(sheared_average(ctx, fs) - want / scale) < 1e-12
-    if kind != "float":
+    if kind == "float":
+        # block sums added in shift-index order, whatever order the kernel visits them in
+        want = sum(float(block.sum(dtype=np.float64)) for block in old_sheared_layers(ctx, fs))
+        assert sheared_average(ctx, fs) == want / scale
+    else:
         exact = sum(int(block.sum(dtype=np.int64)) for block in old_sheared_layers(ctx, fs))
-        assert sheared_average_exact(ctx, fs) == Fraction(exact, scale)
+        assert sheared_average(ctx, fs) == sheared_average_exact(ctx, fs) == Fraction(exact, scale)
+
+
+@pytest.mark.parametrize("tops", [(127, 1), (-128, -1), (11, 11), (12, 11), (2**15 - 1, 1),
+                                  (-(2**15), -1), (2**31 - 1, 1), (-(2**31), -1), (2**20, 2**20)])
+def test_sheared_kernel_exact_at_narrowing_bounds(tops):
+    # Integer inputs are multiplied in the narrowest type that holds every
+    # product; constant inputs put the product tops[0] * tops[1] in every entry.
+    ctx = borel_context(5)
+    fs = [GroupFunction(np.full(ctx.group.size, v), ctx.group) for v in (*tops, 1, 1)]
+    assert sheared_average(ctx, fs) == tops[0] * tops[1]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sheared_average_assembles_two_permutations_per_shear_coset(p, monkeypatch):
+    ctx = borel_context(p)
+    rng = np.random.default_rng(p)
+    fs = [random_sign_function(ctx.group, rng) for _ in range(4)]
+    calls = []
+    original = GroupTable.rmul_perm
+    monkeypatch.setattr(GroupTable, "rmul_perm",
+                        lambda self, gi: calls.append(gi) or original(self, gi))
+    sheared_average(ctx, fs)
+    # one per shear h, p, and one per diagonal representative but the identity, p - 2
+    assert len(calls) == 2 * p - 2
 
 
 def test_shear_mul_index_matches_explicit_products():

@@ -210,9 +210,11 @@ def test_mixing4_diag_sweeps_each_shift_once(capsys, monkeypatch):
 def test_borel4_sweeps_twice_per_prime(capsys, monkeypatch):
     calls = count_rmul_perm(monkeypatch)
     assert run_cli(capsys, "borel4", "--primes", "3,5")[0] == 0
-    # the raw and the U-smoothed four-term average, one permutation per shift
-    # each, and the U-smoothing of the four functions, one per element of U
-    assert len(calls) == sum(2 * borel_subgroup(p).size + 4 * p for p in (3, 5))
+    # The raw and the U-smoothed four-term average each sweep B over its shear
+    # cosets g = h diag(t, t^-1): one permutation per shear h, p, and one per
+    # representative but the identity, p - 2, so 2p - 2 per sweep.  The
+    # U-smoothing of the four functions adds one per element of U, 4p.
+    assert len(calls) == sum(2 * (2 * p - 2) + 4 * p for p in (3, 5))
 
 
 def test_coset_borel_functions_match_explicit_cosets():

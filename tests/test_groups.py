@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from progmix.budget import BudgetExceededError
 from progmix.groups import (
@@ -19,6 +20,7 @@ from progmix.groups import (
     mat_mul,
     mat_trace,
     shear,
+    shift_perms,
     special_linear_group,
     special_linear_order,
     trace_values,
@@ -163,6 +165,28 @@ def test_centralizer_sizes_for_regular_semisimple_exhaustive():
             assert sizes == {p - 1, p + 1}
 
 
+@pytest.mark.parametrize("name", ["sl2", "borel", "diag_set"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_centralizer_matches_commuting_sweep(p, name):
+    # the diagonalisable set is not a group: some alpha I + beta b are absent
+    table = {"sl2": special_linear_group(2, p), "borel": borel_subgroup(p),
+             "diag_set": diagonalisable_set(p)}[name]
+    for b in table.mats:
+        commutes = (table.mats @ b % p == b @ table.mats % p).all(axis=(1, 2))
+        assert np.array_equal(centralizer(table, b).mats, table.mats[commutes])
+
+
+def test_conjugacy_classes_budget_boundary(monkeypatch):
+    full = special_linear_group(2, 5)
+    labels = conjugacy_classes(full)
+    cost = (labels.max() + 1) * full.size  # one sweep of n per class
+    monkeypatch.setenv("PROGMIX_BUDGET", str(cost - 1))
+    with pytest.raises(BudgetExceededError, match="conjugacy classes"):
+        conjugacy_classes(GroupTable(full.mats, 5, "full"))  # a fresh table misses the cache
+    monkeypatch.setenv("PROGMIX_BUDGET", str(cost))
+    assert np.array_equal(conjugacy_classes(GroupTable(full.mats, 5, "full")), labels)
+
+
 def test_conjugacy_class_examples():
     table = special_linear_group(2, 5)
     assert conjugacy_class(table, identity_element(2, 5)).size == 1
@@ -199,12 +223,51 @@ def test_coset_decomposition_over_borel(p):
     assert coset_decomposition(table) is dec
 
 
-@pytest.mark.parametrize("table", [borel_subgroup(5), special_linear_group(3, 3)],
-                         ids=["borel", "sl3"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_coset_decomposition_over_shears(p):
+    table = borel_subgroup(p)
+    dec = coset_decomposition(table)
+    assert dec.coset.tolist() == (table.mats[:, 0, 0] - 1).tolist()  # upper-left entry t, less one
+    assert len(dec.reps) == p - 1 and dec.reps[0] == table.identity_index
+    for label, rep in enumerate(dec.reps):
+        t = label + 1
+        assert table.mats[rep].tolist() == [[t, 0], [0, pow(t, -1, p)]]
+    for gi in range(table.size):
+        h, r = table.mats[dec.h[gi]], table.mats[dec.reps[dec.coset[gi]]]
+        assert h[0, 0] == h[1, 1] == 1 and h[1, 0] == 0  # h is a shear
+        assert np.array_equal(h @ r % p, table.mats[gi])
+    assert len(set(zip(dec.h.tolist(), dec.coset.tolist()))) == table.size
+    # found from the entries, not the label
+    relabelled = coset_decomposition(GroupTable(table.mats, p, "relabelled"))
+    assert np.array_equal(relabelled.coset, dec.coset) and np.array_equal(relabelled.h, dec.h)
+
+
+def conjugated_borel(p):
+    """g B g^-1 for g = [[1, 0], [1, 1]]: order p(p - 1), not upper-triangular."""
+    g, g_inv = np.array([[1, 0], [1, 1]]), np.array([[1, 0], [p - 1, 1]])
+    return GroupTable(g @ borel_subgroup(p).mats @ g_inv % p, p, "borel")
+
+
+@pytest.mark.parametrize("table", [special_linear_group(3, 3), unipotent_subgroup(5),
+                                   GroupTable(borel_subgroup(5).mats[::5], 5, "torus"),
+                                   conjugated_borel(5)],
+                         ids=["sl3", "unipotent", "torus", "conjugated_borel"])
 def test_coset_decomposition_trivial_elsewhere(table):
     dec = coset_decomposition(table)
     assert dec.reps.tolist() == [table.identity_index]
     assert not dec.coset.any() and np.array_equal(dec.h, np.arange(table.size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.booleans(), st.data())
+def test_shift_perms_match_rmul_perm_property(p, borel, data):
+    table = borel_subgroup(p) if borel else special_linear_group(2, p)
+    shifts = data.draw(st.lists(st.integers(0, table.size - 1), max_size=60))
+    seen = []
+    for j, perm in shift_perms(table, np.array(shifts, dtype=np.intp)):
+        assert np.array_equal(perm, table.rmul_perm(shifts[j]))
+        seen.append(j)
+    assert sorted(seen) == list(range(len(shifts)))  # every position once, repeats included
 
 
 def test_orbit_stabilizer_exhaustive_sl2_f3():

@@ -303,3 +303,13 @@ def test_conjugate_average_identity_unipotent():
         assert report.max_abs_difference <= 1e-12
         assert report.lhs_mass == Fraction(1)
         assert report.rhs_mass == Fraction(1)
+
+
+def test_conjugate_average_identity_budget_boundary(monkeypatch):
+    table, sub = special_linear_group(2, 3), unipotent_subgroup(3)
+    cost = 2 * sub.size * table.size  # one conjugation sweep per element of U, on each side
+    monkeypatch.setenv("PROGMIX_BUDGET", str(cost - 1))
+    with pytest.raises(BudgetExceededError, match="conjugate-average identity"):
+        check_conjugate_average_identity(table, sub)
+    monkeypatch.setenv("PROGMIX_BUDGET", str(cost))
+    assert check_conjugate_average_identity(table, sub).exact_equal

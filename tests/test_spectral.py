@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from progmix.budget import BudgetExceededError
 from progmix.cli import BIG_PRIMES
 from progmix.groups import (
     CyclicTable,
@@ -102,6 +103,16 @@ def test_convolution_matrix_is_right_convolution():
     f = rng.standard_normal(table.size)
     direct = convolve(GroupFunction(f, table), GroupFunction(mu, table)).values
     assert np.allclose(convolution_matrix(table, mu) @ f, direct)
+
+
+def test_convolution_matrix_budget_boundary(monkeypatch):
+    table = special_linear_group(2, 3)
+    mu = np.ones(table.size)
+    monkeypatch.setenv("PROGMIX_BUDGET", str(table.size**2 - 1))
+    with pytest.raises(BudgetExceededError, match="convolution matrix"):
+        convolution_matrix(table, mu)
+    monkeypatch.setenv("PROGMIX_BUDGET", str(table.size**2))
+    assert convolution_matrix(table, mu).shape == (table.size, table.size)
 
 
 def test_quasirandomness_parameter_validation():
