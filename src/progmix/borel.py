@@ -95,23 +95,6 @@ def smoothing_gap(ctx: BorelContext, fs) -> float:
     return abs(raw - four_term_average(ctx, smoothed(ctx, fs)).value)
 
 
-def _kernel_values(fs) -> list[np.ndarray]:
-    """The values of fs in the dtype the sheared kernel multiplies them in.
-
-    Integer-valued fs are narrowed to the smallest signed integer type that
-    holds every product of their values exactly, int8 for signs and
-    indicators, which cuts the kernel's memory traffic up to eightfold; the
-    block sums are still taken in int64.  Other inputs keep their dtype.
-    """
-    if not all(f.is_integer_valued for f in fs):
-        return [f.values for f in fs]
-    bound = 1
-    for f in fs:
-        bound *= max(-int(f.values.min(initial=0)), int(f.values.max(initial=0)), 1)
-    dtype = next((t for t in (np.int8, np.int16, np.int32) if bound <= np.iinfo(t).max), np.int64)
-    return [f.values.astype(dtype) for f in fs]
-
-
 def _sheared_layers(ctx: BorelContext, fs):
     """Per-shift blocks of the shear-coordinate form of the 4-term average.
 
@@ -123,11 +106,11 @@ def _sheared_layers(ctx: BorelContext, fs):
     = f_i(psi(a) x); the row indices a + c_i b depend only on w, so they are
     built once per dilation, at most (p - 1) / 2 of them.  Per shift, the
     columns x -> x g^i are gathered at p x n, the rows at p^2 x n, and
-    multiplied into one reused buffer, in the dtype of `_kernel_values`.
+    multiplied into one reused buffer, in the dtype of `mixing.kernel_values`.
     """
     p = ctx.p
     a_row, b_row = np.indices((p, p)).reshape(2, -1)  # all p^2 pairs (a, b)
-    on_cosets = [v[ctx.shear_mul_index] for v in _kernel_values(fs)]  # F_i, p x n
+    on_cosets = [v[ctx.shear_mul_index] for v in mixing.kernel_values(fs)]  # F_i, p x n
     t0 = on_cosets[0][a_row]
     block = np.empty(t0.shape, dtype=np.result_type(*on_cosets))  # reused for every shift
     rows = {}  # w -> the row indices a + c_i b of each factor i >= 1

@@ -20,15 +20,18 @@ reduction mod p; lmul_perm does the same for g x with the columns.
 
 Coset composition.  coset_decomposition writes every g as h r, with h in a
 subgroup H and r the representative of the right coset H g.  Since
-x g = (x h) r, the shift permutation of g is rmul_perm(r)[rmul_perm(h)], and
-shift_perms assembles one permutation per h and per representative used and
-composes the rest with one gather each.  For the full SL_2(F_p) table H is the
-Borel subgroup B, with p + 1 cosets, so a sweep over all n shifts assembles
-|B| + p permutations (B's representative is the identity).  For the Borel
-table H is the shear group U, with the p - 1 diagonal matrices as
-representatives, so a sweep over B assembles p + (p - 2) = 2p - 2.  Every other
-table gets the trivial decomposition: each g is its own h, and the identity is
-the only representative.
+x g = (x h) r, a sweep over the shifts needs one assembled permutation per h
+and per representative used.  For the full SL_2(F_p) table H is the Borel
+subgroup B, with p + 1 cosets, so a sweep over all n shifts assembles |B| + p
+permutations (B's representative is the identity).  For the Borel table H is
+the shear group U, with the p - 1 diagonal matrices as representatives, so a
+sweep over B assembles p + (p - 2) = 2p - 2.  Every other table gets the
+trivial decomposition: each g is its own h, and the identity is the only
+representative.  mixing.shift_sums reads the decomposition directly and
+gathers function values through x -> x h and x -> x r (it composes x -> x g
+only for 4-term and non-integer sweeps).  shift_perms, which yields every
+shift's permutation as rmul_perm(r)[rmul_perm(h)], serves the sheared kernel
+of borel only.
 """
 
 from __future__ import annotations

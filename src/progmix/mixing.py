@@ -10,16 +10,27 @@ replaces the inner x-average by its absolute distance from the product of
 the means, measuring how far a single shift g is from mixing.
 
 Every exact statistic is a reduction of one kernel, `shift_sums`, which
-returns the per-shift sums s[g] = sum_x prod_i f_i(x g^i).  It takes each
-shift's permutation x -> x g from `groups.shift_perms`, composed from the
-permutations of h and r in the table's coset decomposition g = h r, so a full
-SL_2(F_p) sweep assembles p^2 permutations and a Borel sweep 2p - 2, rather
-than one per shift.  The exact average
-and deviation are two reductions of one sweep (`exact_progression_statistics`),
-and the restricted deviations two reductions of one sweep over the shift set.
-Integer-valued inputs (indicators, +-1 signs) are accumulated exactly in
-integer arithmetic, and the exact value is reported as a Fraction alongside
-the float.
+returns the per-shift sums s[g] = sum_x prod_i f_i(x g^i).  It anchors each
+progression at its middle term y = x g, so that
+
+    s[g] = sum_y f_0(y g^-1) f_1(y) f_2(y g) f_3(y g^2),
+
+and writes each shift as g = h r over the table's `coset_decomposition`.
+The permutations x -> x h are assembled once per h and x -> x r once per
+representative r used, so a full SL_2(F_p) sweep assembles p^2 permutations
+and a Borel sweep 2p - 2, rather than one per shift; f_0 is scattered through
+x -> x h once per h, and f_2, f_3 are gathered through x -> x r once per r.
+A 3-term shift with integer values then costs two value gathers, in int8 for
+signs and indicators, and composes no index array.  The sweep holds
+2 (used cosets) n ints and (k - 2) (used cosets) n values: 1.4 MB of ints
+for a full sweep at p = 17.
+
+The exact average and deviation are two reductions of one sweep
+(`exact_progression_statistics`), and the restricted deviations two
+reductions of one sweep over the shift set.  Integer-valued inputs
+(indicators, +-1 signs) are summed exactly in int64, and the exact value is
+reported as a Fraction alongside the float.  Float inputs are summed in
+x-order, bit-identical to a sweep with one fresh permutation per shift.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .budget import OP_BUDGET, charge
-from .groups import shift_perms
+from .groups import coset_decomposition
 
 
 @dataclass
@@ -117,6 +128,23 @@ def _exact_inputs(fs) -> bool:
     return all(f.is_integer_valued for f in fs)
 
 
+def kernel_values(fs) -> list[np.ndarray]:
+    """The values of fs in the dtype the shift kernels multiply them in.
+
+    Integer-valued fs are narrowed to the smallest signed integer type that
+    holds every product of their values exactly, int8 for signs and
+    indicators, which cuts the kernels' memory traffic up to eightfold; the
+    sums are still taken in int64.  Other inputs keep their dtype.
+    """
+    if not _exact_inputs(fs):
+        return [f.values for f in fs]
+    bound = 1
+    for f in fs:
+        bound *= max(-int(f.values.min(initial=0)), int(f.values.max(initial=0)), 1)
+    dtype = next((t for t in (np.int8, np.int16, np.int32) if bound <= np.iinfo(t).max), np.int64)
+    return [f.values.astype(dtype) for f in fs]
+
+
 def shift_sums(table, fs, shifts=None) -> np.ndarray:
     """The per-shift sums s[j] = sum_x prod_i f_i(x g_j^i).
 
@@ -124,26 +152,59 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
     The result is int64 for integer-valued inputs, so each exact statistic is
     an exact reduction of it.
 
-    Each distinct shift is summed once, and a repeated shift copies its sum.
-    The permutations x -> x g come from `shift_perms`, which composes them
-    over the table's coset decomposition; each is the same index array as
-    `table.rmul_perm(g)`, so every sum is bit-identical to the one from a
-    fresh permutation per shift.
+    Each progression is anchored at its middle term y = x g, so
+    s[g] = sum_y f_0(y g^-1) f_1(y) f_2(y g) f_3(y g^2), over the table's
+    `coset_decomposition` g = h r.  Write P_z for the permutation x -> x z,
+    so P_g = R_r[P_h] with R_r = P_r.  Per representative r used, the sweep
+    assembles R_r, scatters its inverse and gathers F_i = f_i[R_r] for
+    i >= 2; per h it assembles P_h and scatters A_h[P_h] = f_0, so that
+    A_h(z) = f_0(z h^-1).  Then f_0(y g^-1) = A_h[R_r^-1], f_2(y g) =
+    F_2[P_h] and f_3(y g^2) = F_3[P_h][P_g]: a 3-term shift with integer
+    values costs two value gathers and composes no index array, and coset 0
+    (by its label), whose representative is the identity, skips the R_r
+    gathers.  Each point's product is taken as ((f_0 f_1) f_2) f_3, as in
+    the sum over x.  Integer inputs are multiplied in the narrow dtype of
+    `kernel_values` and summed in int64 in y-order; other inputs are
+    gathered back into x-order (row[P_g]) before the sum, so every float sum
+    is bit-identical to the one over x with a fresh `table.rmul_perm(g)` per
+    shift.  The sweep holds 2 n ints and (k - 2) n values per representative
+    used.  Each distinct shift is summed once, and a repeated shift copies
+    its sum.
     """
-    vals = [f.values for f in fs]
+    vals = kernel_values(fs)
     shifts = np.arange(table.size) if shifts is None else np.asarray(shifts, dtype=np.intp)
-    dtype = np.int64 if _exact_inputs(fs) else np.result_type(*vals, np.float64)
+    exact = _exact_inputs(fs)
+    dtype = np.int64 if exact else np.result_type(*(f.values for f in fs), np.float64)
     if len(vals) == 1:
-        return np.full(len(shifts), vals[0].sum(), dtype=dtype)
+        return np.full(len(shifts), fs[0].values.sum(), dtype=dtype)
     distinct, where = np.unique(shifts, return_inverse=True)
+    dec = coset_decomposition(table)
+    order = np.lexsort((dec.coset[distinct], dec.h[distinct]))
+    visits = zip(order.tolist(), dec.h[distinct[order]].tolist(), dec.coset[distinct[order]].tolist())
+    f0, f1, later = vals[0], vals[1], vals[2:]
+    identity = np.arange(table.size)
+    reps = {0: (identity, identity, later)}  # coset label -> R_r, R_r^-1, f_i[R_r] for i >= 2
+    a_h = np.empty_like(f0)  # A_h(z) = f_0(z h^-1)
     sums = np.empty(len(distinct), dtype=dtype)
-    for j, perm in shift_perms(table, distinct):
-        cursor = perm
-        prod = vals[0] * vals[1][cursor]
-        for v in vals[2:]:
-            cursor = perm[cursor]
-            prod = prod * v[cursor]
-        sums[j] = prod.sum()
+    h_done = None
+    for j, h, label in visits:
+        if h != h_done:
+            h_done, perm_h = h, table.rmul_perm(h)
+            a_h[perm_h] = f0
+        if label not in reps:
+            r_perm = table.rmul_perm(int(dec.reps[label]))
+            r_inv = np.empty_like(r_perm)
+            r_inv[r_perm] = identity
+            reps[label] = r_perm, r_inv, [v[r_perm] for v in later]
+        r_perm, r_inv, shifted = reps[label]
+        row = (a_h[r_inv] if label else a_h) * f1
+        if shifted:
+            row = row * shifted[0][perm_h]
+        if len(shifted) == 2 or not exact:
+            perm_g = r_perm[perm_h] if label else perm_h
+        if len(shifted) == 2:
+            row = row * shifted[1][perm_h][perm_g]
+        sums[j] = row.sum(dtype=dtype) if exact else row[perm_g].sum()
     return sums[where]
 
 

@@ -9,6 +9,7 @@ from progmix.groups import (
     CyclicTable,
     GroupTable,
     borel_subgroup,
+    coset_decomposition,
     diagonalisable_set,
     special_linear_group,
     unipotent_subgroup,
@@ -550,6 +551,8 @@ def test_composed_shift_sums_match_direct_loop(p, k, kind):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", ["borel", "sl3", "cyclic"])
 def test_shift_sums_unchanged_on_undecomposed_tables(name, k, kind):
+    # "borel" is decomposed over its shear cosets; "sl3" and "cyclic" have the
+    # trivial decomposition.
     table = {"borel": borel_subgroup(7), "sl3": special_linear_group(3, 3),
              "cyclic": CyclicTable(11)}[name]
     rng = np.random.default_rng([k, table.size, KINDS.index(kind)])
@@ -560,10 +563,55 @@ def test_shift_sums_unchanged_on_undecomposed_tables(name, k, kind):
         assert_same_sums(table, fs)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("name", ["sl2", "borel", "sl3", "cyclic"])
+def test_shift_sums_follow_coset_labels(name, k, kind):
+    # Shift sets that miss coset 0, and sets inside one coset: a coset is the
+    # identity one by its label, not by its place among the cosets a set uses.
+    table = {"sl2": special_linear_group(2, 5), "borel": borel_subgroup(7),
+             "sl3": special_linear_group(3, 3), "cyclic": CyclicTable(11)}[name]
+    dec = coset_decomposition(table)
+    rng = np.random.default_rng([k, table.size, KINDS.index(kind), 5])
+    fs = input_functions(table, kind, k, rng)
+    off_identity = np.flatnonzero(dec.coset != 0)
+    if name in ("sl2", "borel"):
+        assert len(np.unique(dec.coset)) > 2  # several non-identity cosets to tell apart
+        assert_same_sums(table, fs, off_identity)
+    else:
+        assert off_identity.size == 0  # the trivial decomposition
+    for label in np.unique(dec.coset):
+        members = np.flatnonzero(dec.coset == label)
+        assert_same_sums(table, fs, rng.choice(members, size=min(members.size, 24)))
+        assert_same_sums(table, fs, members[-3:][::-1])
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("tops", [(127, 1), (-128, -1), (11, 11), (12, 11), (2**15 - 1, 1),
+                                  (-(2**15), -1), (2**31 - 1, 1), (-(2**31), -1), (2**20, 2**20)])
+def test_shift_sums_exact_at_narrowing_bounds(tops, k):
+    # Integer inputs are multiplied in the narrowest type that holds every
+    # product; signed multiples of tops put products of magnitude
+    # |tops[0] * tops[1]| on every shift, compared with the int64 direct loop.
+    table = special_linear_group(2, 5)
+    rng = np.random.default_rng([k, *map(abs, tops)])
+    signs = [random_sign_function(table, rng).values for _ in range(k)]
+    fs = [GroupFunction(s * v, table) for s, v in zip(signs, (*tops, 1, 1))]
+    assert_same_sums(table, fs)
+    assert_same_sums(table, fs, np.flatnonzero(coset_decomposition(table).coset == 3))
+
+
+PROPERTY_TABLES = [("sl2", 3), ("sl2", 5), ("sl2", 7), ("borel", 3), ("borel", 5), ("borel", 7),
+                   ("sl3", 3)]
+
+
 @st.composite
 def shift_problems(draw):
-    """A table SL_2(F_p), p in {3, 5, 7}, a function tuple and a shift multiset."""
-    table = special_linear_group(2, draw(st.sampled_from([3, 5, 7])))
+    """A table (SL_2(F_p) or its Borel subgroup, p in {3, 5, 7}, or SL_3(F_3)),
+    a function tuple and a shift multiset."""
+    name, p = draw(st.sampled_from(PROPERTY_TABLES))
+    table = {"sl2": lambda: special_linear_group(2, p), "borel": lambda: borel_subgroup(p),
+             "sl3": lambda: special_linear_group(3, p)}[name]()
     k = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(KINDS))
     fs = input_functions(table, kind, k, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
