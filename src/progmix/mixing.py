@@ -180,7 +180,8 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
     distinct, where = np.unique(shifts, return_inverse=True)
     dec = coset_decomposition(table)
     order = np.lexsort((dec.coset[distinct], dec.h[distinct]))
-    visits = zip(order.tolist(), dec.h[distinct[order]].tolist(), dec.coset[distinct[order]].tolist())
+    ordered = distinct[order]
+    visits = zip(order.tolist(), dec.h[ordered].tolist(), dec.coset[ordered].tolist())
     f0, f1, later = vals[0], vals[1], vals[2:]
     identity = np.arange(table.size)
     reps = {0: (identity, identity, later)}  # coset label -> R_r, R_r^-1, f_i[R_r] for i >= 2
