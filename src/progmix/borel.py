@@ -14,11 +14,12 @@ a fact verified exhaustively in the test suite; all shear bookkeeping here
 uses this dilation factor.
 
 Each statistic has one code path for every dtype.  `sheared_average` and
-`zero_frequency_mass` reduce integer-valued inputs in int64 and return a
+`zero_frequency_mass` reduce integer-valued inputs exactly and return a
 Fraction, and return a float otherwise; the sheared kernel multiplies
-integer inputs in the narrowest integer type that holds their products.  The U-smoothed functions are
-`mixing.coset_smooth` over U, which sums over U's p elements; U is normal in
-B, so its left and right cosets agree.
+integer inputs in the narrowest integer type that holds their products, and
+sums each block in the narrowest that holds its sum.  The U-smoothed
+functions are `mixing.coset_smooth` over U, which sums over U's p elements;
+U is normal in B, so its left and right cosets agree.
 """
 
 from __future__ import annotations
@@ -134,20 +135,21 @@ def sheared_average(ctx: BorelContext, fs) -> float | Fraction:
     For each (x, g) the progression is rewritten through the substitution
     (x, g) -> (psi(a) x, psi(b) g) and averaged over (a, b) in F^2; the
     result agrees with the plain four-term average identically.  Integer
-    inputs are reduced in int64 and give the exact Fraction; other inputs
-    give a float (complex for complex input).  The block sums are stored by
-    shift index and added in that order, so the float result does not depend
-    on the order in which the shifts are visited.
+    inputs give the exact Fraction, each p^2 x n block summed in the narrow
+    dtype of `mixing.sum_dtype`; other inputs give a float (complex for
+    complex input).  The block sums are stored by shift index and added in
+    that order, so the float result does not depend on the order in which
+    the shifts are visited.
     """
     if len(fs) != 4:
         raise ValueError("need exactly four functions")
     p, n = ctx.p, ctx.group.size
     charge(4 * n * n * p * p, OP_BUDGET, "shear-coordinate 4-term average")
     exact = all(f.is_integer_valued for f in fs)
-    dtype = np.int64 if exact else np.result_type(*(f.values for f in fs), np.float64)
-    sums = np.empty(n, dtype=dtype)
+    acc = mixing.sum_dtype(fs, p * p * n)
+    sums = np.empty(n, dtype=np.int64 if exact else acc)
     for gi, block in _sheared_layers(ctx, fs):
-        sums[gi] = block.sum(dtype=dtype)
+        sums[gi] = block.sum(dtype=acc)
     total = sum(sums.tolist())  # Python numbers, in shift-index order
     scale = n * n * p * p
     return Fraction(total, scale) if exact else total / scale

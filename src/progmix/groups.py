@@ -21,17 +21,22 @@ reduction mod p; lmul_perm does the same for g x with the columns.
 Coset composition.  coset_decomposition writes every g as h r, with h in a
 subgroup H and r the representative of the right coset H g.  Since
 x g = (x h) r, a sweep over the shifts needs one assembled permutation per h
-and per representative used.  For the full SL_2(F_p) table H is the Borel
-subgroup B, with p + 1 cosets, so a sweep over all n shifts assembles |B| + p
-permutations (B's representative is the identity).  For the Borel table H is
-the shear group U, with the p - 1 diagonal matrices as representatives, so a
-sweep over B assembles p + (p - 2) = 2p - 2.  Every other table gets the
-trivial decomposition: each g is its own h, and the identity is the only
-representative.  mixing.shift_sums reads the decomposition directly and
-gathers function values through x -> x h and x -> x r (it composes x -> x g
-only for 4-term and non-integer sweeps).  shift_perms, which yields every
-shift's permutation as rmul_perm(r)[rmul_perm(h)], serves the sheared kernel
-of borel only.
+and per representative used.  For a full SL_d(F_p) table, d = 2 or 3, H is
+the stabiliser of the line through the bottom row, and H g is the line
+through g's bottom row: p + 1 cosets for d = 2, where H is the Borel
+subgroup B and a sweep over all n shifts assembles |B| + p = p^2
+permutations, and p^2 + p + 1 for d = 3, 13 at p = 3, where a sweep
+assembles 432 + 12 = 444 (H's representative is the identity).  Since a
+sweep holds up to 2 n ints per coset, a table is decomposed only when
+(cosets) n is within the enumeration budget, which leaves out SL_3(F_5).
+For the Borel table H is the shear group U, with the p - 1 diagonal
+matrices as representatives, so a sweep over B assembles p + (p - 2) =
+2p - 2.  Every other table gets the trivial decomposition: each g is its own
+h, and the identity is the only representative.  mixing.shift_sums reads the
+decomposition directly and gathers function values through x -> x h and
+x -> x r (it composes x -> x g only for 4-term and non-integer sweeps).
+shift_perms, which yields every shift's permutation as
+rmul_perm(r)[rmul_perm(h)], serves the sheared kernel of borel only.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from itertools import product
 
 import numpy as np
 
-from .budget import ENUMERATION_BUDGET, OP_BUDGET, charge
+from .budget import ENUMERATION_BUDGET, OP_BUDGET, budget_limit, charge
 from .fields import FieldElement, check_odd_prime, inv_mod, squares_mod
 
 
@@ -536,42 +541,72 @@ class CosetDecomposition:
     h: np.ndarray  # table index of h = g r^-1 for every element g
 
 
+def _bottom_row_lines(rows: np.ndarray, p: int) -> np.ndarray:
+    """Label of the line through each nonzero row vector of F_p^d.
+
+    A row whose last nonzero entry is at position k, scaled to make that
+    entry 1, is labelled sum_{j > k} p^j plus its first k entries read as a
+    base-p number.  So a row (0, .., 0, l) has label 0, and the labels run
+    over the (p^d - 1) / (p - 1) lines; for d = 2 the row (c, d) has label
+    c / d, or p when d = 0.
+    """
+    d = rows.shape[1]
+    inverses = np.array([0] + [inv_mod(t, p) for t in range(1, p)], dtype=np.int64)
+    labels = np.empty(len(rows), dtype=np.int64)
+    offset = 0
+    for k in range(d - 1, -1, -1):
+        at_k = (rows[:, k] != 0) & ~rows[:, k + 1:].any(axis=1)
+        scaled = rows[at_k, :k] * inverses[rows[at_k, k], None] % p
+        labels[at_k] = offset + scaled @ p ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        offset += p**k
+    return labels
+
+
 @lru_cache(maxsize=32)
 def coset_decomposition(table) -> CosetDecomposition:
-    """g = h r over a subgroup H, for the full SL_2(F_p) and the Borel tables.
+    """g = h r over a subgroup H, for the full SL_d(F_p) and the Borel tables.
 
-    Full SL_2(F_p): H = B.  The right coset B g is the line through g's bottom
-    row (c, d), because h g has bottom row t^-1 (c, d) for h = [[t, a], [0,
-    t^-1]].  Its label is c / d for d != 0 and p for d = 0, so B has label 0.
+    Full SL_d(F_p), d = 2 or 3: H is the stabiliser of the line through the
+    bottom row, the matrices whose bottom row is (0, .., 0, l).  The right
+    coset H g is the line through g's bottom row, because h g has bottom row
+    l times that of g; it is labelled by `_bottom_row_lines`, so H has label
+    0.  For d = 2, H is the Borel subgroup B, with p + 1 cosets; for d = 3
+    there are p^2 + p + 1 cosets, 13 of 432 elements at p = 3.
 
     Borel table (d = 2, every lower-left entry 0, n = p(p - 1)): H = U, the
     shears.  The right coset U g is fixed by g's upper-left entry t, because
     [[1, s], [0, 1]] g changes only the upper-right entry; its label is t - 1,
     so U has label 0, and its representative is diag(t, t^-1).
 
-    Each representative is the first element of its coset, which is the
-    identity for H and diag(t, t^-1) on the Borel table, and all n indices of
-    h come from one batched product and lookup.  Any other table (d = 3, other
-    subgroups, CyclicTable) gets the trivial decomposition.  Cached per table,
-    like `conjugacy_classes`.
+    The representative of coset 0 is the identity, and that of every other
+    coset its first element, which is diag(t, t^-1) on the Borel table; the
+    indices of h come from one batched product and lookup per coset.  A
+    sweep over the decomposition holds about 2 (cosets) n ints, so a table
+    is decomposed only when (cosets) n is within the enumeration budget:
+    every SL_2 table up to p = 31 and SL_3(F_3), but not SL_3(F_5), with
+    11.5e6.  Larger tables, and any other table (other subgroups,
+    CyclicTable), get the trivial decomposition: each g is its own h.
+    Cached per table, like `conjugacy_classes`, so a later change to the
+    budget does not rebuild it; the sums over it are the same either way.
     """
-    n, p = table.size, getattr(table, "p", None)
+    n, p, d = table.size, getattr(table, "p", None), getattr(table, "d", None)
     coset = None
-    if getattr(table, "d", None) == 2:
-        if n == special_linear_order(2, p):
-            c, d = table.mats[:, 1, 0], table.mats[:, 1, 1]
-            inverses = np.array([0] + [inv_mod(t, p) for t in range(1, p)], dtype=np.int64)
-            coset = np.where(d == 0, p, c * inverses[d] % p)
-        elif n == p * (p - 1) and not table.mats[:, 1, 0].any():
-            coset = table.mats[:, 0, 0] - 1
-    if coset is None:
+    if d in (2, 3) and n == special_linear_order(d, p):
+        coset = _bottom_row_lines(table.mats[:, -1], p)
+    elif d == 2 and n == p * (p - 1) and not table.mats[:, 1, 0].any():
+        coset = table.mats[:, 0, 0] - 1
+    if coset is None or (int(coset.max()) + 1) * n > budget_limit(ENUMERATION_BUDGET):
         coset = np.zeros(n, dtype=np.intp)
         reps = np.array([table.identity_index], dtype=np.intp)
         h = np.arange(n)
     else:
         reps = np.unique(coset, return_index=True)[1]
-        r_inv = _inverse_many(table.mats[reps], p)[coset]
-        h = table.indices_of(_mul_many(table.mats, r_inv, p))
+        reps[0] = table.identity_index
+        h = np.empty(n, dtype=np.intp)
+        # One coset at a time, so the transient products stay at one coset's size.
+        for label, r_inv in enumerate(_inverse_many(table.mats[reps], p)):
+            members = np.flatnonzero(coset == label)
+            h[members] = table.indices_of(_mul_many(table.mats[members], r_inv, p))
     for array in (coset, reps, h):
         array.setflags(write=False)
     return CosetDecomposition(coset, reps, h)

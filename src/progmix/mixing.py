@@ -17,18 +17,18 @@ progression at its middle term y = x g, so that
 
 and writes each shift as g = h r over the table's `coset_decomposition`.
 The permutations x -> x h are assembled once per h and x -> x r once per
-representative r used, so a full SL_2(F_p) sweep assembles p^2 permutations
-and a Borel sweep 2p - 2, rather than one per shift; f_0 is scattered through
-x -> x h once per h, and f_2, f_3 are gathered through x -> x r once per r.
-A 3-term shift with integer values then costs two value gathers, in int8 for
-signs and indicators, and composes no index array.  The sweep holds
-2 (used cosets) n ints and (k - 2) (used cosets) n values: 1.4 MB of ints
-for a full sweep at p = 17.
+representative r used, so a full SL_2(F_p) sweep assembles p^2 permutations,
+a full SL_3(F_3) sweep 444 and a Borel sweep 2p - 2, rather than one per
+shift; f_0 is scattered through x -> x h once per h.  A 3-term shift with
+integer values then costs two value gathers, in int8 for signs and
+indicators, and composes no index array, and its row is summed in int16 up
+to n = 32767.  The sweep holds at most 2 (used cosets) n ints: 1.4 MB for a
+full sweep of SL_2(F_17) and 1.2 MB for SL_3(F_3).
 
 The exact average and deviation are two reductions of one sweep
 (`exact_progression_statistics`), and the restricted deviations two
 reductions of one sweep over the shift set.  Integer-valued inputs
-(indicators, +-1 signs) are summed exactly in int64, and the exact value is
+(indicators, +-1 signs) are summed exactly, and the exact value is
 reported as a Fraction alongside the float.  Float inputs are summed in
 x-order, bit-identical to a sweep with one fresh permutation per shift.
 """
@@ -72,9 +72,6 @@ class GroupFunction:
     def l2_norm(self) -> float:
         """Averaged norm (E |f|^2)^(1/2)."""
         return float(np.sqrt(np.mean(np.abs(self.values) ** 2)))
-
-    def linf_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 def constant_function(table, value=1) -> GroupFunction:
@@ -128,21 +125,43 @@ def _exact_inputs(fs) -> bool:
     return all(f.is_integer_valued for f in fs)
 
 
+def _product_bound(fs) -> int:
+    """The largest |prod_i f_i(x_i)| over all points, for integer-valued fs."""
+    bound = 1
+    for f in fs:
+        bound *= max(-int(f.values.min(initial=0)), int(f.values.max(initial=0)), 1)
+    return bound
+
+
+def _narrowest(bound: int, types):
+    return next((t for t in types if bound <= np.iinfo(t).max), np.int64)
+
+
 def kernel_values(fs) -> list[np.ndarray]:
     """The values of fs in the dtype the shift kernels multiply them in.
 
     Integer-valued fs are narrowed to the smallest signed integer type that
     holds every product of their values exactly, int8 for signs and
-    indicators, which cuts the kernels' memory traffic up to eightfold; the
-    sums are still taken in int64.  Other inputs keep their dtype.
+    indicators, which cuts the kernels' memory traffic up to eightfold.
+    Other inputs keep their dtype.
     """
     if not _exact_inputs(fs):
         return [f.values for f in fs]
-    bound = 1
-    for f in fs:
-        bound *= max(-int(f.values.min(initial=0)), int(f.values.max(initial=0)), 1)
-    dtype = next((t for t in (np.int8, np.int16, np.int32) if bound <= np.iinfo(t).max), np.int64)
+    dtype = _narrowest(_product_bound(fs), (np.int8, np.int16, np.int32))
     return [f.values.astype(dtype) for f in fs]
+
+
+def sum_dtype(fs, length: int):
+    """The dtype in which the shift kernels sum `length` products of fs.
+
+    For integer-valued fs it is the narrowest of int16, int32 and int64 that
+    holds length times the largest product, so every such sum is exact: int16
+    for a row of signs up to n = 32767.  Other inputs are summed in their
+    float or complex result type.
+    """
+    if not _exact_inputs(fs):
+        return np.result_type(*(f.values for f in fs), np.float64)
+    return _narrowest(length * _product_bound(fs), (np.int16, np.int32))
 
 
 def shift_sums(table, fs, shifts=None) -> np.ndarray:
@@ -155,26 +174,29 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
     Each progression is anchored at its middle term y = x g, so
     s[g] = sum_y f_0(y g^-1) f_1(y) f_2(y g) f_3(y g^2), over the table's
     `coset_decomposition` g = h r.  Write P_z for the permutation x -> x z,
-    so P_g = R_r[P_h] with R_r = P_r.  Per representative r used, the sweep
-    assembles R_r, scatters its inverse and gathers F_i = f_i[R_r] for
-    i >= 2; per h it assembles P_h and scatters A_h[P_h] = f_0, so that
-    A_h(z) = f_0(z h^-1).  Then f_0(y g^-1) = A_h[R_r^-1], f_2(y g) =
-    F_2[P_h] and f_3(y g^2) = F_3[P_h][P_g]: a 3-term shift with integer
-    values costs two value gathers and composes no index array, and coset 0
-    (by its label), whose representative is the identity, skips the R_r
-    gathers.  Each point's product is taken as ((f_0 f_1) f_2) f_3, as in
-    the sum over x.  Integer inputs are multiplied in the narrow dtype of
-    `kernel_values` and summed in int64 in y-order; other inputs are
-    gathered back into x-order (row[P_g]) before the sum, so every float sum
-    is bit-identical to the one over x with a fresh `table.rmul_perm(g)` per
-    shift.  The sweep holds 2 n ints and (k - 2) n values per representative
-    used.  Each distinct shift is summed once, and a repeated shift copies
-    its sum.
+    so P_g = R_r[P_h] with R_r = P_r.  Per h the sweep assembles P_h and
+    scatters A_h[P_h] = f_0, so that A_h(z) = f_0(z h^-1); per
+    representative r used it assembles R_r and scatters its inverse, so
+    f_0(y g^-1) = A_h[R_r^-1].  Coset 0 (by its label), whose representative
+    is the identity, skips the R_r gathers.  A 3-term shift with integer
+    values also holds F_2 = f_2[R_r] per representative, so f_2(y g) =
+    F_2[P_h]: two value gathers and no composed index array.  4-term and
+    non-integer shifts compose P_g and take f_2(y g) = f_2[P_g] and
+    f_3(y g^2) = f_3[P_g][P_g].  Each point's product is taken as
+    ((f_0 f_1) f_2) f_3, as in the sum over x.  Integer inputs are
+    multiplied in the narrow dtype of `kernel_values` and each row is summed
+    in y-order in the narrow dtype of `sum_dtype`; other inputs are gathered
+    back into x-order (row[P_g]) before the sum, so every float sum is
+    bit-identical to the one over x with a fresh `table.rmul_perm(g)` per
+    shift.  Per representative used, the sweep holds R_r^-1 and F_2 for
+    3-term integer inputs, and R_r and R_r^-1 otherwise.  Each distinct
+    shift is summed once, and a repeated shift copies its sum.
     """
     vals = kernel_values(fs)
     shifts = np.arange(table.size) if shifts is None else np.asarray(shifts, dtype=np.intp)
     exact = _exact_inputs(fs)
-    dtype = np.int64 if exact else np.result_type(*(f.values for f in fs), np.float64)
+    acc = sum_dtype(fs, table.size)
+    dtype = np.int64 if exact else acc
     if len(vals) == 1:
         return np.full(len(shifts), fs[0].values.sum(), dtype=dtype)
     distinct, where = np.unique(shifts, return_inverse=True)
@@ -183,8 +205,9 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
     ordered = distinct[order]
     visits = zip(order.tolist(), dec.h[ordered].tolist(), dec.coset[ordered].tolist())
     f0, f1, later = vals[0], vals[1], vals[2:]
+    composed = len(vals) == 4 or not exact  # the rows that compose P_g = R_r[P_h]
     identity = np.arange(table.size)
-    reps = {0: (identity, identity, later)}  # coset label -> R_r, R_r^-1, f_i[R_r] for i >= 2
+    reps = {0: (None, None, later)}  # coset label -> R_r if composed, R_r^-1, f_2[R_r] if not
     a_h = np.empty_like(f0)  # A_h(z) = f_0(z h^-1)
     sums = np.empty(len(distinct), dtype=dtype)
     h_done = None
@@ -196,16 +219,20 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
             r_perm = table.rmul_perm(int(dec.reps[label]))
             r_inv = np.empty_like(r_perm)
             r_inv[r_perm] = identity
-            reps[label] = r_perm, r_inv, [v[r_perm] for v in later]
+            reps[label] = (r_perm, r_inv, []) if composed else (None, r_inv, [v[r_perm] for v in later])
         r_perm, r_inv, shifted = reps[label]
         row = (a_h[r_inv] if label else a_h) * f1
-        if shifted:
-            row = row * shifted[0][perm_h]
-        if len(shifted) == 2 or not exact:
+        if composed:
             perm_g = r_perm[perm_h] if label else perm_h
-        if len(shifted) == 2:
-            row = row * shifted[1][perm_h][perm_g]
-        sums[j] = row.sum(dtype=dtype) if exact else row[perm_g].sum()
+            if later:
+                row = row * later[0][perm_g]
+            if len(later) == 2:
+                row = row * later[1][perm_g][perm_g]
+            sums[j] = row.sum(dtype=acc) if exact else row[perm_g].sum()
+        else:
+            if shifted:
+                row = row * shifted[0][perm_h]
+            sums[j] = row.sum(dtype=acc)
     return sums[where]
 
 

@@ -214,14 +214,25 @@ def test_sheared_kernel_matches_old_loop(p, kind):
         assert sheared_average(ctx, fs) == sheared_average_exact(ctx, fs) == Fraction(exact, scale)
 
 
+# Largest product bound whose sums over a p^2 x n = 500 block at p = 5 fit
+# int16 and int32.
+BLOCK16, BLOCK32 = (2**15 - 1) // 500, (2**31 - 1) // 500
+
+
 @pytest.mark.parametrize("tops", [(127, 1), (-128, -1), (11, 11), (12, 11), (2**15 - 1, 1),
-                                  (-(2**15), -1), (2**31 - 1, 1), (-(2**31), -1), (2**20, 2**20)])
+                                  (-(2**15), -1), (2**31 - 1, 1), (-(2**31), -1), (2**20, 2**20),
+                                  (BLOCK16, 1), (BLOCK16 + 1, 1), (-(BLOCK16 + 1), 1),
+                                  (BLOCK32, 1), (BLOCK32 + 1, 1), (-(BLOCK32 + 1), 1)])
 def test_sheared_kernel_exact_at_narrowing_bounds(tops):
     # Integer inputs are multiplied in the narrowest type that holds every
-    # product; constant inputs put the product tops[0] * tops[1] in every entry.
+    # product, and each block is summed in the narrowest that holds p^2 n
+    # times it; constant inputs put the product tops[0] * tops[1] in every
+    # entry, so every block sums to 500 times it.
     ctx = borel_context(5)
+    assert 25 * ctx.group.size == 500
     fs = [GroupFunction(np.full(ctx.group.size, v), ctx.group) for v in (*tops, 1, 1)]
-    assert sheared_average(ctx, fs) == tops[0] * tops[1]
+    exact = sum(int(block.sum(dtype=np.int64)) for block in old_sheared_layers(ctx, fs))
+    assert sheared_average(ctx, fs) == Fraction(exact, 500 * ctx.group.size) == tops[0] * tops[1]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -207,6 +207,21 @@ def test_mixing4_diag_sweeps_each_shift_once(capsys, monkeypatch):
     assert len(calls) < diagonalisable_set(3).size + diagonalisable_set(5).size
 
 
+def test_sampled_mixing3_d3_sweeps_over_parabolic_cosets(capsys, monkeypatch):
+    calls = count_rmul_perm(monkeypatch)
+    assert run_cli(capsys, "mixing3", "--d", "3", "--primes", "3", "--samples", "1000")[0] == 0
+    # The sampled deviation sweeps 1000 shifts drawn with seed [0, p, 2]; the
+    # sampled average uses paired lookups and assembles no permutation.
+    table = special_linear_group(3, 3)
+    dec = coset_decomposition(table)
+    shifts = np.random.default_rng([0, 3, 2]).integers(0, table.size, size=1000)
+    want = np.unique(dec.h[shifts]).tolist()  # one per distinct h
+    used = np.unique(dec.coset[shifts])
+    want += dec.reps[used[used > 0]].tolist()  # one per used rep; H's is the identity
+    assert sorted(calls) == sorted(want)
+    assert len(calls) < len(np.unique(shifts)) / 2
+
+
 def test_borel4_sweeps_twice_per_prime(capsys, monkeypatch):
     calls = count_rmul_perm(monkeypatch)
     assert run_cli(capsys, "borel4", "--primes", "3,5")[0] == 0

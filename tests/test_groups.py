@@ -242,17 +242,59 @@ def test_coset_decomposition_over_shears(p):
     assert np.array_equal(relabelled.coset, dec.coset) and np.array_equal(relabelled.h, dec.h)
 
 
+def test_coset_decomposition_over_parabolic():
+    # SL_3(F_3) over the stabiliser H of the line through the bottom row:
+    # p^2 + p + 1 = 13 right cosets H g, one per line, of |H| = 432 elements.
+    p = 3
+    table = special_linear_group(3, p)
+    dec = coset_decomposition(table)
+    assert len(dec.reps) == 13 and dec.reps[0] == table.identity_index
+    assert np.array_equal(dec.coset[dec.reps], np.arange(13))
+    assert np.bincount(dec.coset).tolist() == [432] * 13
+    h, r = table.mats[dec.h], table.mats[dec.reps[dec.coset]]
+    assert not h[:, 2, :2].any() and h[:, 2, 2].all()  # every h has bottom row (0, 0, l)
+    assert np.array_equal(np.einsum("nij,njk->nik", h, r) % p, table.mats)
+    assert len(set(zip(dec.h.tolist(), dec.coset.tolist()))) == table.size
+    # the coset of g is the line through its bottom row
+    lines = {}
+    for gi, row in enumerate(table.mats[:, 2].tolist()):
+        line = min(tuple(t * v % p for v in row) for t in (1, 2))
+        assert lines.setdefault(line, dec.coset[gi]) == dec.coset[gi]
+    assert len(lines) == 13
+    assert coset_decomposition(table) is dec
+
+
+@pytest.mark.parametrize("d, p", [(2, 5), (3, 3)])
+def test_coset_decomposition_within_budget_only(d, p, monkeypatch):
+    # A table is decomposed when (cosets) n is within the enumeration budget;
+    # fresh tables, because the decomposition is cached per table.
+    full = special_linear_group(d, p)
+    cosets = (p**d - 1) // (p - 1)
+    monkeypatch.setenv("PROGMIX_BUDGET", str(cosets * full.size))
+    inside = coset_decomposition(GroupTable(full.mats, p, "full"))
+    want = coset_decomposition(full)
+    assert len(inside.reps) == cosets and np.array_equal(inside.reps, want.reps)
+    assert np.array_equal(inside.coset, want.coset) and np.array_equal(inside.h, want.h)
+    monkeypatch.setenv("PROGMIX_BUDGET", str(cosets * full.size - 1))
+    outside = coset_decomposition(GroupTable(full.mats, p, "full"))
+    assert outside.reps.tolist() == [full.identity_index]
+    assert not outside.coset.any() and np.array_equal(outside.h, np.arange(full.size))
+    monkeypatch.delenv("PROGMIX_BUDGET")
+    assert coset_decomposition(GroupTable(full.mats, p, "full")).reps.size == cosets
+
+
 def conjugated_borel(p):
     """g B g^-1 for g = [[1, 0], [1, 1]]: order p(p - 1), not upper-triangular."""
     g, g_inv = np.array([[1, 0], [1, 1]]), np.array([[1, 0], [p - 1, 1]])
     return GroupTable(g @ borel_subgroup(p).mats @ g_inv % p, p, "borel")
 
 
-@pytest.mark.parametrize("table", [special_linear_group(3, 3), unipotent_subgroup(5),
+@pytest.mark.parametrize("table", [special_linear_group(3, 5), unipotent_subgroup(5),
                                    GroupTable(borel_subgroup(5).mats[::5], 5, "torus"),
                                    conjugated_borel(5)],
                          ids=["sl3", "unipotent", "torus", "conjugated_borel"])
 def test_coset_decomposition_trivial_elsewhere(table):
+    # SL_3(F_5), with 31 cosets of 12,000, is over the default budget.
     dec = coset_decomposition(table)
     assert dec.reps.tolist() == [table.identity_index]
     assert not dec.coset.any() and np.array_equal(dec.h, np.arange(table.size))

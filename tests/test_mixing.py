@@ -550,17 +550,31 @@ def test_composed_shift_sums_match_direct_loop(p, k, kind):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", ["borel", "sl3", "cyclic"])
-def test_shift_sums_unchanged_on_undecomposed_tables(name, k, kind):
-    # "borel" is decomposed over its shear cosets; "sl3" and "cyclic" have the
-    # trivial decomposition.
-    table = {"borel": borel_subgroup(7), "sl3": special_linear_group(3, 3),
-             "cyclic": CyclicTable(11)}[name]
+def test_shift_sums_unchanged_on_undecomposed_tables(name, k, kind, monkeypatch):
+    # The trivial decomposition: "cyclic" always, and fresh Borel and SL_3
+    # tables built with no budget for their cosets.
+    table = {"borel": lambda: GroupTable(borel_subgroup(7).mats, 7, "borel"),
+             "sl3": lambda: GroupTable(special_linear_group(3, 3).mats, 3, "full"),
+             "cyclic": lambda: CyclicTable(11)}[name]()
+    monkeypatch.setenv("PROGMIX_BUDGET", "0")
+    assert coset_decomposition(table).reps.size == 1
     rng = np.random.default_rng([k, table.size, KINDS.index(kind)])
     fs = input_functions(table, kind, k, rng)
     sampled = rng.integers(0, table.size, size=30)
     assert_same_sums(table, fs, np.concatenate([sampled, sampled[:7]]))
     if name != "sl3":
         assert_same_sums(table, fs)
+
+
+@pytest.mark.parametrize("name, k, kind", [("borel", k, kind) for k in (2, 3, 4) for kind in KINDS]
+                         + [("sl3", 3, "sign"), ("sl3", 3, "float")])
+def test_full_sweeps_over_cosets_match_direct_loop(name, k, kind):
+    # Every shift of B(F_7), over its 6 shear cosets, and of SL_3(F_3), over
+    # the 13 cosets of its bottom-row stabiliser.
+    table, cosets = {"borel": (borel_subgroup(7), 6), "sl3": (special_linear_group(3, 3), 13)}[name]
+    assert len(coset_decomposition(table).reps) == cosets
+    fs = input_functions(table, kind, k, np.random.default_rng([k, KINDS.index(kind), cosets]))
+    assert_same_sums(table, fs)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -575,30 +589,53 @@ def test_shift_sums_follow_coset_labels(name, k, kind):
     rng = np.random.default_rng([k, table.size, KINDS.index(kind), 5])
     fs = input_functions(table, kind, k, rng)
     off_identity = np.flatnonzero(dec.coset != 0)
-    if name in ("sl2", "borel"):
-        assert len(np.unique(dec.coset)) > 2  # several non-identity cosets to tell apart
-        assert_same_sums(table, fs, off_identity)
-    else:
+    if name == "cyclic":
         assert off_identity.size == 0  # the trivial decomposition
+    else:
+        assert len(np.unique(dec.coset)) > 2  # several non-identity cosets to tell apart
+        if name == "sl3":  # 5184 shifts in 12 cosets
+            off_identity = rng.choice(off_identity, size=60)
+            assert len(np.unique(dec.coset[off_identity])) > 2
+        assert_same_sums(table, fs, off_identity)
     for label in np.unique(dec.coset):
         members = np.flatnonzero(dec.coset == label)
         assert_same_sums(table, fs, rng.choice(members, size=min(members.size, 24)))
         assert_same_sums(table, fs, members[-3:][::-1])
 
 
+# Largest product bound whose sums over n = 120 terms fit int16 and int32.
+ROW16, ROW32 = (2**15 - 1) // 120, (2**31 - 1) // 120
+
+
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("tops", [(127, 1), (-128, -1), (11, 11), (12, 11), (2**15 - 1, 1),
-                                  (-(2**15), -1), (2**31 - 1, 1), (-(2**31), -1), (2**20, 2**20)])
+                                  (-(2**15), -1), (2**31 - 1, 1), (-(2**31), -1), (2**20, 2**20),
+                                  (ROW16, 1), (ROW16 + 1, 1), (-(ROW16 + 1), 1), (ROW32, 1),
+                                  (ROW32 + 1, 1), (-(ROW32 + 1), 1)])
 def test_shift_sums_exact_at_narrowing_bounds(tops, k):
     # Integer inputs are multiplied in the narrowest type that holds every
-    # product; signed multiples of tops put products of magnitude
-    # |tops[0] * tops[1]| on every shift, compared with the int64 direct loop.
+    # product, and each row is summed in the narrowest that holds n times it.
+    # Signed multiples of tops put products of magnitude |tops[0] * tops[1]|
+    # on every shift, and constant multiples put the sum n tops[0] tops[1] on
+    # every shift; both are compared with the int64 direct loop.
     table = special_linear_group(2, 5)
+    assert table.size == 120
     rng = np.random.default_rng([k, *map(abs, tops)])
     signs = [random_sign_function(table, rng).values for _ in range(k)]
-    fs = [GroupFunction(s * v, table) for s, v in zip(signs, (*tops, 1, 1))]
+    for draw in (signs, np.ones((k, table.size), dtype=np.int64)):
+        fs = [GroupFunction(s * v, table) for s, v in zip(draw, (*tops, 1, 1))]
+        assert_same_sums(table, fs)
+        assert_same_sums(table, fs, np.flatnonzero(coset_decomposition(table).coset == 3))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("top", [2**8 - 1, 2**8, -(2**8), 2**24 - 1, 2**24, -(2**24)])
+def test_shift_sums_exact_where_row_sums_reach_the_limits(top, k):
+    # On 128 elements a constant product 2^8 sums to 2^15 on every shift and
+    # 2^24 to 2^31, one past the int16 and int32 limits.
+    table = CyclicTable(128)
+    fs = [GroupFunction(np.full(table.size, v), table) for v in (top, 1, 1, 1)[:k]]
     assert_same_sums(table, fs)
-    assert_same_sums(table, fs, np.flatnonzero(coset_decomposition(table).coset == 3))
 
 
 PROPERTY_TABLES = [("sl2", 3), ("sl2", 5), ("sl2", 7), ("borel", 3), ("borel", 5), ("borel", 7),
