@@ -590,16 +590,15 @@ def coset_decomposition(table) -> CosetDecomposition:
     budget does not rebuild it; the sums over it are the same either way.
     """
     n, p, d = table.size, getattr(table, "p", None), getattr(table, "d", None)
-    coset = None
-    if d in (2, 3) and n == special_linear_order(d, p):
-        coset = _bottom_row_lines(table.mats[:, -1], p)
-    elif d == 2 and n == p * (p - 1) and not table.mats[:, 1, 0].any():
-        coset = table.mats[:, 0, 0] - 1
-    if coset is None or (int(coset.max()) + 1) * n > budget_limit(ENUMERATION_BUDGET):
+    full = d in (2, 3) and n == special_linear_order(d, p)
+    borel = d == 2 and n == p * (p - 1) and not table.mats[:, 1, 0].any()
+    cosets = (p**d - 1) // (p - 1) if full else p - 1 if borel else 1
+    if cosets == 1 or cosets * n > budget_limit(ENUMERATION_BUDGET):
         coset = np.zeros(n, dtype=np.intp)
         reps = np.array([table.identity_index], dtype=np.intp)
         h = np.arange(n)
     else:
+        coset = _bottom_row_lines(table.mats[:, -1], p) if full else table.mats[:, 0, 0] - 1
         reps = np.unique(coset, return_index=True)[1]
         reps[0] = table.identity_index
         h = np.empty(n, dtype=np.intp)
