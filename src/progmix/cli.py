@@ -13,6 +13,7 @@ nonzero exit.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -284,7 +285,9 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="progmix",
         description="Progression mixing experiments on SL_d(F_p) at desk scale.",

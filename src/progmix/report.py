@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 COLUMNS = ("experiment", "p", "d", "group_order", "statistic", "value", "bound", "samples", "seed")
 
@@ -60,24 +60,23 @@ class ExperimentReport:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(COLUMNS)
         for row in self.rows:
-            d = asdict(row)
             writer.writerow(
                 [
-                    d["experiment"],
-                    d["p"],
-                    d["d"],
-                    d["group_order"],
-                    d["statistic"],
-                    repr(d["value"]),
-                    "" if d["bound"] is None else repr(d["bound"]),
-                    d["samples"],
-                    d["seed"],
+                    row.experiment,
+                    row.p,
+                    row.d,
+                    row.group_order,
+                    row.statistic,
+                    repr(row.value),
+                    "" if row.bound is None else repr(row.bound),
+                    row.samples,
+                    row.seed,
                 ]
             )
         return buf.getvalue()
 
     def to_json(self) -> str:
-        return json.dumps([asdict(row) for row in self.rows], indent=2) + "\n"
+        return json.dumps([vars(row) for row in self.rows], indent=2) + "\n"
 
     def render(self, fmt: str) -> str:
         if fmt == "csv":

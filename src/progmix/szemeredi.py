@@ -5,62 +5,86 @@ count_grid(A, k) counts tuples (a_1, ..., a_m, r) whose full translate grid
 counts (a, r) with a + r e_i in A for every coordinate direction i.  The
 lifting construction turns one grid instance into a corner instance in a
 higher-dimensional pattern set.
+
+A PatternSet is one read-only boolean mask of shape (n,)*m, and every counter
+works on it; the member tuples are derived from it only when asked for.  The
+grid box {-k..k}^m r is a product set, so for each r the AND over its
+(2k+1)^m translates is taken one axis at a time: m passes of 2k+1 one-axis
+shifts, each shift a slice of the running mask concatenated with itself
+along that axis.  The corner count slices the mask, doubled along each axis
+once, by r on every axis.  lift_pattern writes the n^(m+K) lifted mask
+directly, one b_j axis at a time from the slab already written, so the lift
+holds that one array and one temporary of a slab, 1/n of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, reduce
 from itertools import product
+from operator import and_
 
 import numpy as np
 
 from .budget import MEMBERSHIP_BUDGET, charge
 
 
-@dataclass(frozen=True)
 class PatternSet:
-    """A subset of Z_n^m given by its member tuples."""
+    """A subset of Z_n^m, held as a read-only boolean mask of shape (n,)*m."""
 
-    m: int
-    n: int
-    members: frozenset[tuple[int, ...]]
-
-    def __post_init__(self):
-        for tup in self.members:
-            if len(tup) != self.m or any(not 0 <= v < self.n for v in tup):
-                raise ValueError(f"tuple {tup} is not in Z_{self.n}^{self.m}")
-
-    def __len__(self) -> int:
-        return len(self.members)
+    def __init__(self, m: int, n: int, mask: np.ndarray):
+        if not isinstance(mask, np.ndarray) or mask.dtype != bool:
+            raise ValueError("a pattern mask must be a boolean array")
+        if mask.shape != (n,) * m:
+            raise ValueError(f"mask of shape {mask.shape} is not a subset of Z_{n}^{m}")
+        if mask.flags.writeable:
+            mask = mask.copy()
+            mask.setflags(write=False)
+        self.m = m
+        self.n = n
+        self._mask = mask
 
     def mask(self) -> np.ndarray:
-        return _mask_of(self)
+        return self._mask
+
+    @cached_property
+    def members(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(map(tuple, np.argwhere(self._mask).tolist()))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._mask))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PatternSet):
+            return NotImplemented
+        return (self.m, self.n) == (other.m, other.n) and np.array_equal(self._mask, other._mask)
 
     @classmethod
     def from_tuples(cls, m: int, n: int, tuples) -> "PatternSet":
-        return cls(m, n, frozenset(tuple(int(v) % n for v in t) for t in tuples))
+        reduced = [tuple(int(v) % n for v in t) for t in tuples]
+        for tup in reduced:
+            if len(tup) != m:
+                raise ValueError(f"tuple {tup} is not in Z_{n}^{m}")
+        mask = np.zeros((n,) * m, dtype=bool)
+        mask[tuple(np.array(reduced, dtype=np.intp).reshape(-1, m).T)] = True
+        return cls(m, n, mask)
 
     @classmethod
     def full(cls, m: int, n: int) -> "PatternSet":
-        return cls(m, n, frozenset(product(range(n), repeat=m)))
+        return cls(m, n, np.ones((n,) * m, dtype=bool))
 
     @classmethod
     def random(cls, m: int, n: int, density: float, rng: np.random.Generator) -> "PatternSet":
         total = n**m
         count = int(round(density * total))
         chosen = rng.choice(total, size=count, replace=False)
-        tuples = [tuple(int(v) for v in np.unravel_index(int(c), (n,) * m)) for c in chosen]
-        return cls(m, n, frozenset(tuples))
+        mask = np.zeros(total, dtype=bool)
+        mask[chosen] = True
+        return cls(m, n, mask.reshape((n,) * m))
 
 
-@lru_cache(maxsize=256)
-def _mask_of(pattern: PatternSet) -> np.ndarray:
-    mask = np.zeros((pattern.n,) * pattern.m, dtype=bool)
-    for tup in pattern.members:
-        mask[tup] = True
-    mask.setflags(write=False)
-    return mask
+def _along(axis: int, index) -> tuple:
+    """Index `index` on one axis and everything on the axes before it."""
+    return (slice(None),) * axis + (index,)
 
 
 def count_grid(pattern: PatternSet, k: int) -> int:
@@ -70,14 +94,14 @@ def count_grid(pattern: PatternSet, k: int) -> int:
     m, n = pattern.m, pattern.n
     charge(n ** (m + 1) * (2 * k + 1) ** m, MEMBERSHIP_BUDGET, "grid configuration count")
     mask = pattern.mask()
-    offsets = list(product(range(-k, k + 1), repeat=m))
     total = 0
     for r in range(n):
-        acc = np.ones_like(mask)
-        for off in offsets:
-            shift = tuple(-(i * r) % n for i in off)
-            acc &= np.roll(mask, shift, axis=tuple(range(m)))
-        total += int(acc.sum())
+        shifts = sorted({i * r % n for i in range(-k, k + 1)})
+        acc = mask
+        for axis in range(m):
+            doubled = np.concatenate([acc, acc], axis=axis)
+            acc = reduce(and_, (doubled[_along(axis, slice(s, s + n))] for s in shifts))
+        total += int(np.count_nonzero(acc))
     return total
 
 
@@ -86,12 +110,11 @@ def count_corners(pattern: PatternSet) -> int:
     m, n = pattern.m, pattern.n
     charge(n ** (m + 1) * m, MEMBERSHIP_BUDGET, "corner configuration count")
     mask = pattern.mask()
+    doubled = [np.concatenate([mask, mask], axis=axis) for axis in range(m)]
     total = 0
     for r in range(n):
-        acc = np.ones_like(mask)
-        for axis in range(m):
-            acc &= np.roll(mask, -r % n, axis=axis)
-        total += int(acc.sum())
+        acc = reduce(and_, (doubled[axis][_along(axis, slice(r, r + n))] for axis in range(m)))
+        total += int(np.count_nonzero(acc))
     return total
 
 
@@ -106,15 +129,20 @@ def lift_pattern(pattern: PatternSet, k: int) -> PatternSet:
     offsets = list(product(range(-k, k + 1), repeat=m))
     big_k = len(offsets)
     charge(n ** (m + big_k), MEMBERSHIP_BUDGET, "pattern lift")
-    members = []
-    for bs in product(range(n), repeat=big_k):
-        shift = tuple(
-            sum(b * off[i] for b, off in zip(bs, offsets)) % n for i in range(m)
-        )
-        for tup in pattern.members:
-            head = tuple((tup[i] - shift[i]) % n for i in range(m))
-            members.append(head + bs)
-    lifted = PatternSet(m + big_k, n, frozenset(members))
-    if len(lifted) != len(pattern) * n**big_k:
+    lifted = np.empty((n,) * (m + big_k), dtype=bool)
+    lifted[(Ellipsis,) + (0,) * big_k] = pattern.mask()
+    # Pass j fills the axis of b = offsets[j]: its slab at t is its slab at 0
+    # with a moved by t * offsets[j].  Before the pass the slabs at 0 of this
+    # and every later b axis are written, so the slab read is complete.
+    for j, offset in enumerate(offsets):
+        tail = (0,) * (big_k - j - 1)
+        source = lifted[_along(m + j, 0) + tail]
+        for t in range(1, n):
+            lifted[_along(m + j, t) + tail] = np.roll(
+                source, [-t * v for v in offset], axis=tuple(range(m))
+            )
+    lifted.setflags(write=False)
+    lifted_set = PatternSet(m + big_k, n, lifted)
+    if len(lifted_set) != len(pattern) * n**big_k:
         raise AssertionError("lift produced an unexpected member count")
-    return lifted
+    return lifted_set

@@ -297,3 +297,49 @@ def test_report_rendering_roundtrip():
     assert rows[0]["samples"] == 7
     with pytest.raises(ValueError):
         report.render("xml")
+
+
+def test_report_golden_bytes():
+    report = ExperimentReport()
+    report.add("demo", "count", 12, p=5, d=2, group_order=120, seed=3)
+    report.add("demo", "ratio", 1 / 3, p=7, d=2, group_order=336, bound=2, samples=50, seed=4)
+    report.add("demo, quoted", "tiny", -2.5e-17, bound=0.1)
+    assert report.render("csv") == (
+        "experiment,p,d,group_order,statistic,value,bound,samples,seed\n"
+        "demo,5,2,120,count,12.0,,exact,3\n"
+        "demo,7,2,336,ratio,0.3333333333333333,2.0,50,4\n"
+        '"demo, quoted",0,0,0,tiny,-2.5e-17,0.1,exact,0\n'
+    )
+    rows = [
+        ("demo", 5, 2, 120, "count", "12.0", "null", '"exact"', 3),
+        ("demo", 7, 2, 336, "ratio", "0.3333333333333333", "2.0", "50", 4),
+        ("demo, quoted", 0, 0, 0, "tiny", "-2.5e-17", "0.1", '"exact"', 0),
+    ]
+    objects = [
+        "  {\n"
+        f'    "experiment": "{e}",\n    "p": {p},\n    "d": {d},\n'
+        f'    "group_order": {n},\n    "statistic": "{s}",\n    "value": {v},\n'
+        f'    "bound": {b},\n    "samples": {m},\n    "seed": {seed}\n'
+        "  }"
+        for e, p, d, n, s, v, b, m, seed in rows
+    ]
+    assert report.render("json") == "[\n" + ",\n".join(objects) + "\n]\n"
+
+
+def test_main_repeats_byte_identical_in_one_process(capsys):
+    calls = [
+        ("szemeredi", "--m", "2", "--n", "5", "--seed", "1"),
+        ("conic", "--primes", "5", "--k", "2", "--format", "json", "--seed", "3"),
+        ("szemeredi", "--m", "0", "--n", "4"),  # configuration error, exit 2
+        ("szemeredi", "--m", "1", "--n", "6", "--k", "2", "--seed", "4"),
+        ("elim-constants", "--format", "json"),
+        ("mixing3", "--primes", "3", "--samples", "50", "--seed", "2"),
+    ]
+    first = {argv: run_cli(capsys, *argv) for argv in calls}
+    assert first[calls[2]][0] == 2
+    assert all(code == 0 for argv, (code, _, _) in first.items() if argv != calls[2])
+    with pytest.raises(SystemExit):
+        main(["szemeredi", "--m", "2", "--n", "4", "--format", "xml"])
+    capsys.readouterr()
+    for argv in reversed(calls + calls):
+        assert run_cli(capsys, *argv) == first[argv]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from itertools import product
 
 from progmix.budget import BudgetExceededError
@@ -42,6 +43,26 @@ def brute_grid(pattern, k):
     return count
 
 
+def tuple_lift(pattern, k):
+    """Oracle: the member tuples of the lift, built one (b, member) pair at a time."""
+    m, n = pattern.m, pattern.n
+    offsets = list(product(range(-k, k + 1), repeat=m))
+    members = set()
+    for bs in product(range(n), repeat=len(offsets)):
+        shift = tuple(sum(b * off[i] for b, off in zip(bs, offsets)) % n for i in range(m))
+        for tup in pattern.members:
+            members.add(tuple((tup[i] - shift[i]) % n for i in range(m)) + bs)
+    return frozenset(members)
+
+
+def unravel_members(m, n, density, rng):
+    """Oracle: the members of PatternSet.random, unravelled one index at a time."""
+    chosen = rng.choice(n**m, size=int(round(density * n**m)), replace=False)
+    return frozenset(
+        tuple(int(v) for v in np.unravel_index(int(c), (n,) * m)) for c in chosen
+    )
+
+
 def test_full_set_counts():
     full = PatternSet.full(2, 4)
     assert count_corners(full) == 4**3
@@ -50,7 +71,7 @@ def test_full_set_counts():
 
 
 def test_empty_set_counts():
-    empty = PatternSet(2, 4, frozenset())
+    empty = PatternSet.from_tuples(2, 4, [])
     assert count_corners(empty) == 0
     assert count_grid(empty, 1) == 0
 
@@ -143,6 +164,44 @@ def test_budget_enforced(monkeypatch):
 
 def test_pattern_validation():
     with pytest.raises(ValueError):
-        PatternSet(1, 4, frozenset({(5,)}))
+        PatternSet(1, 4, np.zeros(5, dtype=bool))  # wrong extent: a member outside Z_4
     with pytest.raises(ValueError):
-        PatternSet(2, 4, frozenset({(0,)}))
+        PatternSet(2, 4, np.zeros(4, dtype=bool))  # wrong number of axes
+    with pytest.raises(ValueError):
+        PatternSet(1, 4, np.zeros(4, dtype=np.int8))
+    with pytest.raises(ValueError):
+        PatternSet.from_tuples(2, 4, [(0,)])
+
+
+def test_mask_is_read_only_and_members_derived():
+    source = np.zeros((3, 3), dtype=bool)
+    source[0, 1] = source[2, 2] = True
+    a = PatternSet(2, 3, source)
+    source[1, 1] = True  # the set holds its own copy
+    assert a.members == {(0, 1), (2, 2)} and len(a) == 2
+    with pytest.raises(ValueError):
+        a.mask()[0, 0] = True
+    assert a == PatternSet.from_tuples(2, 3, [(0, 4), (-1, 2), (2, 2)])
+    assert a != PatternSet.from_tuples(2, 3, [(0, 1)])
+    assert a != PatternSet(1, 9, a.mask().reshape(9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(3, 6), st.integers(0, 2), st.data())
+def test_counters_match_oracles_property(m, n, k, data):
+    bits = data.draw(st.lists(st.booleans(), min_size=n**m, max_size=n**m))
+    a = PatternSet(m, n, np.array(bits, dtype=bool).reshape((n,) * m))
+    assert count_grid(a, k) == brute_grid(a, k)
+    assert count_corners(a) == brute_corners(a)
+
+
+@pytest.mark.parametrize("m,n,k", [(1, 3, 0), (1, 5, 1), (1, 4, 2), (2, 3, 0), (2, 4, 0), (2, 3, 1)])
+def test_lift_matches_tuple_oracle(m, n, k):
+    a = PatternSet.random(m, n, 0.5, np.random.default_rng([m, n, k]))
+    assert lift_pattern(a, k).members == tuple_lift(a, k)
+
+
+def test_random_matches_unravelled_members():
+    for seed in range(10):
+        a = PatternSet.random(3, 24, 0.5, np.random.default_rng([seed, 24, 0]))
+        assert a.members == unravel_members(3, 24, 0.5, np.random.default_rng([seed, 24, 0]))
