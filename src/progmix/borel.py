@@ -369,6 +369,17 @@ def conic_analysis(p: int, k: int) -> ConicReport:
     )
 
 
+def conic_sizes(p: int) -> np.ndarray:
+    """Point counts of the conics x^2 + k y^2 = x over F_p for k = 2, .., p - 1.
+
+    Entry k - 2 equals `conic_analysis(p, k).size`; all p - 2 counts come
+    from one pass over the (k, x, y) grid.
+    """
+    r = np.arange(p)
+    on = ((r * r - r)[:, None] + r[2:, None, None] * (r * r)) % p == 0
+    return np.count_nonzero(on, axis=(1, 2))
+
+
 @dataclass
 class ShearInvarianceReport:
     trials: int

@@ -267,9 +267,9 @@ def cmd_varieties(args, report: ExperimentReport) -> None:
         if nonsplit_size is not None:
             report.add("varieties", "nonsplit_centralizer_size", nonsplit_size,
                        bound=lang_weil, **common)
-        sizes = [borel_mod.conic_analysis(p, k).size for k in range(2, p)]
-        report.add("varieties", "conic_size_min", min(sizes), bound=lang_weil, **common)
-        report.add("varieties", "conic_size_max", max(sizes), bound=lang_weil, **common)
+        sizes = borel_mod.conic_sizes(p)
+        report.add("varieties", "conic_size_min", int(sizes.min()), bound=lang_weil, **common)
+        report.add("varieties", "conic_size_max", int(sizes.max()), bound=lang_weil, **common)
 
 
 COMMANDS = {

@@ -456,28 +456,46 @@ def _poly_gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * lead_inv % p for c in a]
 
 
-def centralizer(table: GroupTable, b) -> GroupTable:
-    """All table elements commuting with b (a subgroup when the table is one).
+def centralizer_indices(table: GroupTable, b_mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Table indices of the elements commuting with each b of an (m, d, d) stack.
 
-    For d = 2 and non-scalar b, the matrices commuting with b are the
-    polynomials alpha I + beta b, so the p^2 candidates of determinant one are
-    looked up and those absent from the table dropped.  Scalar b and d = 3
-    compare the two products b x and x b for every table element x.
+    Returns (owner, index): table element index[i] commutes with
+    b_mats[owner[i]], sorted by owner and then by index.  For d = 2 and
+    non-scalar b, the matrices commuting with b are the polynomials
+    alpha I + beta b, so the p^2 candidates of every such b are built at once,
+    and those of determinant one looked up and the ones absent from the table
+    dropped.  Scalar b and d = 3 compare the products b x and x b for every
+    table element x, all such b in one product.  Raises KeyError when some b
+    is not in the table.
     """
-    p = table.p
-    b_mat, _ = _as_array(b, p)
-    if b_mat[None] not in table:
+    p, d = table.p, table.d
+    b_mats = np.asarray(b_mats, dtype=np.int64) % p
+    if np.any(table._lookup(table._encode(b_mats)) < 0):
         raise KeyError("b is not an element of the table")
-    scalar = not np.any(b_mat - b_mat[0, 0] * np.eye(table.d, dtype=np.int64))
-    if table.d == 2 and not scalar:
-        alpha, beta = np.indices((p, p)).reshape(2, -1, 1, 1)
-        cands = (alpha * np.eye(2, dtype=np.int64) + beta * b_mat) % p
-        idx = table._lookup(table._encode(cands[_det_many(cands, p) == 1]))
-        return GroupTable(table.mats[idx[idx >= 0]], p, "centralizer")
-    left = _mul_many(table.mats, b_mat, p)
-    right = _mul_many(b_mat[None], table.mats, p)
-    mask = (left == right).all(axis=(1, 2))
-    return GroupTable(table.mats[mask], p, "centralizer")
+    eye = np.eye(d, dtype=np.int64)
+    scalar = ~(b_mats - b_mats[:, :1, :1] * eye).reshape(len(b_mats), -1).any(axis=1)
+    closed = ~scalar if d == 2 else np.zeros(len(b_mats), dtype=bool)
+    alpha, beta = np.indices((p, p)).reshape(2, 1, -1, 1, 1)
+    cands = (alpha * eye + beta * b_mats[closed, None]) % p
+    det_one = _det_many(cands, p) == 1
+    owner = np.flatnonzero(closed)[np.nonzero(det_one)[0]]
+    index = table._lookup(table._encode(cands[det_one]))
+    swept = np.flatnonzero(~closed)
+    left = _mul_many(table.mats, b_mats[swept, None], p)
+    right = _mul_many(b_mats[swept, None], table.mats, p)
+    swept_owner, swept_index = np.nonzero((left == right).all(axis=(2, 3)))
+    owner = np.concatenate([owner[index >= 0], swept[swept_owner]])
+    index = np.concatenate([index[index >= 0], swept_index])
+    order = np.lexsort((index, owner))
+    return owner[order], index[order]
+
+
+def centralizer(table: GroupTable, b) -> GroupTable:
+    """All table elements commuting with b (a subgroup when the table is one),
+    from `centralizer_indices` on the one-element stack."""
+    b_mat, _ = _as_array(b, table.p)
+    index = centralizer_indices(table, b_mat[None])[1]
+    return GroupTable(table.mats[index], table.p, "centralizer")
 
 
 def _conjugates(table: GroupTable, a_mat: np.ndarray) -> np.ndarray:

@@ -13,6 +13,16 @@ class Cl(k), hitting each member |Z(k)| = |G| / |Cl(k)| times, so
     fibres = sum over c in Z(b) of |Z(k_c)| * 1_{Cl(k_c) k_c},
 
 and every term is an exact integer.
+
+`conjugate_product_fibres` takes one pair or a stack of pairs.  Each pair
+is charged n |Z(b)| before any count is built, in pair order, so a stack
+is refused with the message of its first pair over the budget.  The terms
+of all pairs, one per (pair, c), are then multiplied in batches of at
+most n rows: a term has |Cl(k_c)| < n rows, and a batch holds whole
+terms, so the transient arrays stay O(n) however large Z(b) is (a central
+b has |Z(b)| = n terms).  `heavy_mass_mixing_bound` passes its sampled
+pairs in blocks of 8, so each block costs a few numpy calls per batch
+rather than a few per term.
 """
 
 from __future__ import annotations
@@ -29,13 +39,17 @@ from .groups import (
     _conjugates,
     _inverse_many,
     _mul_many,
+    _vectors,
     centralizer,
+    centralizer_indices,
     class_members,
     conjugacy_class,
     conjugacy_classes,
     is_regular_semisimple,
     element,
 )
+
+_PAIR_BLOCK = 8  # (b, h) pairs per conjugate_product_fibres call in the Monte Carlo bound
 
 
 @dataclass
@@ -69,28 +83,59 @@ def uniform_measure(table) -> Measure:
 def conjugate_product_fibres(table: GroupTable, b, h) -> np.ndarray:
     """Integer fibre counts of (g, c) -> g (c^-1 h^-1) g^-1 (c^-1 h^-1).
 
+    b and h are one matrix each, giving counts of shape (n,), or equal
+    (m, d, d) stacks of pairs, giving one row of counts per pair, (m, n).
     For k = c^-1 h^-1 the map g -> g k g^-1 k is |Z(k)|-to-one onto Cl(k) k,
-    so each c adds |table| / |Cl(k)| to the members of Cl(k) k, read from the
-    cached `class_members`.  Right multiplication by k is injective, so no
-    index repeats within one term and the fancy-index add is exact.  The
-    terms are added one at a time: batching them all would hold sum |Cl|^2
-    rows for a central b.  The counts sum to |table| * |Z(b)|, and the charge
-    n * |Z(b)| bounds the sum over c of |Cl(k_c)| rows multiplied.
+    so each c adds n / |Cl(k)| to the members of Cl(k) k, read from the
+    cached `class_members`.  The centralizers of all b come from one
+    `centralizer_indices` call, every k from one product and their class
+    labels from one lookup.  Every pair is charged n |Z(b)| in pair order
+    before any count is built: that bounds its sum over c of |Cl(k_c)|
+    rows, and its counts sum to exactly n |Z(b)|.
+
+    The terms (c, k_c) are taken in order, in batches of at most n rows; one
+    term has |Cl(k)| < n rows.  The key of x k is assembled from the row
+    keys of x and the image table of k, as in `GroupTable.rmul_perm`, and
+    each batch is added with one bincount over the pairs it touches.  Right
+    multiplication by k is injective, so no index repeats within one term.
     """
-    p = table.p
-    b_mat, _ = _as_array(b, p)
-    h_mat, _ = _as_array(h, p)
-    z = centralizer(table, b_mat)
-    n = table.size
-    charge(n * z.size, OP_BUDGET, "exact conjugate-product histogram")
-    ks = _mul_many(_inverse_many(z.mats, p), _inverse_many(h_mat[None], p), p)
+    p, n, d = table.p, table.size, table.d
+    b_mats, _ = _as_array(b, p)
+    h_mats, _ = _as_array(h, p)
+    if b_mats.shape != h_mats.shape or b_mats.ndim not in (2, 3):
+        raise ValueError("b and h must be one matrix each, or stacks of equal length")
+    single = b_mats.ndim == 2
+    b_mats, h_mats = b_mats.reshape(-1, d, d), h_mats.reshape(-1, d, d)
+    owner, z_index = centralizer_indices(table, b_mats)
+    for z_size in np.bincount(owner, minlength=len(b_mats)):
+        charge(n * int(z_size), OP_BUDGET, "exact conjugate-product histogram")
+    ks = _mul_many(table.inv_mats()[z_index], _inverse_many(h_mats, p)[owner], p)
     labels = conjugacy_classes(table)[table.indices_of(ks)]
     members = class_members(table)
-    counts = np.zeros(n, dtype=np.int64)
-    for k, label in zip(ks, labels):
-        cls = members[label]
-        counts[table.indices_of(_mul_many(table.mats[cls], k, p))] += n // cls.size
-    return counts
+    rows = np.array([cls.size for cls in members])[labels]
+    # |Z(k)| = n / |Cl(k)| is an integer, and every partial sum of a row is at
+    # most n |Z(b)| <= n^2, below 2^53 for n < 9.4e7, so float64 bincount
+    # weights stay exact.
+    weights = (n // rows).astype(np.float64)
+    ends = np.cumsum(rows)
+    vectors, w = _vectors(d, p), table._digit_weights
+    counts = np.zeros((len(b_mats), n), dtype=np.int64)
+    start = 0
+    while start < len(ks):
+        stop = int(np.searchsorted(ends, ends[start] - rows[start] + n, side="right"))
+        term = np.repeat(np.arange(stop - start), rows[start:stop])
+        xs = np.concatenate([members[label] for label in labels[start:stop]])
+        images = (vectors @ ks[start:stop] % p) @ w
+        parts = table._row_keys[:, xs] + term * p**d
+        index = table._image_indices(parts, images.ravel(), w**d)
+        first, last = owner[start], owner[stop - 1] + 1
+        counts[first:last] += np.bincount(
+            (owner[start:stop][term] - first) * n + index,
+            weights=weights[start:stop][term],
+            minlength=(last - first) * n,
+        ).reshape(-1, n).astype(np.int64)
+        start = stop
+    return counts[0] if single else counts
 
 
 def conjugate_product_measure(table: GroupTable, b, h) -> Measure:
@@ -106,15 +151,24 @@ def conjugate_product_measure(table: GroupTable, b, h) -> Measure:
     )
 
 
+def _heavy_share(counts: np.ndarray, denominator, n: int, c0: float):
+    """Share of each row of exact counts on atoms of weight at least c0 / n.
+
+    count / denominator >= c0 / n  <=>  count * n >= c0 * denominator, so
+    the test is made on the integers; denominator is one int or one per row.
+    """
+    denominator = np.asarray(denominator)
+    heavy = counts.sum(axis=-1, where=counts * n >= c0 * denominator[..., None])
+    return heavy / denominator
+
+
 def heavy_mass(mu: Measure, c0: float) -> float:
     """Mass carried by atoms of weight at least c0 / |G|."""
     if c0 < 1:
         raise ValueError("threshold constant must be >= 1")
     n = mu.table.size
     if mu.counts is not None and mu.denominator is not None:
-        # count/denominator >= c0/n  <=>  count * n >= c0 * denominator
-        heavy = mu.counts[mu.counts * n >= c0 * mu.denominator]
-        return float(heavy.sum() / mu.denominator)
+        return float(_heavy_share(mu.counts, mu.denominator, n, c0))
     return float(mu.weights[mu.weights >= c0 / n].sum())
 
 
@@ -134,16 +188,21 @@ def heavy_mass_mixing_bound(
 ) -> HeavyMassEstimate:
     """Monte Carlo estimate of (C0 D^(-1/2) + E_{b,h} heavy_mass)^(1/4).
 
-    Pairs (b, h) are sampled uniformly; each histogram is exact.
+    Pairs (b, h) are sampled uniformly; each histogram is exact.  The pairs
+    go to `conjugate_product_fibres` in blocks of 8, one call per block.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng([seed, table.size])
+    if c0 < 1:
+        raise ValueError("threshold constant must be >= 1")
+    n = table.size
+    rng = np.random.default_rng([seed, n])
+    pairs = np.array([rng.integers(0, n, size=2) for _ in range(samples)])
     values = np.empty(samples, dtype=np.float64)
-    for j in range(samples):
-        bi, hi = rng.integers(0, table.size, size=2)
-        mu = conjugate_product_measure(table, table.mats[bi], table.mats[hi])
-        values[j] = heavy_mass(mu, c0)
+    for start in range(0, samples, _PAIR_BLOCK):
+        bi, hi = pairs[start:start + _PAIR_BLOCK].T
+        counts = conjugate_product_fibres(table, table.mats[bi], table.mats[hi])
+        values[start:start + len(bi)] = _heavy_share(counts, counts.sum(axis=1), n, c0)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(samples)) if samples > 1 else float("inf")
     return HeavyMassEstimate(

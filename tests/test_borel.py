@@ -8,6 +8,7 @@ from progmix.borel import (
     beta_prime_closed_form,
     borel_context,
     conic_analysis,
+    conic_sizes,
     difference_spectrum_invariance,
     elimination_constants,
     four_term_average,
@@ -470,6 +471,11 @@ def test_conic_grid_invariants():
             assert report.max_representations_off_centre <= 2
             assert report.centre_representations == report.size
             assert report.energy <= 3 * report.size**2
+
+
+def test_conic_sizes_match_analysis():
+    for p in (3, 5, 7, 11, 13):
+        assert conic_sizes(p).tolist() == [conic_analysis(p, k).size for k in range(2, p)]
 
 
 def test_conic_rejects_degenerate_parameters():

@@ -7,7 +7,11 @@ from progmix.groups import (
     GroupTable,
     borel_subgroup,
     borel_character,
+    _as_array,
+    _det_many,
+    _mul_many,
     centralizer,
+    centralizer_indices,
     conjugacy_class,
     conjugacy_classes,
     coset_decomposition,
@@ -174,6 +178,55 @@ def test_centralizer_matches_commuting_sweep(p, name):
     for b in table.mats:
         commutes = (table.mats @ b % p == b @ table.mats % p).all(axis=(1, 2))
         assert np.array_equal(centralizer(table, b).mats, table.mats[commutes])
+
+
+def per_element_centralizer(table, b):
+    """Oracle: the per-element centralizer, one b at a time, with its own
+    closed form alpha I + beta b for non-scalar b in d = 2."""
+    p = table.p
+    b_mat, _ = _as_array(b, p)
+    if b_mat[None] not in table:
+        raise KeyError("b is not an element of the table")
+    scalar = not np.any(b_mat - b_mat[0, 0] * np.eye(table.d, dtype=np.int64))
+    if table.d == 2 and not scalar:
+        alpha, beta = np.indices((p, p)).reshape(2, -1, 1, 1)
+        cands = (alpha * np.eye(2, dtype=np.int64) + beta * b_mat) % p
+        idx = table._lookup(table._encode(cands[_det_many(cands, p) == 1]))
+        return GroupTable(table.mats[idx[idx >= 0]], p, "centralizer")
+    left = _mul_many(table.mats, b_mat, p)
+    right = _mul_many(b_mat[None], table.mats, p)
+    mask = (left == right).all(axis=(1, 2))
+    return GroupTable(table.mats[mask], p, "centralizer")
+
+
+def assert_stack_matches_oracle(table, b_indices):
+    owner, index = centralizer_indices(table, table.mats[b_indices])
+    assert np.all(np.diff(owner) >= 0)
+    for j, bi in enumerate(b_indices):
+        mine = index[owner == j]
+        assert np.all(np.diff(mine) > 0)
+        assert np.array_equal(table.mats[mine], per_element_centralizer(table, table.mats[bi]).mats)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_centralizer_indices_match_per_element_oracle(p):
+    table = special_linear_group(2, p)
+    assert_stack_matches_oracle(table, np.arange(table.size))
+    assert_stack_matches_oracle(table, np.arange(table.size)[::-1][:7])
+
+
+def test_centralizer_indices_sl3_stack_with_scalars():
+    table = special_linear_group(3, 3)
+    scalar = table.index_of(identity_element(3, 3))
+    picks = np.random.default_rng(5).choice(table.size, size=5, replace=False)
+    assert_stack_matches_oracle(table, np.array([picks[0], scalar, *picks[1:], scalar]))
+
+
+def test_centralizer_indices_reject_a_foreign_b():
+    table = borel_subgroup(5)
+    stack = np.array([[[1, 1], [0, 1]], [[1, 0], [1, 1]]])  # the second is lower-triangular
+    with pytest.raises(KeyError):
+        centralizer_indices(table, stack)
 
 
 def test_conjugacy_classes_budget_boundary(monkeypatch):

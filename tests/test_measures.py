@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -18,7 +20,9 @@ from progmix.groups import (
     special_linear_group,
     unipotent_subgroup,
 )
+from progmix import measures
 from progmix.measures import (
+    HeavyMassEstimate,
     Measure,
     check_conjugate_average_identity,
     conjugate_product_fibres,
@@ -100,6 +104,112 @@ def test_fibres_match_direct_sweep_property(p, bi, hi):
     table = special_linear_group(2, p)
     b, h = table.element(bi % table.size), table.element(hi % table.size)
     assert np.array_equal(conjugate_product_fibres(table, b, h), direct_fibres(table, b, h))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fibre_stacks_match_single_pairs_and_direct_sweep(p):
+    table = special_linear_group(2, p)
+    rng = np.random.default_rng([p, 2])
+    bs = [element(mat, p) for mat, _ in fibre_test_elements(p).values()]
+    bs = [b for b in bs for _ in range(2)]
+    hs = [table.element(int(i)) for i in rng.integers(table.size, size=len(bs))]
+    stack = conjugate_product_fibres(table, np.array([b.array() for b in bs]),
+                                     np.array([h.array() for h in hs]))
+    assert stack.shape == (len(bs), table.size) and stack.dtype == np.int64
+    for row, b, h in zip(stack, bs, hs):
+        assert np.array_equal(row, conjugate_product_fibres(table, b, h))
+        assert np.array_equal(row, direct_fibres(table, b, h))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+                                           min_size=1, max_size=6))
+def test_fibre_stacks_match_direct_sweep_property(p, pairs):
+    table = special_linear_group(2, p)
+    bi, hi = (np.array(column) % table.size for column in zip(*pairs))
+    stack = conjugate_product_fibres(table, table.mats[bi], table.mats[hi])
+    for row, b, h in zip(stack, bi, hi):
+        assert np.array_equal(row, direct_fibres(table, table.element(b), table.element(h)))
+
+
+def test_fibre_batches_hold_at_most_n_rows(monkeypatch):
+    p = 7
+    table = special_linear_group(2, p)
+    stack = np.array([[[1, 0], [0, 1]], [[1, 1], [0, 1]], [[p - 1, 0], [0, p - 1]]])
+    hs = table.mats[[3, 50, 200]]
+    expected = 0
+    for b, h in zip(stack, hs):
+        z = centralizer(table, b)
+        ks = _mul_many(_inverse_many(z.mats, p), _inverse_many(h[None], p), p)
+        expected += sum(conjugacy_class(table, k).size for k in ks)
+    batches = []
+    image_indices = GroupTable._image_indices
+
+    def recorded(self, parts, image, scales):
+        batches.append(parts.shape[1])
+        return image_indices(self, parts, image, scales)
+
+    monkeypatch.setattr(GroupTable, "_image_indices", recorded)
+    conjugate_product_fibres(table, stack, hs)
+    assert max(batches) <= table.size and sum(batches) == expected
+
+
+def test_fibre_stack_shapes_must_agree():
+    table = special_linear_group(2, 3)
+    with pytest.raises(ValueError):
+        conjugate_product_fibres(table, table.mats[:3], table.mats[:2])
+    with pytest.raises(ValueError):
+        conjugate_product_fibres(table, table.mats[:3], table.mats[0])
+
+
+def test_fibre_stack_over_budget_builds_no_counts(monkeypatch):
+    table = special_linear_group(2, 5)
+    stack = np.array([[[1, 1], [0, 1]], [[1, 0], [0, 1]], [[2, 0], [0, 3]]])
+    cost = table.size * max(centralizer(table, b).size for b in stack[[0, 2]])
+    monkeypatch.setenv("PROGMIX_BUDGET", str(cost))  # the central middle pair costs n^2
+
+    def no_counts(*args):
+        raise AssertionError("counts built before the budget was checked")
+
+    monkeypatch.setattr(measures, "conjugacy_classes", no_counts)
+    monkeypatch.setattr(measures, "class_members", no_counts)
+    with pytest.raises(BudgetExceededError, match="conjugate-product histogram"):
+        conjugate_product_fibres(table, stack, stack)
+
+
+def per_pair_mixing_bound(table, c0, quasi_d, samples, seed=0):
+    """Oracle: the Monte Carlo bound with one measure and one heavy_mass per pair."""
+    rng = np.random.default_rng([seed, table.size])
+    values = np.empty(samples, dtype=np.float64)
+    for j in range(samples):
+        bi, hi = rng.integers(0, table.size, size=2)
+        mu = conjugate_product_measure(table, table.mats[bi], table.mats[hi])
+        values[j] = heavy_mass(mu, c0)
+    mean = float(values.mean())
+    stderr = float(values.std(ddof=1) / np.sqrt(samples)) if samples > 1 else float("inf")
+    return HeavyMassEstimate(float((c0 * quasi_d**-0.5 + mean) ** 0.25), mean, stderr,
+                             samples, seed, c0, quasi_d)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_blocked_mixing_bound_matches_per_pair_loop(p):
+    table = special_linear_group(2, p)
+    for seed in range(10):
+        for samples, c0 in ((20, 4.0), (9, 1.0), (1, 2.5)):
+            args = (table, c0, (p - 1) / 2, samples, seed)
+            assert heavy_mass_mixing_bound(*args) == per_pair_mixing_bound(*args)
+
+
+def test_mixing_bound_memory_stays_small():
+    table = special_linear_group(2, 13)
+    heavy_mass_mixing_bound(table, 4.0, 6.0, 50, seed=0)  # warms the class caches
+    tracemalloc.start()
+    try:
+        heavy_mass_mixing_bound(table, 4.0, 6.0, 50, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
 
 
 def test_fibre_budget_boundary(monkeypatch):
