@@ -548,6 +548,17 @@ def class_members(table: GroupTable) -> tuple[np.ndarray, ...]:
     return tuple(np.split(order, np.cumsum(np.bincount(labels))[:-1]))
 
 
+def table_kind(table) -> str | None:
+    """Kind of table: "full" for all of SL_d(F_p), d = 2 or 3, "borel" for the
+    Borel subgroup of SL_2(F_p) (p (p - 1) upper-triangular elements), else None."""
+    n, p, d = table.size, getattr(table, "p", None), getattr(table, "d", None)
+    if d in (2, 3) and n == special_linear_order(d, p):
+        return "full"
+    if d == 2 and n == p * (p - 1) and not table.mats[:, 1, 0].any():
+        return "borel"
+    return None
+
+
 @dataclass(frozen=True)
 class CosetDecomposition:
     """Every table element written as g = h r, with h in a subgroup H and r
@@ -582,7 +593,7 @@ def _bottom_row_lines(rows: np.ndarray, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def coset_decomposition(table) -> CosetDecomposition:
-    """g = h r over a subgroup H, for the full SL_d(F_p) and the Borel tables.
+    """g = h r over a subgroup H, for the full SL_d(F_p) and Borel `table_kind`s.
 
     Full SL_d(F_p), d = 2 or 3: H is the stabiliser of the line through the
     bottom row, the matrices whose bottom row is (0, .., 0, l).  The right
@@ -607,10 +618,10 @@ def coset_decomposition(table) -> CosetDecomposition:
     Cached per table, like `conjugacy_classes`, so a later change to the
     budget does not rebuild it; the sums over it are the same either way.
     """
-    n, p, d = table.size, getattr(table, "p", None), getattr(table, "d", None)
-    full = d in (2, 3) and n == special_linear_order(d, p)
-    borel = d == 2 and n == p * (p - 1) and not table.mats[:, 1, 0].any()
-    cosets = (p**d - 1) // (p - 1) if full else p - 1 if borel else 1
+    n, kind = table.size, table_kind(table)
+    p, d = getattr(table, "p", None), getattr(table, "d", None)
+    full = kind == "full"
+    cosets = (p**d - 1) // (p - 1) if full else p - 1 if kind == "borel" else 1
     if cosets == 1 or cosets * n > budget_limit(ENUMERATION_BUDGET):
         coset = np.zeros(n, dtype=np.intp)
         reps = np.array([table.identity_index], dtype=np.intp)

@@ -2,9 +2,10 @@
 
 The reduced spectral norm of mu: G -> C is the operator norm of the right
 convolution f -> f * mu restricted to mean-zero f, with the averaged L^2
-norm on both sides.  For a general mu, spectral_norm computes it from the
-n x n convolution matrix, by a full SVD (up to FULL_SVD_LIMIT elements) or
-by power iteration applying the matrix and its adjoint.
+norm on both sides.  spectral_norm computes it for any mu from three
+(n / p) x (n / p) blocks on a full SL_2(F_p) or Borel table (`_isotypic_norm`),
+and from the full SVD of the n x n convolution matrix, up to FULL_SVD_LIMIT
+elements, on any other table (CyclicTable, the shears, SL_3, subsets).
 
 A class function mu acts on each irreducible representation rho as the
 scalar sum_g mu(g) chi_rho(g) / chi_rho(1), and the character of rho is a
@@ -23,18 +24,10 @@ import numpy as np
 
 from . import mixing
 from .budget import OP_BUDGET, charge
-from .groups import conjugacy_classes, element, special_linear_group
-from .fields import inv_mod
+from .groups import conjugacy_classes, element, special_linear_group, table_kind
+from .fields import inv_mod, is_square_mod
 
 FULL_SVD_LIMIT = 5000
-
-
-@dataclass
-class SpectralEstimate:
-    norm: float
-    method: str
-    iterations: int
-    residual: float
 
 
 @dataclass
@@ -75,55 +68,51 @@ def convolution_matrix(table, mu) -> np.ndarray:
     return out
 
 
-def spectral_norm(
-    table,
-    mu,
-    method: str = "full_svd",
-    tol: float = 1e-8,
-    max_iterations: int = 10_000,
-) -> SpectralEstimate:
-    """Reduced spectral norm of mu on the given group table."""
-    if method not in ("full_svd", "power_iteration"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "full_svd" and table.size > FULL_SVD_LIMIT:
-        raise ValueError(
-            f"table of size {table.size} exceeds the full SVD limit "
-            f"{FULL_SVD_LIMIT}; use power_iteration"
-        )
-    mat = convolution_matrix(table, mu)
+def spectral_norm(table, mu) -> float:
+    """Reduced spectral norm of mu: from U-blocks on full SL_2(F_p) and Borel
+    tables, from the full SVD of the convolution matrix on any other table."""
+    vals = _values(mu)
+    if table_kind(table) is not None and table.d == 2:
+        return _isotypic_norm(table, vals)
+    if table.size > FULL_SVD_LIMIT:
+        raise ValueError(f"table of size {table.size} exceeds the full SVD limit {FULL_SVD_LIMIT}")
+    mat = convolution_matrix(table, vals)
     mat -= mat.mean(axis=1, keepdims=True)  # restrict the domain to mean-zero f
-    if method == "full_svd":
-        top = float(np.linalg.svd(mat, compute_uv=False)[0])
-        return SpectralEstimate(top, "full_svd", 0, 0.0)
-    return _power_iteration(mat, tol, max_iterations)
+    return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
-def _power_iteration(mat: np.ndarray, tol: float, max_iterations: int) -> SpectralEstimate:
-    n = mat.shape[0]
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(n)
-    v -= v.mean()
-    norm_v = np.linalg.norm(v)
-    if norm_v == 0:
-        return SpectralEstimate(0.0, "power_iteration", 0, 0.0)
-    v /= norm_v
-    adjoint = mat.conj().T
-    sigma = 0.0
-    for it in range(1, max_iterations + 1):
-        w = adjoint @ (mat @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0:
-            return SpectralEstimate(0.0, "power_iteration", it, 0.0)
-        new_sigma = float(np.sqrt(norm_w))
-        v = w / norm_w
-        residual = abs(new_sigma - sigma) / max(new_sigma, 1e-300)
-        sigma = new_sigma
-        if residual <= tol:
-            return SpectralEstimate(sigma, "power_iteration", it, residual)
-    raise RuntimeError(
-        f"power iteration did not reach relative residual {tol} "
-        f"in {max_iterations} iterations"
-    )
+def _isotypic_norm(table, vals: np.ndarray) -> float:
+    """Reduced norm of mu on a full SL_2(F_p) or Borel table.
+
+    f -> f * mu commutes with left translations, so it preserves
+    V_psi = {f : f(u y) = psi(u) f(y)} for each character psi of U, where it
+    is the k x k block M_psi[r, s] = sum_{w in U} conj psi(w) mu(y_s^-1 w y_r)
+    on the k = n / p cosets U y_r.  Every nontrivial irreducible
+    representation holds a U-fixed vector or a psi_a, and the torus moves
+    psi_a within the square class of a, so the reduced norm is the largest
+    norm of the blocks of psi_0 (constants projected off), psi_1 and psi_eps,
+    eps a non-square.  Column s is one lmul_perm gather of mu; the k n
+    gathered values are charged first.
+
+    Row r of `grid` holds w_t y_r, t = 0, .., p - 1, for w_t = [[1, t], [0, 1]]
+    and y_r the first element with the r-th bottom row: w_t y keeps y's bottom
+    row and adds t times it to the top row, so t = det(row0(y_r); row0(w_t y_r)).
+    """
+    n, p, mats = table.size, table.p, table.mats
+    charge(n // p * n, OP_BUDGET, f"{n // p} U-isotypic columns on {n} elements")
+    _, first, coset = np.unique(mats[:, 1] @ [p, 1], return_index=True, return_inverse=True)
+    rep, top = mats[first[coset], 0], mats[:, 0]
+    t = (rep[:, 0] * top[:, 1] - rep[:, 1] * top[:, 0]) % p
+    grid = np.lexsort((t, coset)).reshape(-1, p)
+    eps = next(a for a in range(2, p) if not is_square_mod(a, p))
+    chars = np.exp(-2j * np.pi * np.outer(np.arange(p), [0, 1, eps]) / p)
+    blocks = np.empty((3, len(grid), len(grid)), dtype=complex)
+    inv, order = table.inv_perm(), grid.ravel()
+    for s, y in enumerate(grid[:, 0]):
+        gathered = vals[table.lmul_perm(int(inv[y]))[order]].reshape(grid.shape)
+        blocks[:, :, s] = (gathered @ chars).T
+    blocks[0] -= blocks[0].mean(axis=1, keepdims=True)
+    return float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max())
 
 
 def _class_sums(labels: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
@@ -192,10 +181,10 @@ def check_spectral_bounds(table, mu, quasi: QuasirandomnessParameter, c0: float 
     split bound C0 D^(-1/2) + (mass above the C0/|G| level)."""
     vals = _values(mu)
     n = table.size
-    norm = spectral_norm(table, mu).norm
+    norm = spectral_norm(table, mu)
     l1 = float(np.sum(np.abs(vals)))
     l2 = float(np.sqrt(np.sum(np.abs(vals) ** 2)))
-    heavy = float(np.sum(vals[np.abs(vals) > c0 / n]))
+    heavy = float(np.sum(np.abs(vals)[np.abs(vals) > c0 / n]))
     d = quasi.D
     return SpectralBoundsReport(
         norm=norm,
@@ -257,8 +246,8 @@ def tt_star_check(table, mu) -> TTStarReport:
     f_mu = mixing.GroupFunction(vals, table)
     f_tilde = mixing.GroupFunction(tilde, table)
     composed = mixing.convolve(f_mu, f_tilde)
-    norm = spectral_norm(table, vals).norm
-    composed_norm = spectral_norm(table, composed.values).norm
+    norm = spectral_norm(table, vals)
+    composed_norm = spectral_norm(table, composed.values)
     rel = abs(composed_norm - norm**2) / max(norm**2, 1e-300)
     return TTStarReport(
         norm=norm,

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from progmix.budget import BudgetExceededError
 from progmix.groups import (
+    CyclicTable,
     GroupTable,
     borel_subgroup,
     borel_character,
@@ -27,6 +28,7 @@ from progmix.groups import (
     shift_perms,
     special_linear_group,
     special_linear_order,
+    table_kind,
     trace_values,
     unipotent_subgroup,
 )
@@ -351,6 +353,18 @@ def test_coset_decomposition_trivial_elsewhere(table):
     dec = coset_decomposition(table)
     assert dec.reps.tolist() == [table.identity_index]
     assert not dec.coset.any() and np.array_equal(dec.h, np.arange(table.size))
+
+
+@pytest.mark.parametrize("table, kind", [
+    (special_linear_group(2, 3), "full"), (special_linear_group(2, 13), "full"),
+    (special_linear_group(3, 3), "full"), (borel_subgroup(3), "borel"),
+    (borel_subgroup(13), "borel"), (unipotent_subgroup(5), None),
+    (GroupTable(borel_subgroup(5).mats[::5], 5, "torus"), None), (conjugated_borel(5), None),
+    (diagonalisable_set(5), None), (CyclicTable(20), None),
+], ids=["sl2_3", "sl2_13", "sl3_3", "borel_3", "borel_13", "unipotent", "torus",
+        "conjugated_borel", "diag_set", "cyclic"])
+def test_table_kind(table, kind):
+    assert table_kind(table) == kind
 
 
 @settings(max_examples=60, deadline=None)

@@ -660,3 +660,37 @@ def shift_problems(draw):
 @given(shift_problems())
 def test_composed_shift_sums_property(problem):
     assert_same_sums(*problem)
+
+
+@st.composite
+def integer_inputs(draw, k_range):
+    """SL_2(F_p) or its Borel subgroup for p in {3, 5, 7}, and k integer-valued
+    functions on it with values in [-3, 3]."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    table = borel_subgroup(p) if draw(st.booleans()) else special_linear_group(2, p)
+    k = draw(st.integers(*k_range))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return table, [GroupFunction(rng.integers(-3, 4, table.size), table) for _ in range(k)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(integer_inputs((1, 3)), st.data())
+def test_progression_average_left_translation_invariant_property(problem, data):
+    # E_{x,g} prod_i f_i(a x g^i) = E_{x,g} prod_i f_i(x g^i): substitute x -> a^-1 x.
+    table, fs = problem
+    a = data.draw(st.integers(0, table.size - 1))
+    perm = table.lmul_perm(a)  # x -> a x
+    moved = [GroupFunction(f.values[perm], table) for f in fs]
+    assert (progression_average(table, moved).exact_value
+            == progression_average(table, fs).exact_value)
+
+
+@settings(max_examples=25, deadline=None)
+@given(integer_inputs((2, 2)))
+def test_two_term_average_factorises_exactly_property(problem):
+    # E_{x,g} f0(x) f1(x g) = E f0 E f1, since x g runs over G for each x.
+    table, (f0, f1) = problem
+    n = table.size
+    expected = Fraction(int(f0.values.sum()), n) * Fraction(int(f1.values.sum()), n)
+    result = progression_average(table, [f0, f1])
+    assert result.exact_value == expected == result.exact_product

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from progmix import spectral
 from progmix.budget import BudgetExceededError
 from progmix.cli import BIG_PRIMES
 from progmix.groups import (
@@ -30,21 +34,21 @@ def test_point_mass_has_norm_one():
         table = special_linear_group(2, p)
         mu = np.zeros(table.size)
         mu[7] = 1.0
-        assert abs(spectral_norm(table, mu).norm - 1.0) < 1e-10
+        assert abs(spectral_norm(table, mu) - 1.0) < 1e-10
 
 
 def test_uniform_probability_has_norm_zero():
     for p in (3, 5):
         table = special_linear_group(2, p)
         mu = np.full(table.size, 1 / table.size)
-        assert spectral_norm(table, mu).norm < 1e-10
+        assert spectral_norm(table, mu) < 1e-10
 
 
 def test_cyclic_oracle_point_mass():
     z4 = CyclicTable(4)
     mu = np.zeros(4)
     mu[1] = 1.0
-    assert abs(spectral_norm(z4, mu).norm - 1.0) < 1e-10
+    assert abs(spectral_norm(z4, mu) - 1.0) < 1e-10
     assert abs(cyclic_spectral_oracle(mu) - 1.0) < 1e-12
 
 
@@ -53,33 +57,15 @@ def test_cyclic_oracle_equivalence():
     for n in range(2, 17):
         table = CyclicTable(n)
         mu = rng.random(n)
-        assert abs(spectral_norm(table, mu).norm - cyclic_spectral_oracle(mu)) < 1e-8
-
-
-def test_power_iteration_agrees_with_svd():
-    rng = np.random.default_rng(1)
-    for p in (3, 5):
-        table = special_linear_group(2, p)
-        mu = rng.random(table.size)
-        mu /= mu.sum()
-        full = spectral_norm(table, mu, method="full_svd")
-        power = spectral_norm(table, mu, method="power_iteration")
-        assert abs(full.norm - power.norm) / full.norm < 1e-6
-        assert power.residual <= 1e-8
-
-
-def test_power_iteration_on_uniform():
-    table = special_linear_group(2, 3)
-    mu = np.full(table.size, 1 / table.size)
-    assert spectral_norm(table, mu, method="power_iteration").norm < 1e-10
+        assert abs(spectral_norm(table, mu) - cyclic_spectral_oracle(mu)) < 1e-8
 
 
 def test_svd_size_limit():
-    table = special_linear_group(2, 3)
     with pytest.raises(ValueError):
-        spectral_norm(CyclicTable(6000), np.zeros(6000), method="full_svd")
-    with pytest.raises(ValueError):
-        spectral_norm(table, np.zeros(table.size), method="no_such_method")
+        spectral_norm(CyclicTable(6000), np.zeros(6000))
+    sl3 = special_linear_group(3, 3)  # 5616 elements, no U-block route
+    with pytest.raises(ValueError, match="full SVD limit"):
+        spectral_norm(sl3, np.zeros(sl3.size))
 
 
 def test_seminorm_properties():
@@ -88,10 +74,10 @@ def test_seminorm_properties():
     for _ in range(10):
         mu = rng.standard_normal(table.size)
         nu = rng.standard_normal(table.size)
-        n_mu = spectral_norm(table, mu).norm
-        n_nu = spectral_norm(table, nu).norm
-        assert abs(spectral_norm(table, 2.5 * mu).norm - 2.5 * n_mu) < 1e-8
-        assert spectral_norm(table, mu + nu).norm <= n_mu + n_nu + 1e-8
+        n_mu = spectral_norm(table, mu)
+        n_nu = spectral_norm(table, nu)
+        assert abs(spectral_norm(table, 2.5 * mu) - 2.5 * n_mu) < 1e-8
+        assert spectral_norm(table, mu + nu) <= n_mu + n_nu + 1e-8
 
 
 def test_convolution_matrix_is_right_convolution():
@@ -259,8 +245,15 @@ def test_class_expansion_split_torus():
     assert report.rows[0].class_size == 30  # |G| / (p - 1) at p = 5
 
 
+def full_svd_norm(table, mu):
+    """The reduced norm from the SVD of the n x n convolution matrix."""
+    mat = convolution_matrix(table, mu)
+    mat -= mat.mean(axis=1, keepdims=True)
+    return np.linalg.svd(mat, compute_uv=False)[0]
+
+
 def assert_matches_svd(table, mu):
-    svd = spectral_norm(table, mu, method="full_svd").norm
+    svd = full_svd_norm(table, mu)
     assert abs(class_function_norm(table, mu) - svd) <= 1e-12 * svd
 
 
@@ -317,3 +310,90 @@ def test_class_expansion_split_torus_closed_form():
     # |C| = p (p + 1); the peak is 2 |C| / (p + 1) at a principal series character.
     for row in class_expansion(BIG_PRIMES, selector="split_torus").rows:
         assert abs(row.norm - 2 * row.p) <= 1e-12 * 2 * row.p
+
+
+# The U-isotypic block route of spectral_norm on full SL_2(F_p) and Borel
+# tables, against the full SVD, the class algebra and closed forms.
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_isotypic_norm_matches_full_svd_property(p, borel, complex_mu, seed):
+    table = borel_subgroup(p) if borel else special_linear_group(2, p)
+    rng = np.random.default_rng(seed)
+    mu = rng.standard_normal(table.size)
+    if complex_mu:
+        mu = mu + 1j * rng.standard_normal(table.size)
+    svd = full_svd_norm(table, mu)
+    assert abs(spectral_norm(table, mu) - svd) <= 1e-12 * svd
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_isotypic_norm_matches_class_algebra_on_every_class(p):
+    table = special_linear_group(2, p)
+    labels = conjugacy_classes(table)
+    for label in range(labels.max() + 1):
+        ind = (labels == label).astype(np.float64)
+        expected = class_function_norm(table, ind)
+        assert abs(spectral_norm(table, ind) - expected) <= 1e-12 * expected
+
+
+def test_isotypic_norm_closed_forms_p13():
+    # The closed forms of test_class_expansion_*_closed_form, for p = 13 = 1 mod 4.
+    p = 13
+    table = special_linear_group(2, p)
+    labels = conjugacy_classes(table)
+    for mat, expected in (([[1, 1], [0, 1]], (p + 1) * (1 + np.sqrt(p)) / 2),
+                          ([[2, 0], [0, 7]], 2 * p)):
+        ind = (labels == labels[table.index_of(np.array(mat))]).astype(np.float64)
+        assert abs(spectral_norm(table, ind) - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("table", [special_linear_group(2, 5), borel_subgroup(7)],
+                         ids=["sl2_5", "borel_7"])
+def test_isotypic_norm_budget_boundary(table, monkeypatch):
+    mu = np.ones(table.size)
+    columns = table.size // table.p
+    monkeypatch.setenv("PROGMIX_BUDGET", str(columns * table.size - 1))
+    with pytest.raises(BudgetExceededError, match="U-isotypic"):
+        spectral_norm(table, mu)
+    monkeypatch.setenv("PROGMIX_BUDGET", str(columns * table.size))
+    assert spectral_norm(table, mu) < 1e-10
+
+
+@pytest.mark.parametrize("table", [special_linear_group(2, 5), borel_subgroup(7)],
+                         ids=["sl2_5", "borel_7"])
+def test_isotypic_route_builds_no_convolution_matrix(table, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("convolution_matrix was built")
+
+    monkeypatch.setattr(spectral, "convolution_matrix", refuse)
+    mu = np.random.default_rng(10).random(table.size)
+    mu /= mu.sum()
+    assert 0 < spectral_norm(table, mu) < 1
+    assert check_spectral_bounds(table, mu, QuasirandomnessParameter(1.0)).holds
+    assert tt_star_check(table, mu).relative_difference < 1e-9
+
+
+def test_isotypic_norm_memory_stays_below_the_matrix():
+    table = special_linear_group(2, 13)
+    mu = np.random.default_rng(11).random(table.size)
+    spectral_norm(table, mu)  # warm the table caches
+    tracemalloc.start()
+    try:
+        spectral_norm(table, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.size**2 * 8 / 10  # the n x n float matrix would be 38 MB
+
+
+@pytest.mark.parametrize("scale", [-1.0, 1j], ids=["minus_delta", "i_delta"])
+def test_split_bound_counts_the_modulus_of_heavy_atoms(scale):
+    table = special_linear_group(2, 11)
+    mu = np.zeros(table.size, dtype=complex if isinstance(scale, complex) else float)
+    mu[table.index_of(np.array([[1, 1], [0, 1]]))] = scale
+    report = check_spectral_bounds(table, mu, classical_sl2_parameter(11))
+    assert abs(report.norm - 1.0) <= 1e-12
+    assert report.split_bound == pytest.approx(4.0 * 5**-0.5 + 1.0)
+    assert report.holds
