@@ -168,9 +168,10 @@ def cmd_spectral_class(args, report: ExperimentReport) -> None:
 
 
 def cmd_mu_scan(args, report: ExperimentReport) -> None:
-    samples = _parse_samples(args.samples)
-    if samples is None:
-        samples = 50
+    if args.samples == "exact":
+        raise ConfigError("mu-scan has no exact route yet (the mean heavy mass over all n^2 "
+                          "pairs (b, h)); give --samples N, or leave it out for 50")
+    samples = _parse_samples(args.samples) or 50
     for p in _parse_primes(args.primes, args.big):
         table = special_linear_group(2, p)
         est = measures.heavy_mass_mixing_bound(

@@ -26,17 +26,28 @@ the stabiliser of the line through the bottom row, and H g is the line
 through g's bottom row: p + 1 cosets for d = 2, where H is the Borel
 subgroup B and a sweep over all n shifts assembles |B| + p = p^2
 permutations, and p^2 + p + 1 for d = 3, 13 at p = 3, where a sweep
-assembles 432 + 12 = 444 (H's representative is the identity).  Since a
-sweep holds up to 2 n ints per coset, a table is decomposed only when
-(cosets) n is within the enumeration budget, which leaves out SL_3(F_5).
-For the Borel table H is the shear group U, with the p - 1 diagonal
-matrices as representatives, so a sweep over B assembles p + (p - 2) =
-2p - 2.  Every other table gets the trivial decomposition: each g is its own
-h, and the identity is the only representative.  mixing.shift_sums reads the
-decomposition directly and gathers function values through x -> x h and
-x -> x r (it composes x -> x g only for 4-term and non-integer sweeps).
-shift_perms, which yields every shift's permutation as
-rmul_perm(r)[rmul_perm(h)], serves the sheared kernel of borel only.
+assembles 432 + 12 = 444 (H's representative is the identity).  For d = 2
+the other representatives are the Bruhat ones, w u_s = [[0, -1], [1, s]],
+so g = h or g = h w u_s.  Since a sweep holds up to 2 n ints per coset, a
+table is decomposed only when (cosets) n is within the enumeration budget,
+which leaves out SL_3(F_5).  For the Borel table H is the shear group U,
+with the p - 1 diagonal matrices as representatives, so a sweep over B
+assembles p + (p - 2) = 2p - 2.  Every other table gets the trivial
+decomposition: each g is its own h, and the identity is the only
+representative.  mixing.shift_sums reads the decomposition directly and
+gathers function values through x -> x h and x -> x r (it composes x -> x g
+only for 4-term and non-integer sweeps).  shift_perms, which yields every
+shift's permutation as rmul_perm(r)[rmul_perm(h)], serves the sheared kernel
+of borel only.
+
+Bruhat layout.  bruhat_layout puts a full SL_2(F_p) table on a
+(|B|, p + 1) grid, x = c_l b at cell (b, l), with l the line through x's
+first column.  Then x -> x h for h in B is a row take by h's right-regular
+action on B, which `BruhatLayout.rows` computes from B's (t, a) coordinates,
+and x -> x w is one cached index array.  So the 3-term integer sweep of
+mixing.shift_sums assembles no permutation on an SL_2 table.  The layout is
+built on first use and holds three n-element index arrays, 118 KB at p = 17
+and 714 KB at p = 31, and no |B| x |B| array.
 """
 
 from __future__ import annotations
@@ -607,13 +618,15 @@ def coset_decomposition(table) -> CosetDecomposition:
     [[1, s], [0, 1]] g changes only the upper-right entry; its label is t - 1,
     so U has label 0, and its representative is diag(t, t^-1).
 
-    The representative of coset 0 is the identity, and that of every other
-    coset its first element, which is diag(t, t^-1) on the Borel table; the
-    indices of h come from one batched product and lookup per coset.  A
-    sweep over the decomposition holds about 2 (cosets) n ints, so a table
-    is decomposed only when (cosets) n is within the enumeration budget:
-    every SL_2 table up to p = 31 and SL_3(F_3), but not SL_3(F_5), with
-    11.5e6.  Larger tables, and any other table (other subgroups,
+    The representative of coset 0 is the identity.  On a full SL_2 table the
+    other representatives are the Bruhat ones, w u_s = [[0, -1], [1, s]] for
+    the line 1 / s through its bottom row (1, s), and the line p for s = 0;
+    on SL_3 they are each coset's first element, and on the Borel table
+    diag(t, t^-1), also its first element.  The indices of h come from one
+    batched product and lookup per coset.  A sweep over the decomposition
+    holds about 2 (cosets) n ints, so a table is decomposed only when
+    (cosets) n is within the enumeration budget: every SL_2 table up to
+    p = 31 and SL_3(F_3), but not SL_3(F_5), with 11.5e6.  Larger tables, and any other table (other subgroups,
     CyclicTable), get the trivial decomposition: each g is its own h.
     Cached per table, like `conjugacy_classes`, so a later change to the
     budget does not rebuild it; the sums over it are the same either way.
@@ -628,7 +641,12 @@ def coset_decomposition(table) -> CosetDecomposition:
         h = np.arange(n)
     else:
         coset = _bottom_row_lines(table.mats[:, -1], p) if full else table.mats[:, 0, 0] - 1
-        reps = np.unique(coset, return_index=True)[1]
+        if full and d == 2:
+            # w u_s = [[0, -1], [1, s]] has bottom row (1, s), on line 1 / s (p for s = 0).
+            s = [0] + [inv_mod(line, p) for line in range(1, p)] + [0]
+            reps = table.indices_of([[[0, -1], [1, t]] for t in s])
+        else:
+            reps = np.unique(coset, return_index=True)[1]
         reps[0] = table.identity_index
         h = np.empty(n, dtype=np.intp)
         # One coset at a time, so the transient products stay at one coset's size.
@@ -638,6 +656,67 @@ def coset_decomposition(table) -> CosetDecomposition:
     for array in (coset, reps, h):
         array.setflags(write=False)
     return CosetDecomposition(coset, reps, h)
+
+
+@dataclass(frozen=True)
+class BruhatLayout:
+    """The elements of a full SL_2(F_p) table on a (|B|, p + 1) grid.
+
+    Every x is c_l b, with l the line through x's first column and b in the
+    Borel subgroup B, the left coset x B being that line.  Cell (b, l), at
+    flat index b (p + 1) + l, holds x; row b = (t - 1) p + a is
+    [[t, a], [0, t^-1]], and c_l is [[1, 0], [l, 1]] for the line through
+    (1, l) and [[0, -1], [1, 0]] for l = p.  So x -> x h for h in B moves
+    whole rows: a function laid out as f[cells].reshape(|B|, p + 1) composed
+    with it is a row take by `rows(h)`.  The arrays are read-only.
+    """
+
+    p: int
+    cells: np.ndarray  # table index of the element in each flat cell
+    w_fwd: np.ndarray  # flat cell of z w for each flat cell z, w = [[0, -1], [1, 0]]
+    w_back: np.ndarray  # flat cell of z w^-1
+    t: np.ndarray  # upper-left entry of each row of B
+    a: np.ndarray  # upper-right entry of each row of B
+    inverse: np.ndarray  # t^-1 mod p at index t, 0 at 0
+
+    def rows(self, t, a):
+        """Row of b h for each row b, h = [[t, a], [0, t^-1]], from
+        b h = [[t_b t, t_b a + a_b / t], [0, 1 / (t_b t)]].  Scalars give an
+        (|B|,) array; arrays t and a broadcast, with B along a new last axis."""
+        p = self.p
+        t, a = np.asarray(t)[..., None], np.asarray(a)[..., None]
+        return (self.t * t % p - 1) * p + (self.t * a + self.a * self.inverse[t]) % p
+
+
+def _grid_cells(mats: np.ndarray, p: int, inverse: np.ndarray) -> np.ndarray:
+    """Flat `BruhatLayout` cell of each SL_2 matrix [[a, b], [c, d]]: for a != 0
+    it is [[1, 0], [c / a, 1]] [[a, b], [0, 1 / a]], else w [[c, d], [0, -b]]."""
+    a, b, c, d = mats.reshape(-1, 4).T
+    top = a != 0
+    line = np.where(top, c * inverse[a] % p, p)
+    return ((np.where(top, a, c) - 1) * p + np.where(top, b, d)) * (p + 1) + line
+
+
+@lru_cache(maxsize=32)
+def bruhat_layout(table) -> BruhatLayout:
+    """The `BruhatLayout` of a full SL_2(F_p) table, cached per table.
+
+    Three n-element index arrays: 118 KB at p = 17 and 714 KB at p = 31.  No
+    |B| x |B| array is held, because `rows` is O(|B|) arithmetic on B's
+    (t, a) coordinates.
+    """
+    p, n = table.p, table.size
+    inverse = np.array([0] + [inv_mod(t, p) for t in range(1, p)])
+    cells = np.empty(n, dtype=np.intp)
+    cells[_grid_cells(table.mats, p, inverse)] = np.arange(n)
+    laid = table.mats[cells]
+    w = np.array([[0, -1], [1, 0]])
+    w_fwd, w_back = (_grid_cells(laid @ m % p, p, inverse) for m in (w, -w))
+    t, a = np.divmod(np.arange(p * (p - 1)), p)
+    layout = BruhatLayout(p, cells, w_fwd, w_back, t + 1, a, inverse)
+    for array in (cells, w_fwd, w_back, layout.t, layout.a, inverse):
+        array.setflags(write=False)
+    return layout
 
 
 def shift_perms(table, shifts):

@@ -16,14 +16,18 @@ progression at its middle term y = x g, so that
     s[g] = sum_y f_0(y g^-1) f_1(y) f_2(y g) f_3(y g^2),
 
 and writes each shift as g = h r over the table's `coset_decomposition`.
-The permutations x -> x h are assembled once per h and x -> x r once per
-representative r used, so a full SL_2(F_p) sweep assembles p^2 permutations,
-a full SL_3(F_3) sweep 444 and a Borel sweep 2p - 2, rather than one per
-shift; f_0 is scattered through x -> x h once per h.  A 3-term shift with
-integer values then costs two value gathers, in int8 for signs and
-indicators, and composes no index array, and its row is summed in int16 up
-to n = 32767.  The sweep holds at most 2 (used cosets) n ints: 1.4 MB for a
-full sweep of SL_2(F_17) and 1.2 MB for SL_3(F_3).
+A 3-term sweep with integer values on a full SL_2(F_p) table assembles no
+permutation.  It works on the table's `bruhat_layout`, a (|B|, p + 1) grid
+on which x -> x b, for b in the Borel subgroup B, is a row take.  Each shift
+is h or h w u_s, one of the two Bruhat cells, and the shifts that share an h
+are one stacked product of row takes, in int8 for signs and indicators.
+Every other sweep assembles x -> x h once per h and x -> x r once per
+representative r used: p^2 permutations for a 4-term or float SL_2(F_p)
+sweep, 444 for SL_3(F_3) and 2p - 2 for a Borel sweep, rather than one per
+shift.  It scatters f_0 through x -> x h once per h, and a 3-term integer
+shift costs two value gathers and composes no index array.  That sweep holds
+at most 2 (used cosets) n ints: 1.4 MB for SL_2(F_17) and 1.2 MB for
+SL_3(F_3).  Integer rows are summed in int16 up to n = 32767.
 
 The exact average and deviation are two reductions of one sweep
 (`exact_progression_statistics`), and the restricted deviations two
@@ -41,7 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from .budget import OP_BUDGET, charge
-from .groups import coset_decomposition
+from .groups import bruhat_layout, coset_decomposition, table_kind
 
 
 @dataclass
@@ -191,6 +195,11 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
     shift.  Per representative used, the sweep holds R_r^-1 and F_2 for
     3-term integer inputs, and R_r and R_r^-1 otherwise.  Each distinct
     shift is summed once, and a repeated shift copies its sum.
+
+    3-term integer inputs on a decomposed full SL_2(F_p) table take
+    `_bruhat_sums` instead: row takes over the table's `bruhat_layout`, with
+    the representatives w u_s of `coset_decomposition`, and no assembled
+    permutation.  Its sums are the same integers.
     """
     vals = kernel_values(fs)
     shifts = np.arange(table.size) if shifts is None else np.asarray(shifts, dtype=np.intp)
@@ -201,6 +210,9 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
         return np.full(len(shifts), fs[0].values.sum(), dtype=dtype)
     distinct, where = np.unique(shifts, return_inverse=True)
     dec = coset_decomposition(table)
+    if exact and len(vals) == 3 and table_kind(table) == "full" and table.d == 2 \
+            and dec.reps.size > 1:
+        return _bruhat_sums(table, vals, acc, distinct, dec)[where]
     order = np.lexsort((dec.coset[distinct], dec.h[distinct]))
     ordered = distinct[order]
     visits = zip(order.tolist(), dec.h[ordered].tolist(), dec.coset[ordered].tolist())
@@ -234,6 +246,55 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
                 row = row * shifted[0][perm_h]
             sums[j] = row.sum(dtype=acc)
     return sums[where]
+
+
+def _bruhat_sums(table, vals, acc, shifts, dec) -> np.ndarray:
+    """s[g] for 3-term integer inputs on a decomposed full SL_2(F_p) table.
+
+    On the `bruhat_layout` grid, where z -> z b for b in B is a row take,
+    each shift is g = h (coset 0) or g = h w u_s, w u_s the representative
+    of its coset.  Substituting y = z h^-1 in s[g] = sum_y f_0(y g^-1)
+    f_1(y) f_2(y g) gives
+
+        s[h w u_s] = sum_z D_h(z h^-1 u_-s) f_1(z h^-1) G_s(z),
+        s[h] = sum_z E_h(z h^-1) f_1(z h^-1) f_2(z),
+
+    with E_h = f_0 o P_h^-1, D_h = E_h o W^-1 and G_s = f_2 o U_s o W, P_z
+    being x -> x z.  The G_s are laid out once per sweep.  Per h, E_h and
+    f_1 o P_h^-1 are row takes, D_h one full gather, and the rows of all
+    shifts with that h one stacked row take of [D_h; E_h], multiplied and
+    summed in the dtype `acc`.
+    """
+    p, layout = table.p, bruhat_layout(table)
+    nb = p * (p - 1)  # rows of the grid, one per element of B
+    f0, f1, f2 = (v[layout.cells].reshape(nb, p + 1) for v in vals)
+    s = np.arange(p)
+    u_rows, t_rows = layout.rows(1, s), layout.rows(s[1:], 0)  # b u_s and b diag(t, 1 / t)
+    # Layer k < p of a stack is the coset of w u_k, layer p is B itself.
+    layer = table.mats[dec.reps, 1, 1]
+    layer[0] = p
+    g_stack = np.concatenate([f2.take(u_rows, axis=0).reshape(p, -1).take(layout.w_fwd, axis=1),
+                              f2.reshape(1, -1)]).reshape(p + 1, nb, p + 1)
+    de_rows = np.concatenate([u_rows[-s], nb + np.arange(nb)[None]])  # into [D_h; E_h]
+    de = np.empty((2 * nb, p + 1), dtype=f0.dtype)
+    sums = np.empty(len(shifts), dtype=np.int64)
+    hs, ks = dec.h[shifts], layer[dec.coset[shifts]]
+    order = np.argsort(hs, kind="stable")
+    bounds = np.flatnonzero(np.diff(hs[order], prepend=-1, append=-1))  # where h changes
+    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        group = order[start:stop]
+        t, a = table.mats[hs[group[0]], 0]
+        t_inv = layout.inverse[t]
+        # h^-1 = [[1 / t, -a], [0, t]] = u_c diag(1 / t, t) with c = -a / t
+        inv_rows = t_rows[t_inv - 1].take(u_rows[-a * t_inv % p])
+        de[nb:] = f0.take(inv_rows, axis=0)  # E_h
+        de[:nb] = de[nb:].reshape(-1)[layout.w_back].reshape(nb, -1)  # D_h
+        k = ks[group]
+        stack = de.take(de_rows.take(inv_rows, axis=1)[k], axis=0)
+        stack *= f1.take(inv_rows, axis=0)
+        stack *= g_stack[k]
+        sums[group] = stack.reshape(len(k), -1).sum(axis=1, dtype=acc)
+    return sums
 
 
 def progression_average(table=None, fs=None, samples=None, seed=None) -> MixingResult:

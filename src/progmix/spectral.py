@@ -91,8 +91,9 @@ def _isotypic_norm(table, vals: np.ndarray) -> float:
     representation holds a U-fixed vector or a psi_a, and the torus moves
     psi_a within the square class of a, so the reduced norm is the largest
     norm of the blocks of psi_0 (constants projected off), psi_1 and psi_eps,
-    eps a non-square.  Column s is one lmul_perm gather of mu; the k n
-    gathered values are charged first.
+    eps a non-square.  For real mu the psi_0 block is real and takes a real
+    SVD; the other two stay complex.  Column s is one lmul_perm gather of mu;
+    the k n gathered values are charged first.
 
     Row r of `grid` holds w_t y_r, t = 0, .., p - 1, for w_t = [[1, t], [0, 1]]
     and y_r the first element with the r-th bottom row: w_t y keeps y's bottom
@@ -112,7 +113,10 @@ def _isotypic_norm(table, vals: np.ndarray) -> float:
         gathered = vals[table.lmul_perm(int(inv[y]))[order]].reshape(grid.shape)
         blocks[:, :, s] = (gathered @ chars).T
     blocks[0] -= blocks[0].mean(axis=1, keepdims=True)
-    return float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max())
+    # psi_0 has every character value 1, so its block is real for real mu.
+    psi0 = blocks[0] if np.iscomplexobj(vals) else blocks[0].real
+    return float(max(np.linalg.svd(psi0, compute_uv=False)[0],
+                     np.linalg.svd(blocks[1:], compute_uv=False)[:, 0].max()))
 
 
 def _class_sums(labels: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from progmix import mixing
 from progmix.cli import _make_functions, _rng, main
 from progmix.groups import (
     GroupTable,
@@ -106,6 +107,19 @@ def test_mu_scan_bounds_column(capsys):
     assert [float(r[6]) for r in rows] == [5 / 3, 1.0]
 
 
+def test_mu_scan_refuses_exact_samples(capsys):
+    code, out, err = run_cli(capsys, "mu-scan", "--primes", "3", "--samples", "exact")
+    assert code == 2 and out == ""
+    assert "no exact route" in err and "all n^2 pairs (b, h)" in err
+
+
+def test_mu_scan_defaults_to_50_samples(capsys):
+    code, default, _ = run_cli(capsys, "mu-scan", "--primes", "3,5")
+    assert code == 0
+    assert {r[7] for r in parse_csv(default)} == {"50"}
+    assert run_cli(capsys, "mu-scan", "--primes", "3,5", "--samples", "50")[1] == default
+
+
 def test_varieties_trace_counts(capsys):
     code, out, _ = run_cli(capsys, "varieties", "--primes", "5")
     assert code == 0
@@ -185,11 +199,15 @@ def count_rmul_perm(monkeypatch):
 
 def test_exact_mixing3_sweeps_each_prime_once(capsys, monkeypatch):
     calls = count_rmul_perm(monkeypatch)
+    sweeps = []
+    bruhat_sums = mixing._bruhat_sums
+    monkeypatch.setattr(mixing, "_bruhat_sums",
+                        lambda table, *args: sweeps.append(table.p) or bruhat_sums(table, *args))
     assert run_cli(capsys, "mixing3", "--primes", "3,5", "--samples", "exact")[0] == 0
-    # Per prime: one permutation per h in the Borel subgroup, p(p - 1), and one per
-    # representative of the p + 1 cosets B g but the identity.  Building the
-    # decomposition assembles none.
-    assert len(calls) == sum(p * (p - 1) + p for p in (3, 5))
+    # One sweep per prime over the Bruhat layout, whose row takes assemble no
+    # permutation on any table, the full SL_2(F_p) or its Borel subgroup.
+    assert sweeps == [3, 5]
+    assert calls == []
 
 
 def test_mixing4_diag_sweeps_each_shift_once(capsys, monkeypatch):

@@ -8,6 +8,7 @@ from progmix.groups import (
     GroupTable,
     borel_subgroup,
     borel_character,
+    bruhat_layout,
     _as_array,
     _det_many,
     _mul_many,
@@ -275,7 +276,37 @@ def test_coset_decomposition_over_borel(p):
     for gi in range(table.size):
         assert np.array_equal(h[gi] @ r[gi] % p, table.mats[gi])
     assert len(set(zip(dec.h.tolist(), dec.coset.tolist()))) == table.size
+    # Bruhat representatives: w u_s = [[0, -1], [1, s]] for each s, on the line 1 / s
+    s = table.mats[dec.reps[1:], 1, 1]
+    assert sorted(s.tolist()) == list(range(p))
+    for label, rep in enumerate(dec.reps[1:], start=1):
+        want = [[0, p - 1], [1, pow(label, -1, p) if label < p else 0]]
+        assert table.mats[rep].tolist() == want
     assert coset_decomposition(table) is dec
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_bruhat_layout_matches_permutations(p):
+    table = special_linear_group(2, p)
+    layout = bruhat_layout(table)
+    n, nb = table.size, p * (p - 1)
+    assert sorted(layout.cells.tolist()) == list(range(n))
+    cell = np.empty(n, dtype=np.intp)
+    cell[layout.cells] = np.arange(n)
+    # every element is c_l b, l the line through its first column
+    laid = table.mats[layout.cells].reshape(nb, p + 1, 2, 2)
+    b = np.array([[[t, a], [0, pow(t, -1, p)]] for t in range(1, p) for a in range(p)])
+    lines = [[[1, 0], [l, 1]] for l in range(p)] + [[[0, -1], [1, 0]]]
+    assert np.array_equal(laid, np.einsum("lij,bjk->blik", np.array(lines), b) % p)
+    w = table.index_of(np.array([[0, -1], [1, 0]]))
+    for array, z in ((layout.w_fwd, w), (layout.w_back, int(table.inv_perm()[w]))):
+        assert np.array_equal(array, cell[table.rmul_perm(z)[layout.cells]])
+    # x -> x h for h in B is the row take by rows(h)
+    values = np.arange(n)
+    for h in np.flatnonzero(table.mats[:, 1, 0] == 0):
+        moved = values[layout.cells].reshape(nb, p + 1).take(layout.rows(*table.mats[h, 0]), axis=0)
+        assert np.array_equal(moved.ravel(), values[table.rmul_perm(int(h))][layout.cells])
+    assert not layout.cells.flags.writeable and bruhat_layout(table) is layout
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

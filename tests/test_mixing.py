@@ -372,10 +372,10 @@ def cayley_step(table):
     return lambda x, g: index[tuple((table.mats[x] @ table.mats[g] % table.p).ravel())]
 
 
-def brute_shift_sums(table, values):
+def brute_shift_sums(table, values, shifts=None):
     step = cayley_step(table)
     sums = []
-    for g in range(table.size):
+    for g in range(table.size) if shifts is None else shifts:
         total = 0
         for x in range(table.size):
             prod, y = values[0][x], x
@@ -660,6 +660,58 @@ def shift_problems(draw):
 @given(shift_problems())
 def test_composed_shift_sums_property(problem):
     assert_same_sums(*problem)
+
+
+# Tops of |f_0|, |f_1|, |f_2| whose product puts the kernel in int8, int16,
+# int32 and int64 (`kernel_values`), with row sums in int16, int32 and int64
+# (`sum_dtype`) across n = 24, 120 and 336.
+BRUHAT_TOPS = [(1, 1, 1), (5, 5, 5), (6, 5, 5), (181, 181, 1), (2**15, 2**10, 1),
+               (2**20, 2**10, 1), (2**16, 2**16, 1)]
+
+
+@st.composite
+def bruhat_problems(draw):
+    """SL_2(F_p), p in {3, 5, 7}, three integer functions with the tops of one
+    of BRUHAT_TOPS, and a shift array: every shift, the diagonalisable set,
+    shifts inside B only (coset 0), or an unsorted array with repeats."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    table = special_linear_group(2, p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fs = []
+    for top in draw(st.sampled_from(BRUHAT_TOPS)):
+        values = rng.integers(-top, top + 1, table.size)
+        values[rng.integers(table.size)] = top * rng.choice([-1, 1])
+        fs.append(GroupFunction(values, table))
+    kind = draw(st.sampled_from(["all", "diagonalisable", "coset 0", "unsorted"]))
+    if kind == "all":
+        return table, fs, None
+    if kind == "diagonalisable":
+        return table, fs, table.indices_of(diagonalisable_set(p).mats)
+    members = np.flatnonzero(coset_decomposition(table).coset == 0) if kind == "coset 0" \
+        else np.arange(table.size)
+    shifts = np.array(draw(st.lists(st.sampled_from(members.tolist()), max_size=40)), dtype=np.intp)
+    return table, fs, np.concatenate([shifts, shifts[::-2]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(bruhat_problems())
+def test_bruhat_shift_sums_property(problem):
+    # 3-term integer sweeps of SL_2(F_p) take row takes over the Bruhat layout
+    # and assemble no permutation; they match the one-permutation-per-shift
+    # loop bit for bit, and brute-force multiplication at p in {3, 5}.
+    table, fs, shifts = problem
+
+    def no_permutation(*args):
+        raise AssertionError("the Bruhat route assembles no permutation")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GroupTable, "rmul_perm", no_permutation)
+        got = shift_sums(table, fs, shifts)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, direct_shift_sums(table, fs, shifts))
+    if table.p < 7:
+        values = [f.values.tolist() for f in fs]
+        assert got.tolist() == brute_shift_sums(table, values, shifts)
 
 
 @st.composite

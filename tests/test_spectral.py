@@ -328,6 +328,18 @@ def test_isotypic_norm_matches_full_svd_property(p, borel, complex_mu, seed):
     assert abs(spectral_norm(table, mu) - svd) <= 1e-12 * svd
 
 
+@pytest.mark.parametrize("borel", [False, True])
+@pytest.mark.parametrize("p", [5, 7])
+def test_isotypic_norm_real_psi0_block_matches_complex(p, borel):
+    # Real mu takes the psi_0 block's SVD in float64; the same mu as a complex
+    # array takes the complex SVD of all three blocks.
+    table = borel_subgroup(p) if borel else special_linear_group(2, p)
+    rng = np.random.default_rng([p, borel])
+    for mu in (rng.standard_normal(table.size), (rng.random(table.size) < 0.3) * 1.0):
+        real, complex_ = spectral_norm(table, mu), spectral_norm(table, mu + 0j)
+        assert abs(real - complex_) <= 1e-12 * complex_
+
+
 @pytest.mark.parametrize("p", [11, 13])
 def test_isotypic_norm_matches_class_algebra_on_every_class(p):
     table = special_linear_group(2, p)
