@@ -46,8 +46,8 @@ first column.  Then x -> x h for h in B is a row take by h's right-regular
 action on B, which `BruhatLayout.rows` computes from B's (t, a) coordinates,
 and x -> x w is one cached index array.  So the 3-term integer sweep of
 mixing.shift_sums assembles no permutation on an SL_2 table.  The layout is
-built on first use and holds three n-element index arrays, 118 KB at p = 17
-and 714 KB at p = 31, and no |B| x |B| array.
+built on first use and holds three n-element index arrays and B's
+coordinates, 122 KB at p = 17 and 729 KB at p = 31, and no |B| x |B| array.
 """
 
 from __future__ import annotations
@@ -701,9 +701,9 @@ def _grid_cells(mats: np.ndarray, p: int, inverse: np.ndarray) -> np.ndarray:
 def bruhat_layout(table) -> BruhatLayout:
     """The `BruhatLayout` of a full SL_2(F_p) table, cached per table.
 
-    Three n-element index arrays: 118 KB at p = 17 and 714 KB at p = 31.  No
-    |B| x |B| array is held, because `rows` is O(|B|) arithmetic on B's
-    (t, a) coordinates.
+    Three n-element index arrays and B's coordinates: 122 KB at p = 17 and
+    729 KB at p = 31.  No |B| x |B| array is held, because `rows` is O(|B|)
+    arithmetic on B's (t, a) coordinates.
     """
     p, n = table.p, table.size
     inverse = np.array([0] + [inv_mod(t, p) for t in range(1, p)])
