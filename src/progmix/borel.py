@@ -34,7 +34,7 @@ from . import mixing
 from .budget import OP_BUDGET, charge
 from .fields import inv_mod
 from .fourier import dft
-from .groups import GroupTable, borel_subgroup, shift_perms, unipotent_subgroup
+from .groups import GroupTable, borel_coordinates, borel_subgroup, unipotent_subgroup
 
 
 @dataclass
@@ -48,32 +48,28 @@ class BorelContext:
     pi_values: np.ndarray  # lower-right entry per element of `group`
     upper_left: np.ndarray  # upper-left entry per element of `group`
     shear_mul_index: np.ndarray  # (p, |B|): index of shear(a) * x in `group`
-    shear_index: np.ndarray  # a -> index of shear(a) inside `unipotent`
     pi_section: np.ndarray  # t -> index in `group` of a diagonal x with pi(x) = t
 
 
 @lru_cache(maxsize=16)
 def borel_context(p: int) -> BorelContext:
-    group = borel_subgroup(p)
-    unip = unipotent_subgroup(p)
-    unip_idx = group.indices_of(unip.mats)
-    pi_values = group.mats[:, 1, 1].copy()
-    upper_left = group.mats[:, 0, 0].copy()
-    shears = np.array([[[1, a], [0, 1]] for a in range(p)])
-    shear_mul = np.stack([group.lmul_perm(int(g)) for g in group.indices_of(shears)])
-    shear_idx = unip.indices_of(shears)
-    section = np.zeros(p, dtype=np.int64)
-    for t in range(1, p):
-        section[t] = group.index_of(np.array([[inv_mod(t, p), 0], [0, t]]))
+    """The context of B(F_p), every index array a closed form in B's
+    `borel_coordinates`, where element (t - 1) p + a is [[t, a], [0, t^-1]]:
+    shear(s) x = [[t, a + s / t], [0, t^-1]], the shears are t = 1, and
+    diag(1 / t, t) is element (1 / t - 1) p."""
+    coords = borel_coordinates(p)
+    t, a, inverse = coords.t, coords.a, coords.inverse
+    s = np.arange(p)
+    section = (inverse - 1) * p
+    section[0] = 0
     return BorelContext(
         p=p,
-        group=group,
-        unipotent=unip,
-        unipotent_indices=unip_idx,
-        pi_values=pi_values,
-        upper_left=upper_left,
-        shear_mul_index=shear_mul,
-        shear_index=shear_idx,
+        group=borel_subgroup(p),
+        unipotent=unipotent_subgroup(p),
+        unipotent_indices=s,
+        pi_values=inverse[t],
+        upper_left=t,
+        shear_mul_index=(t - 1) * p + (a + s[:, None] * inverse[t]) % p,
         pi_section=section,
     )
 
@@ -99,34 +95,33 @@ def smoothing_gap(ctx: BorelContext, fs) -> float:
 def _sheared_layers(ctx: BorelContext, fs):
     """Per-shift blocks of the shear-coordinate form of the 4-term average.
 
-    Yields (gi, block) for every shift g = element gi, in the order of
-    `shift_perms`, which composes the permutations x -> x g over the shear
-    cosets of B.  Block g has entry ((a, b), x) = prod_i f_i(psi(a + c_i b)
-    x g^i), with c_i = 1 + w + .. + w^(i-1) and w = t^2 for the upper-left
-    entry t of g.  Each f_i is gathered once onto the shear cosets, F_i[a, x]
-    = f_i(psi(a) x); the row indices a + c_i b depend only on w, so they are
-    built once per dilation, at most (p - 1) / 2 of them.  Per shift, the
-    columns x -> x g^i are gathered at p x n, the rows at p^2 x n, and
-    multiplied into one reused buffer, in the dtype of `mixing.kernel_values`.
+    Yields one block for every shift g, in index order.  Block g has entry
+    ((a, b), x) = prod_i f_i(psi(a + c_i b) x g^i), with
+    c_i = 1 + w + .. + w^(i-1) and w = t^2 for the upper-left entry t of g.
+    Each f_i is gathered once onto the shear cosets, F_i[a, x] =
+    f_i(psi(a) x).  The permutations x -> x g are index arithmetic on B's
+    coordinates, `BorelCoordinates.rows`, one p x n array per upper-left
+    entry t, and the row indices a + c_i b, which depend only on t, are built
+    with them; no permutation is assembled.  Per shift, the columns
+    x -> x g^i are gathered at p x n, the rows at p^2 x n, and multiplied
+    into one reused buffer, in the dtype of `mixing.kernel_values`.
     """
     p = ctx.p
     a_row, b_row = np.indices((p, p)).reshape(2, -1)  # all p^2 pairs (a, b)
     on_cosets = [v[ctx.shear_mul_index] for v in mixing.kernel_values(fs)]  # F_i, p x n
     t0 = on_cosets[0][a_row]
     block = np.empty(t0.shape, dtype=np.result_type(*on_cosets))  # reused for every shift
-    rows = {}  # w -> the row indices a + c_i b of each factor i >= 1
-    for gi, perm in shift_perms(ctx.group, np.arange(ctx.group.size)):
-        w = int(ctx.upper_left[gi]) ** 2 % p
-        if w not in rows:
-            rows[w], c = [], 1
-            for _ in on_cosets[1:]:
-                rows[w].append((a_row + c * b_row) % p)
-                c = (1 + w * c) % p
-        lhs, cursor = t0, perm
-        for f_i, r in zip(on_cosets[1:], rows[w]):
-            np.multiply(lhs, np.take(f_i[:, cursor], r, axis=0), out=block)
-            lhs, cursor = block, perm[cursor]
-        yield gi, block
+    for t in range(1, p):
+        w, rows, c = t * t % p, [], 1  # rows: the row indices a + c_i b of each factor i >= 1
+        for _ in on_cosets[1:]:
+            rows.append((a_row + c * b_row) % p)
+            c = (1 + w * c) % p
+        for perm in borel_coordinates(p).rows(t, np.arange(p)):  # g = [[t, a], [0, 1 / t]]
+            lhs, cursor = t0, perm
+            for f_i, r in zip(on_cosets[1:], rows):
+                np.multiply(lhs, np.take(f_i[:, cursor], r, axis=0), out=block)
+                lhs, cursor = block, perm[cursor]
+            yield block
 
 
 def sheared_average(ctx: BorelContext, fs) -> float | Fraction:
@@ -137,9 +132,7 @@ def sheared_average(ctx: BorelContext, fs) -> float | Fraction:
     result agrees with the plain four-term average identically.  Integer
     inputs give the exact Fraction, each p^2 x n block summed in the narrow
     dtype of `mixing.sum_dtype`; other inputs give a float (complex for
-    complex input).  The block sums are stored by shift index and added in
-    that order, so the float result does not depend on the order in which
-    the shifts are visited.
+    complex input).  The block sums are added in shift-index order.
     """
     if len(fs) != 4:
         raise ValueError("need exactly four functions")
@@ -147,10 +140,7 @@ def sheared_average(ctx: BorelContext, fs) -> float | Fraction:
     charge(4 * n * n * p * p, OP_BUDGET, "shear-coordinate 4-term average")
     exact = all(f.is_integer_valued for f in fs)
     acc = mixing.sum_dtype(fs, p * p * n)
-    sums = np.empty(n, dtype=np.int64 if exact else acc)
-    for gi, block in _sheared_layers(ctx, fs):
-        sums[gi] = block.sum(dtype=acc)
-    total = sum(sums.tolist())  # Python numbers, in shift-index order
+    total = sum(block.sum(dtype=acc).item() for block in _sheared_layers(ctx, fs))
     scale = n * n * p * p
     return Fraction(total, scale) if exact else total / scale
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import borel as borel_mod
 from . import measures, mixing, spectral, szemeredi
 from .budget import BudgetExceededError
-from .fields import is_prime, is_square_mod
+from .fields import is_prime, squares_mod
 from .groups import (
     borel_subgroup,
     centralizer,
@@ -249,25 +249,16 @@ def cmd_varieties(args, report: ExperimentReport) -> None:
         report.add("varieties", "trace_minus_two_count", int(np.sum(tr == p - 2)),
                    bound=float(p * p), **common)
         lang_weil = p + 2 * np.sqrt(p) + 1
-        split_size = None
-        nonsplit_size = None
-        for i in range(table.size):
-            t = int(tr[i])
-            if t in (2, p - 2):
-                continue
-            disc = (t * t - 4) % p
-            if split_size is None and is_square_mod(disc, p) and disc != 0:
-                split_size = centralizer(table, table.mats[i]).size
-            if nonsplit_size is None and not is_square_mod(disc, p):
-                nonsplit_size = centralizer(table, table.mats[i]).size
-            if split_size is not None and nonsplit_size is not None:
-                break
-        if split_size is not None:
-            report.add("varieties", "split_centralizer_size", split_size,
-                       bound=lang_weil, **common)
-        if nonsplit_size is not None:
-            report.add("varieties", "nonsplit_centralizer_size", nonsplit_size,
-                       bound=lang_weil, **common)
+        # tr^2 - 4 is 0 exactly at tr = +-2, a nonzero square for a split
+        # regular element and a non-square for a non-split one.
+        square = np.isin((tr * tr - 4) % p, list(squares_mod(p)))
+        regular = (tr != 2) & (tr != p - 2)
+        for statistic, mask in (("split_centralizer_size", regular & square),
+                                ("nonsplit_centralizer_size", ~square)):
+            first = np.flatnonzero(mask)[:1]  # the element of smallest index
+            if first.size:
+                size = centralizer(table, table.mats[first[0]]).size
+                report.add("varieties", statistic, size, bound=lang_weil, **common)
         sizes = borel_mod.conic_sizes(p)
         report.add("varieties", "conic_size_min", int(sizes.min()), bound=lang_weil, **common)
         report.add("varieties", "conic_size_max", int(sizes.max()), bound=lang_weil, **common)

@@ -28,26 +28,28 @@ subgroup B and a sweep over all n shifts assembles |B| + p = p^2
 permutations, and p^2 + p + 1 for d = 3, 13 at p = 3, where a sweep
 assembles 432 + 12 = 444 (H's representative is the identity).  For d = 2
 the other representatives are the Bruhat ones, w u_s = [[0, -1], [1, s]],
-so g = h or g = h w u_s.  Since a sweep holds up to 2 n ints per coset, a
+so g = h or g = h w u_s.  Since a sweep holds up to 3 n values per coset, a
 table is decomposed only when (cosets) n is within the enumeration budget,
 which leaves out SL_3(F_5).  For the Borel table H is the shear group U,
 with the p - 1 diagonal matrices as representatives, so a sweep over B
 assembles p + (p - 2) = 2p - 2.  Every other table gets the trivial
 decomposition: each g is its own h, and the identity is the only
-representative.  mixing.shift_sums reads the decomposition directly and
-gathers function values through x -> x h and x -> x r (it composes x -> x g
-only for 4-term and non-integer sweeps).  shift_perms, which yields every
-shift's permutation as rmul_perm(r)[rmul_perm(h)], serves the sheared kernel
-of borel only.
+representative.  mixing.shift_sums is the one sweep over the decomposition.
+
+The Borel subgroup.  B = {[[t, a], [0, t^-1]]}, and its element
+[[t, a], [0, t^-1]] has index (t - 1) p + a, which is the sorted order of
+its keys.  borel_coordinates holds t, a and t^-1 for every index, so
+x -> x h for h in B is index arithmetic, `BorelCoordinates.rows`, with no
+lookup and no assembled permutation.  borel_subgroup is built from these
+coordinates, and the sheared kernel of borel walks B's shifts through them.
 
 Bruhat layout.  bruhat_layout puts a full SL_2(F_p) table on a
 (|B|, p + 1) grid, x = c_l b at cell (b, l), with l the line through x's
-first column.  Then x -> x h for h in B is a row take by h's right-regular
-action on B, which `BruhatLayout.rows` computes from B's (t, a) coordinates,
-and x -> x w is one cached index array.  So the 3-term integer sweep of
-mixing.shift_sums assembles no permutation on an SL_2 table.  The layout is
-built on first use and holds three n-element index arrays and B's
-coordinates, 122 KB at p = 17 and 729 KB at p = 31, and no |B| x |B| array.
+first column.  Then x -> x h for h in B is a row take by
+`BorelCoordinates.rows`, and x -> x w is one cached index array.  So the
+3-term integer sweep of mixing.shift_sums assembles no permutation on an
+SL_2 table.  The layout is built on first use and holds three n-element
+index arrays, 118 KB at p = 17 and 714 KB at p = 31, and no |B| x |B| array.
 """
 
 from __future__ import annotations
@@ -395,16 +397,52 @@ def special_linear_group(d: int, p: int) -> GroupTable:
     return table
 
 
+@dataclass(frozen=True)
+class BorelCoordinates:
+    """t, a and t^-1 at every index of the Borel subgroup B of SL_2(F_p).
+
+    Since b h = [[t_b t, t_b a + a_b / t], [0, 1 / (t_b t)]], right
+    multiplication by h is index arithmetic on the coordinates of b.  The
+    arrays are read-only.
+    """
+
+    p: int
+    t: np.ndarray  # upper-left entry of each element of B
+    a: np.ndarray  # upper-right entry of each element of B
+    inverse: np.ndarray  # t^-1 mod p at index t, 0 at 0
+
+    def rows(self, t, a):
+        """Index of b h for each b in B, h = [[t, a], [0, t^-1]]: the index
+        array of x -> x h.  Scalars give an (|B|,) array; arrays t and a
+        broadcast, with B along a new last axis."""
+        p = self.p
+        t, a = np.asarray(t)[..., None], np.asarray(a)[..., None]
+        return (self.t * t % p - 1) * p + (self.t * a + self.a * self.inverse[t]) % p
+
+
+@lru_cache(maxsize=32)
+def borel_coordinates(p: int) -> BorelCoordinates:
+    """The `BorelCoordinates` of B(F_p), cached per prime: 3 |B| + p ints."""
+    check_odd_prime(p)
+    inverse = np.array([0] + [inv_mod(t, p) for t in range(1, p)])
+    t, a = np.divmod(np.arange(p * (p - 1)), p)
+    coords = BorelCoordinates(p, t + 1, a, inverse)
+    for array in (coords.t, coords.a, inverse):
+        array.setflags(write=False)
+    return coords
+
+
 @lru_cache(maxsize=32)
 def borel_subgroup(p: int) -> GroupTable:
-    """Upper-triangular matrices in SL_2(F_p); order p(p-1)."""
-    check_odd_prime(p)
-    mats = []
-    for t in range(1, p):
-        t_inv = inv_mod(t, p)
-        for a in range(p):
-            mats.append([[t, a], [0, t_inv]])
-    return GroupTable(np.array(mats, dtype=np.int64), p, "borel", check_group=True)
+    """Upper-triangular matrices in SL_2(F_p), order p (p - 1), built from
+    `borel_coordinates`, in their index order."""
+    coords = borel_coordinates(p)
+    mats = np.zeros((p * (p - 1), 2, 2), dtype=np.int64)
+    mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1] = coords.t, coords.a, coords.inverse[coords.t]
+    table = GroupTable(mats, p, "borel", check_group=True)
+    if not np.array_equal(table.mats, mats):
+        raise AssertionError("the (t, a) order of B is not its sorted order")
+    return table
 
 
 @lru_cache(maxsize=32)
@@ -624,10 +662,12 @@ def coset_decomposition(table) -> CosetDecomposition:
     on SL_3 they are each coset's first element, and on the Borel table
     diag(t, t^-1), also its first element.  The indices of h come from one
     batched product and lookup per coset.  A sweep over the decomposition
-    holds about 2 (cosets) n ints, so a table is decomposed only when
-    (cosets) n is within the enumeration budget: every SL_2 table up to
-    p = 31 and SL_3(F_3), but not SL_3(F_5), with 11.5e6.  Larger tables, and any other table (other subgroups,
-    CyclicTable), get the trivial decomposition: each g is its own h.
+    holds up to 3 (cosets) n values, R_r^-1, f_2 o R_r and, when it composes
+    x -> x g, R_r (see mixing.shift_sums), so a table is decomposed only
+    when (cosets) n is within the enumeration budget: every SL_2 table up to
+    p = 31 and SL_3(F_3), but not SL_3(F_5), with 11.5e6.  Larger tables,
+    and any other table (other subgroups, CyclicTable), get the trivial
+    decomposition: each g is its own h.
     Cached per table, like `conjugacy_classes`, so a later change to the
     budget does not rebuild it; the sums over it are the same either way.
     """
@@ -664,28 +704,17 @@ class BruhatLayout:
 
     Every x is c_l b, with l the line through x's first column and b in the
     Borel subgroup B, the left coset x B being that line.  Cell (b, l), at
-    flat index b (p + 1) + l, holds x; row b = (t - 1) p + a is
-    [[t, a], [0, t^-1]], and c_l is [[1, 0], [l, 1]] for the line through
+    flat index b (p + 1) + l, holds x; row b is element b of B in the order
+    of `borel_coordinates`, and c_l is [[1, 0], [l, 1]] for the line through
     (1, l) and [[0, -1], [1, 0]] for l = p.  So x -> x h for h in B moves
     whole rows: a function laid out as f[cells].reshape(|B|, p + 1) composed
-    with it is a row take by `rows(h)`.  The arrays are read-only.
+    with it is a row take by `borel_coordinates(p).rows(h)`.  The arrays are
+    read-only.
     """
 
-    p: int
     cells: np.ndarray  # table index of the element in each flat cell
     w_fwd: np.ndarray  # flat cell of z w for each flat cell z, w = [[0, -1], [1, 0]]
     w_back: np.ndarray  # flat cell of z w^-1
-    t: np.ndarray  # upper-left entry of each row of B
-    a: np.ndarray  # upper-right entry of each row of B
-    inverse: np.ndarray  # t^-1 mod p at index t, 0 at 0
-
-    def rows(self, t, a):
-        """Row of b h for each row b, h = [[t, a], [0, t^-1]], from
-        b h = [[t_b t, t_b a + a_b / t], [0, 1 / (t_b t)]].  Scalars give an
-        (|B|,) array; arrays t and a broadcast, with B along a new last axis."""
-        p = self.p
-        t, a = np.asarray(t)[..., None], np.asarray(a)[..., None]
-        return (self.t * t % p - 1) * p + (self.t * a + self.a * self.inverse[t]) % p
 
 
 def _grid_cells(mats: np.ndarray, p: int, inverse: np.ndarray) -> np.ndarray:
@@ -701,50 +730,20 @@ def _grid_cells(mats: np.ndarray, p: int, inverse: np.ndarray) -> np.ndarray:
 def bruhat_layout(table) -> BruhatLayout:
     """The `BruhatLayout` of a full SL_2(F_p) table, cached per table.
 
-    Three n-element index arrays and B's coordinates: 122 KB at p = 17 and
-    729 KB at p = 31.  No |B| x |B| array is held, because `rows` is O(|B|)
-    arithmetic on B's (t, a) coordinates.
+    Three n-element index arrays: 118 KB at p = 17 and 714 KB at p = 31.
+    No |B| x |B| array is held, because x -> x h for h in B is the O(|B|)
+    arithmetic of `BorelCoordinates.rows`.
     """
     p, n = table.p, table.size
-    inverse = np.array([0] + [inv_mod(t, p) for t in range(1, p)])
+    inverse = borel_coordinates(p).inverse
     cells = np.empty(n, dtype=np.intp)
     cells[_grid_cells(table.mats, p, inverse)] = np.arange(n)
     laid = table.mats[cells]
     w = np.array([[0, -1], [1, 0]])
     w_fwd, w_back = (_grid_cells(laid @ m % p, p, inverse) for m in (w, -w))
-    t, a = np.divmod(np.arange(p * (p - 1)), p)
-    layout = BruhatLayout(p, cells, w_fwd, w_back, t + 1, a, inverse)
-    for array in (cells, w_fwd, w_back, layout.t, layout.a, inverse):
+    for array in (cells, w_fwd, w_back):
         array.setflags(write=False)
-    return layout
-
-
-def shift_perms(table, shifts):
-    """Yield (j, perm) with perm the index array of x -> x g_j, once for each
-    position j of the shift index array `shifts` (repeats included).
-
-    The shifts are visited grouped by h in their `coset_decomposition`
-    g = h r: `table.rmul_perm` assembles x -> x h once per h and x -> x r
-    once per representative used, and x -> x g is the gather of the second
-    by the first (none for the identity representative).  That is the same
-    index array as `table.rmul_perm(g)`.  The representative permutations
-    are held for the whole sweep, at most (number of cosets) * n ints.  A
-    yielded array may be yielded again, so it must not be written to.
-    """
-    shifts = np.asarray(shifts, dtype=np.intp)
-    dec = coset_decomposition(table)
-    hs, cosets = dec.h[shifts], dec.coset[shifts]
-    rep_perms = {}  # coset label -> x -> x r for its representative r
-    h_done = perm_h = None
-    for j in np.lexsort((cosets, hs)):
-        if hs[j] != h_done:
-            h_done, perm_h = hs[j], table.rmul_perm(int(hs[j]))
-        perm, r = perm_h, int(cosets[j])
-        if r:
-            if r not in rep_perms:
-                rep_perms[r] = table.rmul_perm(int(dec.reps[r]))
-            perm = rep_perms[r][perm_h]
-        yield int(j), perm
+    return BruhatLayout(cells, w_fwd, w_back)
 
 
 @lru_cache(maxsize=32)

@@ -24,10 +24,12 @@ are one stacked product of row takes, in int8 for signs and indicators.
 Every other sweep assembles x -> x h once per h and x -> x r once per
 representative r used: p^2 permutations for a 4-term or float SL_2(F_p)
 sweep, 444 for SL_3(F_3) and 2p - 2 for a Borel sweep, rather than one per
-shift.  It scatters f_0 through x -> x h once per h, and a 3-term integer
-shift costs two value gathers and composes no index array.  That sweep holds
-at most 2 (used cosets) n ints: 1.4 MB for SL_2(F_17) and 1.2 MB for
-SL_3(F_3).  Integer rows are summed in int16 up to n = 32767.
+shift.  It scatters f_0 through x -> x h once per h.  Each representative r
+holds x -> x r^-1 and f_2 composed with x -> x r, so f_0 and f_2 cost one
+value gather each per shift, and x -> x g is composed only for f_3 and for
+the x-order sum of float rows.  That sweep holds at most 3 (used cosets) n
+values: 2.1 MB for SL_2(F_17) and 1.8 MB for SL_3(F_3).  Integer rows are
+summed in int16 up to n = 32767.
 
 The exact average and deviation are two reductions of one sweep
 (`exact_progression_statistics`), and the restricted deviations two
@@ -45,7 +47,9 @@ from fractions import Fraction
 import numpy as np
 
 from .budget import OP_BUDGET, charge
-from .groups import bruhat_layout, coset_decomposition, table_kind
+from .groups import borel_coordinates, bruhat_layout, coset_decomposition, table_kind
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass
@@ -53,7 +57,8 @@ class GroupFunction:
     """A dense function on the elements of a group table.
 
     Integer values are held as int64, the dtype in which every exact route
-    multiplies and sums them, so narrower integer input cannot overflow there.
+    multiplies and sums them, so narrower integer input cannot overflow there;
+    unsigned values above the int64 maximum are refused, not wrapped.
     """
 
     values: np.ndarray
@@ -62,6 +67,8 @@ class GroupFunction:
     def __post_init__(self):
         self.values = np.asarray(self.values)
         if self.is_integer_valued:
+            if self.values.dtype.kind == "u" and int(self.values.max(initial=0)) > INT64_MAX:
+                raise ValueError("integer values above the int64 maximum")
             self.values = self.values.astype(np.int64, copy=False)
         if len(self.values) != self.table.size:
             raise ValueError("value array does not match the table size")
@@ -138,6 +145,11 @@ def _product_bound(fs) -> int:
 
 
 def _narrowest(bound: int, types):
+    """The first of types, else int64, that holds bound; raises ValueError
+    when not even int64 does, since an exact sum would wrap."""
+    if bound > INT64_MAX:
+        raise ValueError(f"integer inputs too large to sum exactly: a bound of {bound} "
+                         f"exceeds the int64 maximum")
     return next((t for t in types if bound <= np.iinfo(t).max), np.int64)
 
 
@@ -160,8 +172,9 @@ def sum_dtype(fs, length: int):
 
     For integer-valued fs it is the narrowest of int16, int32 and int64 that
     holds length times the largest product, so every such sum is exact: int16
-    for a row of signs up to n = 32767.  Other inputs are summed in their
-    float or complex result type.
+    for a row of signs up to n = 32767.  It raises ValueError when length
+    times the largest product exceeds the int64 maximum.  Other inputs are
+    summed in their float or complex result type.
     """
     if not _exact_inputs(fs):
         return np.result_type(*(f.values for f in fs), np.float64)
@@ -180,21 +193,19 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
     `coset_decomposition` g = h r.  Write P_z for the permutation x -> x z,
     so P_g = R_r[P_h] with R_r = P_r.  Per h the sweep assembles P_h and
     scatters A_h[P_h] = f_0, so that A_h(z) = f_0(z h^-1); per
-    representative r used it assembles R_r and scatters its inverse, so
-    f_0(y g^-1) = A_h[R_r^-1].  Coset 0 (by its label), whose representative
-    is the identity, skips the R_r gathers.  A 3-term shift with integer
-    values also holds F_2 = f_2[R_r] per representative, so f_2(y g) =
-    F_2[P_h]: two value gathers and no composed index array.  4-term and
-    non-integer shifts compose P_g and take f_2(y g) = f_2[P_g] and
-    f_3(y g^2) = f_3[P_g][P_g].  Each point's product is taken as
+    representative r used it assembles R_r, scatters its inverse, so that
+    f_0(y g^-1) = A_h[R_r^-1], and gathers F_2 = f_2[R_r], so that
+    f_2(y g) = F_2[P_h].  Coset 0 (by its label), whose representative is
+    the identity, skips the R_r gathers.  P_g is composed only for a 4-term
+    shift, whose f_3(y g^2) = f_3[P_g][P_g], and for non-integer inputs,
+    whose rows are gathered back into x-order (row[P_g]) before the sum, so
+    every float sum is bit-identical to the one over x with a fresh
+    `table.rmul_perm(g)` per shift.  Each point's product is taken as
     ((f_0 f_1) f_2) f_3, as in the sum over x.  Integer inputs are
     multiplied in the narrow dtype of `kernel_values` and each row is summed
-    in y-order in the narrow dtype of `sum_dtype`; other inputs are gathered
-    back into x-order (row[P_g]) before the sum, so every float sum is
-    bit-identical to the one over x with a fresh `table.rmul_perm(g)` per
-    shift.  Per representative used, the sweep holds R_r^-1 and F_2 for
-    3-term integer inputs, and R_r and R_r^-1 otherwise.  Each distinct
-    shift is summed once, and a repeated shift copies its sum.
+    in y-order in the narrow dtype of `sum_dtype`.  Per representative used,
+    the sweep holds R_r^-1 and F_2, and R_r only when it composes P_g.  Each
+    distinct shift is summed once, and a repeated shift copies its sum.
 
     3-term integer inputs on a decomposed full SL_2(F_p) table take
     `_bruhat_sums` instead: row takes over the table's `bruhat_layout`, with
@@ -216,10 +227,10 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
     order = np.lexsort((dec.coset[distinct], dec.h[distinct]))
     ordered = distinct[order]
     visits = zip(order.tolist(), dec.h[ordered].tolist(), dec.coset[ordered].tolist())
-    f0, f1, later = vals[0], vals[1], vals[2:]
-    composed = len(vals) == 4 or not exact  # the rows that compose P_g = R_r[P_h]
+    f0, f1, f2, f3 = vals + [None] * (4 - len(vals))
+    composed = f3 is not None or not exact  # the rows that need P_g = R_r[P_h]
     identity = np.arange(table.size)
-    reps = {0: (None, None, later)}  # coset label -> R_r if composed, R_r^-1, f_2[R_r] if not
+    reps = {0: (None, None, f2)}  # coset label -> R_r if composed, R_r^-1, f_2 o R_r
     a_h = np.empty_like(f0)  # A_h(z) = f_0(z h^-1)
     sums = np.empty(len(distinct), dtype=dtype)
     h_done = None
@@ -231,20 +242,17 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
             r_perm = table.rmul_perm(int(dec.reps[label]))
             r_inv = np.empty_like(r_perm)
             r_inv[r_perm] = identity
-            reps[label] = (r_perm, r_inv, []) if composed else (None, r_inv, [v[r_perm] for v in later])
-        r_perm, r_inv, shifted = reps[label]
+            reps[label] = (r_perm if composed else None, r_inv,
+                           None if f2 is None else f2[r_perm])
+        r_perm, r_inv, f2_r = reps[label]
         row = (a_h[r_inv] if label else a_h) * f1
+        if f2 is not None:
+            row = row * f2_r[perm_h]
         if composed:
             perm_g = r_perm[perm_h] if label else perm_h
-            if later:
-                row = row * later[0][perm_g]
-            if len(later) == 2:
-                row = row * later[1][perm_g][perm_g]
-            sums[j] = row.sum(dtype=acc) if exact else row[perm_g].sum()
-        else:
-            if shifted:
-                row = row * shifted[0][perm_h]
-            sums[j] = row.sum(dtype=acc)
+            if f3 is not None:
+                row = row * f3[perm_g][perm_g]
+        sums[j] = row.sum(dtype=acc) if exact else row[perm_g].sum()
     return sums[where]
 
 
@@ -265,11 +273,11 @@ def _bruhat_sums(table, vals, acc, shifts, dec) -> np.ndarray:
     shifts with that h one stacked row take of [D_h; E_h], multiplied and
     summed in the dtype `acc`.
     """
-    p, layout = table.p, bruhat_layout(table)
+    p, layout, coords = table.p, bruhat_layout(table), borel_coordinates(table.p)
     nb = p * (p - 1)  # rows of the grid, one per element of B
     f0, f1, f2 = (v[layout.cells].reshape(nb, p + 1) for v in vals)
     s = np.arange(p)
-    u_rows, t_rows = layout.rows(1, s), layout.rows(s[1:], 0)  # b u_s and b diag(t, 1 / t)
+    u_rows, t_rows = coords.rows(1, s), coords.rows(s[1:], 0)  # b u_s and b diag(t, 1 / t)
     # Layer k < p of a stack is the coset of w u_k, layer p is B itself.
     layer = table.mats[dec.reps, 1, 1]
     layer[0] = p
@@ -284,7 +292,7 @@ def _bruhat_sums(table, vals, acc, shifts, dec) -> np.ndarray:
     for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         group = order[start:stop]
         t, a = table.mats[hs[group[0]], 0]
-        t_inv = layout.inverse[t]
+        t_inv = coords.inverse[t]
         # h^-1 = [[1 / t, -a], [0, t]] = u_c diag(1 / t, t) with c = -a / t
         inv_rows = t_rows[t_inv - 1].take(u_rows[-a * t_inv % p])
         de[nb:] = f0.take(inv_rows, axis=0)  # E_h

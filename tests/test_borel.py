@@ -18,9 +18,10 @@ from progmix.borel import (
     sum_product_collision_rate,
     zero_frequency_mass,
 )
+from progmix import mixing
 from progmix.budget import BudgetExceededError
 from progmix.fourier import dft
-from progmix.groups import GroupTable
+from progmix.groups import GroupTable, borel_subgroup, unipotent_subgroup
 from progmix.mixing import (
     GroupFunction,
     coset_smooth,
@@ -236,18 +237,65 @@ def test_sheared_kernel_exact_at_narrowing_bounds(tops):
     assert sheared_average(ctx, fs) == Fraction(exact, 500 * ctx.group.size) == tops[0] * tops[1]
 
 
+def test_sheared_average_at_the_int64_boundary():
+    # Each block sums p^2 n products: at p = 3 the largest top with
+    # 54 top <= 2^63 - 1 is summed exactly, and one more is refused, though
+    # the plain 4-term sweep, whose rows sum n = 6 products, still takes it.
+    ctx = borel_context(3)
+    top = mixing.INT64_MAX // (9 * ctx.group.size)
+    rng = np.random.default_rng(3)
+    signs = [random_sign_function(ctx.group, rng).values for _ in range(4)]
+    fs = [GroupFunction(s * v, ctx.group) for s, v in zip(signs, (top, 1, 1, 1))]
+    exact = sum(int(block.sum(dtype=np.int64)) for block in old_sheared_layers(ctx, fs))
+    assert sheared_average(ctx, fs) == Fraction(exact, 54 * ctx.group.size)
+    assert sheared_average(ctx, fs) == four_term_average(ctx, fs).exact_value
+    fs[0] = GroupFunction(signs[0] * (top + 1), ctx.group)
+    four_term_average(ctx, fs)
+    with pytest.raises(ValueError, match="int64 maximum"):
+        sheared_average(ctx, fs)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_sheared_average_assembles_two_permutations_per_shear_coset(p, monkeypatch):
-    ctx = borel_context(p)
+def test_sheared_average_assembles_no_permutation(p, monkeypatch):
+    # The context's index arrays and every shift's x -> x g are arithmetic in
+    # B's (t, a) coordinates; the rmul_perm sum is the oracle.
     rng = np.random.default_rng(p)
-    fs = [random_sign_function(ctx.group, rng) for _ in range(4)]
-    calls = []
-    original = GroupTable.rmul_perm
-    monkeypatch.setattr(GroupTable, "rmul_perm",
-                        lambda self, gi: calls.append(gi) or original(self, gi))
-    sheared_average(ctx, fs)
-    # one per shear h, p, and one per diagonal representative but the identity, p - 2
-    assert len(calls) == 2 * p - 2
+    fs = [random_sign_function(borel_context(p).group, rng) for _ in range(4)]
+    want = four_term_average(borel_context(p), fs).exact_value
+
+    def no_permutation(*args):
+        raise AssertionError("the sheared kernel assembles no permutation")
+
+    monkeypatch.setattr(GroupTable, "rmul_perm", no_permutation)
+    monkeypatch.setattr(GroupTable, "lmul_perm", no_permutation)
+    ctx = borel_context.__wrapped__(p)  # uncached: built under the patch too
+    assert sheared_average(ctx, fs) == want
+
+
+def lookup_context_fields(p):
+    """The index arrays of `borel_context` as lookups once built them, by
+    products and `index_of`; the oracle for its closed forms."""
+    group = borel_subgroup(p)
+    shears = np.array([[[1, a], [0, 1]] for a in range(p)])
+    section = np.zeros(p, dtype=np.int64)
+    for t in range(1, p):
+        section[t] = group.index_of(np.array([[pow(t, -1, p), 0], [0, t]]))
+    return dict(
+        unipotent_indices=group.indices_of(unipotent_subgroup(p).mats),
+        pi_values=group.mats[:, 1, 1],
+        upper_left=group.mats[:, 0, 0],
+        shear_mul_index=np.stack([group.lmul_perm(int(g)) for g in group.indices_of(shears)]),
+        pi_section=section,
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_context_closed_forms_match_lookups(p):
+    ctx = borel_context(p)
+    assert ctx.group is borel_subgroup(p) and ctx.unipotent is unipotent_subgroup(p)
+    for name, want in lookup_context_fields(p).items():
+        got = getattr(ctx, name)
+        assert got.shape == want.shape and np.array_equal(got, want), name
 
 
 def test_shear_mul_index_matches_explicit_products():

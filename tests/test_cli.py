@@ -7,12 +7,15 @@ import pytest
 
 from progmix import mixing
 from progmix.cli import _make_functions, _rng, main
+from progmix.fields import is_square_mod
 from progmix.groups import (
     GroupTable,
     borel_subgroup,
+    centralizer,
     coset_decomposition,
     diagonalisable_set,
     special_linear_group,
+    trace_values,
 )
 from progmix.report import COLUMNS, ExperimentReport
 
@@ -126,6 +129,40 @@ def test_varieties_trace_counts(capsys):
     values = {r[4]: (float(r[5]), float(r[6])) for r in parse_csv(out)}
     assert values["trace_two_count"] == (25.0, 25.0)
     assert values["trace_minus_two_count"] == (25.0, 25.0)
+
+
+def element_loop_centralizer_rows(p):
+    """The split and non-split centralizer rows of `varieties` as its
+    per-element loop once built them: the first element off trace +-2 with a
+    nonzero square discriminant, and the first with a non-square one."""
+    table = special_linear_group(2, p)
+    tr = trace_values(table)
+    found = {}
+    for i in range(table.size):
+        t = int(tr[i])
+        if t in (2, p - 2):
+            continue
+        disc = (t * t - 4) % p
+        kind = "split" if is_square_mod(disc, p) and disc != 0 else "nonsplit"
+        found.setdefault(kind, centralizer(table, table.mats[i]).size)
+        if len(found) == 2:
+            break
+    report = ExperimentReport()
+    for kind in ("split", "nonsplit"):
+        if kind in found:
+            report.add("varieties", f"{kind}_centralizer_size", found[kind], p=p, d=2,
+                       group_order=table.size, bound=p + 2 * np.sqrt(p) + 1, seed=0)
+    return report.render("csv").splitlines()[1:]
+
+
+def test_varieties_big_grid_matches_the_element_loop(capsys):
+    primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    code, out, _ = run_cli(capsys, "varieties", "--big", "--primes", ",".join(map(str, primes)))
+    assert code == 0
+    got = [line for line in out.splitlines() if "_centralizer_size," in line]
+    want = [line for p in primes for line in element_loop_centralizer_rows(p)]
+    assert got == want  # byte for byte
+    assert len(want) == 2 * len(primes) - 1  # SL_2(F_3) has no split regular element
 
 
 def test_spectral_class_rows(capsys):

@@ -8,6 +8,7 @@ from progmix.groups import (
     GroupTable,
     borel_subgroup,
     borel_character,
+    borel_coordinates,
     bruhat_layout,
     _as_array,
     _det_many,
@@ -26,7 +27,6 @@ from progmix.groups import (
     mat_mul,
     mat_trace,
     shear,
-    shift_perms,
     special_linear_group,
     special_linear_order,
     table_kind,
@@ -304,7 +304,8 @@ def test_bruhat_layout_matches_permutations(p):
     # x -> x h for h in B is the row take by rows(h)
     values = np.arange(n)
     for h in np.flatnonzero(table.mats[:, 1, 0] == 0):
-        moved = values[layout.cells].reshape(nb, p + 1).take(layout.rows(*table.mats[h, 0]), axis=0)
+        rows = borel_coordinates(p).rows(*table.mats[h, 0])
+        moved = values[layout.cells].reshape(nb, p + 1).take(rows, axis=0)
         assert np.array_equal(moved.ravel(), values[table.rmul_perm(int(h))][layout.cells])
     assert not layout.cells.flags.writeable and bruhat_layout(table) is layout
 
@@ -398,16 +399,18 @@ def test_table_kind(table, kind):
     assert table_kind(table) == kind
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([3, 5, 7]), st.booleans(), st.data())
-def test_shift_perms_match_rmul_perm_property(p, borel, data):
-    table = borel_subgroup(p) if borel else special_linear_group(2, p)
-    shifts = data.draw(st.lists(st.integers(0, table.size - 1), max_size=60))
-    seen = []
-    for j, perm in shift_perms(table, np.array(shifts, dtype=np.intp)):
-        assert np.array_equal(perm, table.rmul_perm(shifts[j]))
-        seen.append(j)
-    assert sorted(seen) == list(range(len(shifts)))  # every position once, repeats included
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_borel_coordinates_rows_match_rmul_perm(p):
+    # Element (t - 1) p + a of B is [[t, a], [0, 1 / t]], and rows(t, a) is
+    # x -> x g for that g, for every g, as scalars and broadcast.
+    table, coords = borel_subgroup(p), borel_coordinates(p)
+    assert table.mats[:, 0].tolist() == np.stack([coords.t, coords.a], axis=1).tolist()
+    assert table.mats[:, 1, 1].tolist() == coords.inverse[coords.t].tolist()
+    perms = np.stack([table.rmul_perm(g) for g in range(table.size)])
+    for g, (t, a) in enumerate(table.mats[:, 0]):
+        assert np.array_equal(coords.rows(t, a), perms[g])
+    assert np.array_equal(coords.rows(coords.t, coords.a), perms)
+    assert not coords.t.flags.writeable and borel_coordinates(p) is coords
 
 
 def test_orbit_stabilizer_exhaustive_sl2_f3():
@@ -603,7 +606,7 @@ def lookup_tables(p):
     ]
 
 
-def check_shift_perms(table, shifts):
+def check_mul_perms(table, shifts):
     for gi in shifts:
         g = table.mats[gi]
         right = oracle_indices(table, oracle_product(table.mats, g, table.p))
@@ -623,7 +626,7 @@ def check_paired_products(table, rng, count=200):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_shift_permutations_match_oracle_for_every_shift(p):
     for table in lookup_tables(p):
-        check_shift_perms(table, range(table.size))
+        check_mul_perms(table, range(table.size))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -643,7 +646,7 @@ def test_lookups_match_oracle(p):
 def test_d3_lookups_match_oracle_on_sampled_shifts():
     table = special_linear_group(3, 3)
     rng = np.random.default_rng(0)
-    check_shift_perms(table, rng.integers(0, table.size, size=12))
+    check_mul_perms(table, rng.integers(0, table.size, size=12))
     check_paired_products(table, rng, count=1000)
     sample = table.mats[rng.integers(0, table.size, size=500)]
     assert np.array_equal(table.indices_of(sample), oracle_indices(table, sample))

@@ -15,6 +15,7 @@ from progmix.groups import (
     unipotent_subgroup,
 )
 from progmix.mixing import (
+    INT64_MAX,
     GroupFunction,
     constant_function,
     convolve,
@@ -567,7 +568,7 @@ def test_shift_sums_unchanged_on_undecomposed_tables(name, k, kind, monkeypatch)
 
 
 @pytest.mark.parametrize("name, k, kind", [("borel", k, kind) for k in (2, 3, 4) for kind in KINDS]
-                         + [("sl3", 3, "sign"), ("sl3", 3, "float")])
+                         + [("sl3", k, kind) for k in (3, 4) for kind in ("sign", "float")])
 def test_full_sweeps_over_cosets_match_direct_loop(name, k, kind):
     # Every shift of B(F_7), over its 6 shear cosets, and of SL_3(F_3), over
     # the 13 cosets of its bottom-row stabiliser.
@@ -636,6 +637,44 @@ def test_shift_sums_exact_where_row_sums_reach_the_limits(top, k):
     table = CyclicTable(128)
     fs = [GroupFunction(np.full(table.size, v), table) for v in (top, 1, 1, 1)[:k]]
     assert_same_sums(table, fs)
+
+
+def test_exact_sums_refuse_int64_overflow():
+    # Three +-2^40 functions on SL_2(F_3) have products of 2^120, which the
+    # int64 sums once wrapped silently: the exact average read 0.
+    table = special_linear_group(2, 3)
+    rng = np.random.default_rng(0)
+    fs = [GroupFunction(random_sign_function(table, rng).values * 2**40, table) for _ in range(3)]
+    for run in (lambda: shift_sums(table, fs), lambda: exact_progression_statistics(table, fs),
+                lambda: restricted_progression_deviation(table, borel_subgroup(3), fs)):
+        with pytest.raises(ValueError, match="int64 maximum"):
+            run()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_exact_sums_at_the_int64_boundary(k):
+    # A row sums n products of magnitude up to prod_i max|f_i|.  The largest
+    # top with n top <= 2^63 - 1 is summed exactly, on signs and on constants,
+    # whose every sum is n top = 2^63 - 8; one more is refused.
+    table = special_linear_group(2, 3)
+    top = INT64_MAX // table.size
+    rng = np.random.default_rng(k)
+    for draw in ([random_sign_function(table, rng).values for _ in range(k)],
+                 np.ones((k, table.size), dtype=np.int64)):
+        fs = [GroupFunction(s * v, table) for s, v in zip(draw, (top, 1, 1, 1))]
+        want = brute_shift_sums(table, [f.values.tolist() for f in fs])
+        assert shift_sums(table, fs).tolist() == want
+        assert progression_average(table, fs).exact_value == Fraction(sum(want), table.size**2)
+        fs[0] = GroupFunction(draw[0] * (top + 1), table)
+        with pytest.raises(ValueError, match="int64 maximum"):
+            shift_sums(table, fs)
+
+
+def test_group_function_refuses_unsigned_values_past_int64():
+    table = CyclicTable(3)
+    assert GroupFunction(np.array([0, 1, INT64_MAX], dtype=np.uint64), table).values[2] == INT64_MAX
+    with pytest.raises(ValueError, match="int64 maximum"):
+        GroupFunction(np.array([0, 1, INT64_MAX + 1], dtype=np.uint64), table)
 
 
 PROPERTY_TABLES = [("sl2", 3), ("sl2", 5), ("sl2", 7), ("borel", 3), ("borel", 5), ("borel", 7),

@@ -1,25 +1,36 @@
-"""The benchmark's tracer wraps progmix functions by name (perfbench/tracing.py).
+"""The benchmark reaches progmix functions by name: its tracer wraps them
+(perfbench/tracing.py), and its set-up builds the tables that perfbench/spec.json
+names (perfbench/run.py).
 
-Renaming or deleting a traced function would otherwise break only the traced
-benchmark run, so this checks that every traced name resolves, that install()
-puts a span on each, and that uninstall() restores every original.
+Renaming or deleting such a function would otherwise break only a benchmark
+run, so this checks that every traced name resolves, that install() puts a
+span on each, and that uninstall() restores every original; and that every
+set-up constructor resolves and runs in the benchmark's own set-up child.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 import progmix
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_perfbench("tracing")
 
 
 def traced_originals(tracing, modules):
@@ -59,3 +70,23 @@ def test_tracer_spans_resolve_and_uninstall_restores():
         tracer.uninstall()
     for (owner, name), original in bindings.items():
         assert vars(owner)[name] is original, f"{name} was not restored"
+
+
+def test_setup_constructors_resolve_and_run_at_their_smallest_arguments():
+    # SETUP_CHILD looks each name up in progmix.groups, then progmix.borel,
+    # and calls it with every listed argument tuple; here it gets the
+    # smallest tuple of each name, over every workload.
+    run = load_perfbench("run")
+    spec = json.loads((PERFBENCH / "spec.json").read_text())
+    smallest = {}
+    for workload in spec["workloads"].values():
+        for name, calls in workload["setup"].items():
+            smallest[name] = min(smallest.get(name, min(calls)), min(calls))
+    assert {"special_linear_group", "diagonalisable_set", "borel_context",
+            "borel_subgroup"} <= smallest.keys()
+    setup = {name: [args] for name, args in smallest.items()}
+    env = {k: v for k, v in os.environ.items() if k != "PROGMIX_BUDGET"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    child = subprocess.run([sys.executable, "-c", run.SETUP_CHILD, str(run.SRC), json.dumps(setup)],
+                           cwd=run.ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
