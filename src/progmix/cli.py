@@ -21,7 +21,7 @@ import numpy as np
 from . import borel as borel_mod
 from . import measures, mixing, spectral, szemeredi
 from .budget import BudgetExceededError
-from .fields import is_prime, squares_mod
+from .fields import is_prime
 from .groups import (
     borel_subgroup,
     centralizer,
@@ -249,13 +249,17 @@ def cmd_varieties(args, report: ExperimentReport) -> None:
         report.add("varieties", "trace_minus_two_count", int(np.sum(tr == p - 2)),
                    bound=float(p * p), **common)
         lang_weil = p + 2 * np.sqrt(p) + 1
-        # tr^2 - 4 is 0 exactly at tr = +-2, a nonzero square for a split
-        # regular element and a non-square for a non-split one.
-        square = np.isin((tr * tr - 4) % p, list(squares_mod(p)))
-        regular = (tr != 2) & (tr != p - 2)
-        for statistic, mask in (("split_centralizer_size", regular & square),
+        # The discriminant t^2 - 4 of a trace t is 0 exactly at t = +-2, a
+        # nonzero square for a split regular element and a non-square for a
+        # non-split one.  Each row takes the element of smallest index.
+        trace = np.arange(p)
+        disc = (trace * trace - 4) % p
+        square = np.zeros(p, dtype=bool)
+        square[trace * trace % p] = True
+        square = square[disc]
+        for statistic, kind in (("split_centralizer_size", square & (disc != 0)),
                                 ("nonsplit_centralizer_size", ~square)):
-            first = np.flatnonzero(mask)[:1]  # the element of smallest index
+            first = np.flatnonzero(kind[tr])[:1]
             if first.size:
                 size = centralizer(table, table.mats[first[0]]).size
                 report.add("varieties", statistic, size, bound=lang_weil, **common)

@@ -258,7 +258,8 @@ def test_sheared_average_at_the_int64_boundary():
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_sheared_average_assembles_no_permutation(p, monkeypatch):
     # The context's index arrays and every shift's x -> x g are arithmetic in
-    # B's (t, a) coordinates; the rmul_perm sum is the oracle.
+    # B's (t, a) coordinates; the plain four-term sweep, which assembles
+    # permutations, is the oracle.
     rng = np.random.default_rng(p)
     fs = [random_sign_function(borel_context(p).group, rng) for _ in range(4)]
     want = four_term_average(borel_context(p), fs).exact_value

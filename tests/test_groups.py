@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from progmix.budget import BudgetExceededError
 from progmix.groups import (
