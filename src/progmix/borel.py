@@ -13,11 +13,20 @@ dilates the shear parameter by the square of the *upper-left* entry of x:
 a fact verified exhaustively in the test suite; all shear bookkeeping here
 uses this dilation factor.
 
+In shear coordinates the progression is a linear pattern: for
+x = [[s, u], [0, 1/s]] and g = [[t, a], [0, 1/t]],
+
+    x g^i = [[s t^i, t^-i (u + c_i lam)], [0, (s t^i)^-1]],   lam = s t a,
+
+with c_i = 1 + t^2 + .. + t^(2(i-1)), the coefficients whose Fourier side
+`zero_frequency_mass` measures.  `sheared_average` sums the four-term
+products directly over (t, s, u, lam), n^2 of them.
+
 Each statistic has one code path for every dtype.  `sheared_average` and
 `zero_frequency_mass` reduce integer-valued inputs exactly and return a
 Fraction, and return a float otherwise; the sheared kernel multiplies
 integer inputs in the narrowest integer type that holds their products, and
-sums each block in the narrowest that holds its sum.  The U-smoothed
+sums each slice in the narrowest that holds p^2 n of them.  The U-smoothed
 functions are `mixing.coset_smooth` over U, which sums over U's p elements;
 U is normal in B, so its left and right cosets agree.
 """
@@ -93,46 +102,51 @@ def smoothing_gap(ctx: BorelContext, fs) -> float:
 
 
 def _sheared_layers(ctx: BorelContext, fs):
-    """Per-shift blocks of the shear-coordinate form of the 4-term average.
+    """Per-t slices of the four-term products, in shear coordinates.
 
-    Yields one block for every shift g, in index order.  Block g has entry
-    ((a, b), x) = prod_i f_i(psi(a + c_i b) x g^i), with
-    c_i = 1 + w + .. + w^(i-1) and w = t^2 for the upper-left entry t of g.
-    Each f_i is gathered once onto the shear cosets, F_i[a, x] =
-    f_i(psi(a) x).  The permutations x -> x g are index arithmetic on B's
-    coordinates, `BorelCoordinates.rows`, one p x n array per upper-left
-    entry t, and the row indices a + c_i b, which depend only on t, are built
-    with them; no permutation is assembled.  Per shift, the columns
-    x -> x g^i are gathered at p x n, the rows at p^2 x n, and multiplied
-    into one reused buffer, in the dtype of `mixing.kernel_values`.
+    For x = [[s, u], [0, 1/s]] and g = [[t, a], [0, 1/t]] in B,
+
+        x g^i = [[s t^i, t^-i (u + c_i lam)], [0, (s t^i)^-1]],   lam = s t a,
+
+    with c_i = 1 + t^2 + .. + t^(2(i-1)).  For fixed s and t, a -> lam is a
+    bijection of F_p, so the (x, g) with upper-left entry t of g are the
+    (s, u, lam) in Fx x F_p x F_p.  Yields one slice per t = 1 .. p - 1, of
+    shape (p - 1, p, p) and entry (s, u, lam) = prod_i f_i(x g^i); factor i
+    is a gather from `mixing.kernel_values` at the index
+    ((s t^i mod p) - 1) p + t^-i (u + c_i lam) mod p, in B's index order
+    (element (T - 1) p + A is [[T, A], [0, 1/T]]).  No permutation is
+    assembled; the largest transient is one n p index array.  The slice is
+    one reused buffer.
     """
     p = ctx.p
-    a_row, b_row = np.indices((p, p)).reshape(2, -1)  # all p^2 pairs (a, b)
-    on_cosets = [v[ctx.shear_mul_index] for v in mixing.kernel_values(fs)]  # F_i, p x n
-    t0 = on_cosets[0][a_row]
-    block = np.empty(t0.shape, dtype=np.result_type(*on_cosets))  # reused for every shift
+    inverse = borel_coordinates(p).inverse
+    vals = mixing.kernel_values(fs)
+    s = np.arange(1, p)[:, None, None]
+    u, lam = np.arange(p)[:, None], np.arange(p)
+    f0 = vals[0].reshape(p - 1, p, 1)  # f_0(x) does not depend on lam
+    block = np.empty((p - 1, p, p), dtype=np.result_type(*vals))
     for t in range(1, p):
-        w, rows, c = t * t % p, [], 1  # rows: the row indices a + c_i b of each factor i >= 1
-        for _ in on_cosets[1:]:
-            rows.append((a_row + c * b_row) % p)
-            c = (1 + w * c) % p
-        for perm in borel_coordinates(p).rows(t, np.arange(p)):  # g = [[t, a], [0, 1 / t]]
-            lhs, cursor = t0, perm
-            for f_i, r in zip(on_cosets[1:], rows):
-                np.multiply(lhs, np.take(f_i[:, cursor], r, axis=0), out=block)
-                lhs, cursor = block, perm[cursor]
-            yield block
+        w, power, c, lhs = t * t % p, 1, 0, f0  # power = t^i, c = c_i
+        for v in vals[1:]:
+            power, c = power * t % p, (1 + w * c) % p
+            index = (s * power % p - 1) * p + inverse[power] * (u + c * lam) % p
+            np.multiply(lhs, v[index], out=block)
+            lhs = block
+        yield block
 
 
 def sheared_average(ctx: BorelContext, fs) -> float | Fraction:
     """The 4-term average computed in shear coordinates.
 
-    For each (x, g) the progression is rewritten through the substitution
-    (x, g) -> (psi(a) x, psi(b) g) and averaged over (a, b) in F^2; the
-    result agrees with the plain four-term average identically.  Integer
-    inputs give the exact Fraction, each p^2 x n block summed in the narrow
-    dtype of `mixing.sum_dtype`; other inputs give a float (complex for
-    complex input).  The block sums are added in shift-index order.
+    Sums prod_i f_i(x g^i) over the (s, u, lam) slices of `_sheared_layers`,
+    n^2 products in all, and divides by n^2.  Averaging also over the p^2
+    substitutions (x, g) -> (psi(a) x, psi(b) g) would add nothing: each is
+    a bijection of B x B, so every substitution gives the same sum.  Integer
+    inputs give the exact Fraction, each slice summed in the narrow dtype
+    `mixing.sum_dtype` gives p^2 n products; other inputs give a float
+    (complex for complex input).  The slice sums are added in t order.  The
+    int64 refusal bound (p^2 n products) and the charge (4 n^2 p^2) are those
+    of the p^2-fold average, and overstate the work by p^2.
     """
     if len(fs) != 4:
         raise ValueError("need exactly four functions")
@@ -141,8 +155,7 @@ def sheared_average(ctx: BorelContext, fs) -> float | Fraction:
     exact = all(f.is_integer_valued for f in fs)
     acc = mixing.sum_dtype(fs, p * p * n)
     total = sum(block.sum(dtype=acc).item() for block in _sheared_layers(ctx, fs))
-    scale = n * n * p * p
-    return Fraction(total, scale) if exact else total / scale
+    return Fraction(total, n * n) if exact else total / (n * n)
 
 
 def sheared_average_exact(ctx: BorelContext, fs) -> float | Fraction:
@@ -182,13 +195,19 @@ def zero_frequency_mass(ctx: BorelContext, fs, i0: int) -> float | Fraction:
     (s, t) term is then p^-4 sum_h A1(h) A2(c2 h) A3(c3 h) with A_i the
     autocorrelation of the restriction of f_i.  Integer f_1, f_2, f_3 give
     the exact Fraction, other inputs the real part as a float.  Charges the
-    3 (p-1) p^2 autocorrelation and (p-1)^2 p summation operations.
+    3 (p-1) p^2 autocorrelation and (p-1)^2 p summation operations.  Integer
+    inputs are summed in int64, and refused with a ValueError when
+    (p-1) p prod_i (p max|f_i|^2), the bound of one t's sum, exceeds its
+    maximum.
     """
     if i0 not in (2, 3):
         raise ValueError("i0 must be 2 or 3")
     p = ctx.p
     charge(3 * (p - 1) * p * p + (p - 1) ** 2 * p, OP_BUDGET, "zero-frequency mass")
     _check_coset_mean_zero(ctx, fs[i0])
+    # A_i(h) sums p products f_i f_i, so one t's sum is bounded like a sum of
+    # (p - 1) p^4 products of f_1, f_2, f_3 taken twice each.
+    mixing.sum_dtype([fs[i] for i in (1, 2, 3)] * 2, (p - 1) * p**4)
     a1, a2, a3 = (_autocorrelations(ctx, fs[i]) for i in (1, 2, 3))
     h = np.arange(p)
     s = np.arange(1, p)

@@ -457,7 +457,9 @@ def convolve(f: GroupFunction, mu: GroupFunction) -> GroupFunction:
     """Discrete convolution (f * mu)(x) = sum_y f(y) mu(y^-1 x) = sum_z mu(z) f(x z^-1).
 
     Sums over the support of mu, one right-multiplication permutation per
-    point, and charges |supp mu| n.  Integer inputs give an int64 result.
+    point, and charges |supp mu| n.  Integer inputs give an int64 result; a
+    ValueError refuses them when |supp mu| max|f| max|mu| exceeds the int64
+    maximum, since the sum could wrap.
     """
     if f.table is not mu.table:
         raise ValueError("functions must live on the same table")
@@ -467,6 +469,8 @@ def convolve(f: GroupFunction, mu: GroupFunction) -> GroupFunction:
            f"convolution over {len(support)} points on {table.size} elements")
     inv = table.inv_perm()
     exact = f.is_integer_valued and mu.is_integer_valued
+    if exact:
+        _narrowest(len(support) * _product_bound([f, mu]), ())
     out = np.zeros(table.size, dtype=np.int64 if exact else
                    np.result_type(f.values, mu.values, np.float64))
     for z in support:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -26,6 +28,7 @@ from progmix.mixing import (
     GroupFunction,
     coset_smooth,
     constant_function,
+    indicator_function,
     progression_average,
     random_sign_function,
 )
@@ -191,6 +194,33 @@ def old_sheared_layers(ctx, fs):
         yield t0 * t1 * t2 * t3
 
 
+def shear_element(p, s, u):
+    """[[s, u], [0, 1/s]] as an integer matrix."""
+    return np.array([[s, u], [0, pow(s, -1, p)]], dtype=np.int64)
+
+
+def matrix_product_slices(ctx, fs):
+    """The (s, u, lam) slices of `_sheared_layers`, one per upper-left entry t
+    of the shift, each entry prod_i f_i(x g^i) looked up by `indices_of` on
+    explicit matrix powers, for x = [[s, u], [0, 1/s]] and
+    g = [[t, lam / (s t)], [0, 1/t]]; the oracle for the kernel's index rule."""
+    p = ctx.p
+    for t in range(1, p):
+        xs, gs = [], []
+        for s in range(1, p):
+            for u in range(p):
+                for lam in range(p):
+                    xs.append(shear_element(p, s, u))
+                    gs.append(np.array([[t, lam * pow(s * t, -1, p) % p],
+                                        [0, pow(t, -1, p)]], dtype=np.int64))
+        xs, gs = np.array(xs), np.array(gs)
+        block, point = fs[0].values[ctx.group.indices_of(xs)], xs
+        for f in fs[1:]:
+            point = np.einsum("nij,njk->nik", point, gs) % p
+            block = block * f.values[ctx.group.indices_of(point)]
+        yield block.reshape(p - 1, p, p)
+
+
 @pytest.mark.parametrize("kind", ["sign", "indicator", "integer", "float"])
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_sheared_kernel_matches_old_loop(p, kind):
@@ -208,9 +238,14 @@ def test_sheared_kernel_matches_old_loop(p, kind):
     fs = [GroupFunction(v, ctx.group) for v in draws]
     scale = n * n * p * p
     if kind == "float":
-        # block sums added in shift-index order, whatever order the kernel visits them in
-        want = sum(float(block.sum(dtype=np.float64)) for block in old_sheared_layers(ctx, fs))
-        assert sheared_average(ctx, fs) == want / scale
+        # The old loop summed every product p^2 times, in its own order, so
+        # it agrees to rounding; the slices of the same products, built from
+        # matrix products and summed in t order, agree bit for bit.
+        value = sheared_average(ctx, fs)
+        want = sum(block.sum(dtype=np.float64).item() for block in matrix_product_slices(ctx, fs))
+        assert value == want / (n * n)
+        old = sum(float(block.sum(dtype=np.float64)) for block in old_sheared_layers(ctx, fs))
+        assert abs(value - old / scale) <= 1e-12 * abs(old / scale)
     else:
         exact = sum(int(block.sum(dtype=np.int64)) for block in old_sheared_layers(ctx, fs))
         assert sheared_average(ctx, fs) == sheared_average_exact(ctx, fs) == Fraction(exact, scale)
@@ -271,6 +306,60 @@ def test_sheared_average_assembles_no_permutation(p, monkeypatch):
     monkeypatch.setattr(GroupTable, "lmul_perm", no_permutation)
     ctx = borel_context.__wrapped__(p)  # uncached: built under the patch too
     assert sheared_average(ctx, fs) == want
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_progression_index_closed_form(p):
+    # Every x, g in B and i = 1, 2, 3: the index of x g^i from matrix
+    # products is ((s t^i mod p) - 1) p + t^-i (u + c_i lam) mod p, with
+    # lam = s t a and c_i = 1 + t^2 + .. + t^(2(i-1)).
+    group = borel_subgroup(p)
+    checked = 0
+    for s, u in np.ndindex(p - 1, p):
+        s += 1
+        x = shear_element(p, s, u)
+        for t, a in np.ndindex(p - 1, p):
+            t += 1
+            g = np.array([[t, a], [0, pow(t, -1, p)]], dtype=np.int64)
+            point, lam = x, s * t * a
+            for i in (1, 2, 3):
+                point = point @ g % p
+                c = sum(t ** (2 * k) for k in range(i))
+                want = (s * t**i % p - 1) * p + pow(t, -i, p) * (u + c * lam) % p
+                assert group.index_of(point) == want
+                checked += 1
+    assert checked == 3 * group.size**2
+
+
+def test_sheared_average_budget_boundary(monkeypatch):
+    # The charge is 4 n^2 p^2, as for the old p^2-fold loop.
+    p = 5
+    ctx = borel_context(p)
+    n = ctx.group.size
+    fs = [random_sign_function(ctx.group, np.random.default_rng(i)) for i in range(4)]
+    want = four_term_average(ctx, fs).exact_value
+    cost = 4 * n * n * p * p
+    monkeypatch.setenv("PROGMIX_BUDGET", str(cost - 1))
+    for fn in (sheared_average, sheared_average_exact):
+        with pytest.raises(BudgetExceededError, match="shear-coordinate 4-term average"):
+            fn(ctx, fs)
+    monkeypatch.setenv("PROGMIX_BUDGET", str(cost))
+    assert sheared_average(ctx, fs) == sheared_average_exact(ctx, fs) == want
+
+
+@pytest.mark.parametrize("kind", ["sign", "indicator"])
+@pytest.mark.parametrize("p", [11, 13])
+def test_sheared_average_exact_at_larger_primes(p, kind):
+    ctx = borel_context(p)
+    n = ctx.group.size
+    rng = np.random.default_rng([p, len(kind)])
+    if kind == "sign":
+        fs = [random_sign_function(ctx.group, rng) for _ in range(4)]
+    else:
+        fs = [indicator_function(ctx.group, np.flatnonzero(rng.random(n) < 0.5))
+              for _ in range(4)]
+    exact = sheared_average(ctx, fs)
+    assert isinstance(exact, Fraction) and exact == four_term_average(ctx, fs).exact_value
 
 
 def lookup_context_fields(p):
@@ -417,6 +506,33 @@ def test_zero_frequency_mass_budget_boundary(monkeypatch):
         zero_frequency_mass(ctx, fs, 3)
     monkeypatch.setenv("PROGMIX_BUDGET", str(cost))
     assert zero_frequency_mass(ctx, fs, 3) == rolled_zero_frequency_mass(ctx, fs)
+
+
+def test_zero_frequency_mass_refuses_int64_overflow():
+    # One t's sum adds (p - 1) p products A1 A2 A3, each |A_i| <= p max|f_i|^2.
+    # +-2^20 inputs on B(F_5) once wrapped to an exact mass of 0.  The
+    # largest top with 2500 top^2 <= 2^63 - 1, on f_1, is summed exactly (the
+    # mass is quadratic in f_1), and one more is refused.
+    p = 5
+    ctx = borel_context(p)
+    rng = np.random.default_rng(11)
+    fs = [random_sign_function(ctx.group, rng) for _ in range(3)]
+    fs.append(coset_mean_zero_function(ctx, rng))
+    unit = zero_frequency_mass(ctx, fs, 3)
+    assert unit > 0
+    big = fs[:1] + [GroupFunction(f.values * 2**20, ctx.group) for f in fs[1:]]
+    with pytest.raises(ValueError, match="int64 maximum"):
+        zero_frequency_mass(ctx, big, 3)
+    floats = zero_frequency_mass(ctx, cast(ctx, big, np.float64), 3)
+    assert abs(floats - 2**120 * float(unit)) <= 1e-9 * floats
+    top = math.isqrt(mixing.INT64_MAX // ((p - 1) * p**4))
+    scaled = fs[:]
+    scaled[1] = GroupFunction(fs[1].values * top, ctx.group)
+    assert zero_frequency_mass(ctx, scaled, 3) == top**2 * unit
+    assert zero_frequency_mass(ctx, scaled, 3) == rolled_zero_frequency_mass(ctx, scaled)
+    scaled[1] = GroupFunction(fs[1].values * (top + 1), ctx.group)
+    with pytest.raises(ValueError, match="int64 maximum"):
+        zero_frequency_mass(ctx, scaled, 3)
 
 
 def test_zero_frequency_mass_median_trend():

@@ -330,6 +330,27 @@ def test_convolve_charges_support_of_mu(monkeypatch):
     assert np.array_equal(convolve(f, mu).values, supp_f_convolve(f, mu))
 
 
+def test_convolve_refuses_int64_overflow():
+    # Two constant 2^40 functions on SL_2(F_3) convolve to 24 * 2^80, which
+    # the int64 sum once wrapped to 0.  Each value sums |supp mu| = 24 terms
+    # of magnitude up to max|f| max|mu|: the largest top with 24 top <= 2^63 - 1
+    # is summed exactly, and one more is refused.
+    table = special_linear_group(2, 3)
+    big = constant_function(table, 2**40)
+    with pytest.raises(ValueError, match="int64 maximum"):
+        convolve(big, big)
+    top = INT64_MAX // table.size
+    ones = constant_function(table)
+    got = convolve(constant_function(table, top), ones).values
+    assert got.tolist() == [table.size * top] * table.size
+    signs = random_sign_function(table, np.random.default_rng(5)).values
+    f = GroupFunction(signs * top, table)
+    assert convolve(f, ones).values.tolist() == [int(signs.sum()) * top] * table.size
+    for f in (constant_function(table, top + 1), GroupFunction(signs * (top + 1), table)):
+        with pytest.raises(ValueError, match="int64 maximum"):
+            convolve(f, ones)
+
+
 def test_coset_smoothing_properties():
     p = 5
     b = borel_subgroup(p)
