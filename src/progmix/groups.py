@@ -41,7 +41,8 @@ The Borel subgroup.  B = {[[t, a], [0, t^-1]]}, and its element
 its keys.  borel_coordinates holds t, a and t^-1 for every index, so
 x -> x h for h in B is index arithmetic, `BorelCoordinates.rows`, with no
 lookup and no assembled permutation.  borel_subgroup is built from these
-coordinates, and the sheared kernel of borel walks B's shifts through them.
+coordinates, and the sheared kernel of borel gathers x g^i by the same
+index rule, as a closed form in the coordinates of x and g.
 
 Bruhat layout.  bruhat_layout puts a full SL_2(F_p) table on a
 (|B|, p + 1) grid, x = c_l b at cell (b, l), with l the line through x's

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -194,7 +195,7 @@ def old_sheared_layers(ctx, fs):
         yield t0 * t1 * t2 * t3
 
 
-def shear_element(p, s, u):
+def borel_element(p, s, u):
     """[[s, u], [0, 1/s]] as an integer matrix."""
     return np.array([[s, u], [0, pow(s, -1, p)]], dtype=np.int64)
 
@@ -210,9 +211,8 @@ def matrix_product_slices(ctx, fs):
         for s in range(1, p):
             for u in range(p):
                 for lam in range(p):
-                    xs.append(shear_element(p, s, u))
-                    gs.append(np.array([[t, lam * pow(s * t, -1, p) % p],
-                                        [0, pow(t, -1, p)]], dtype=np.int64))
+                    xs.append(borel_element(p, s, u))
+                    gs.append(borel_element(p, t, lam * pow(s * t, -1, p) % p))
         xs, gs = np.array(xs), np.array(gs)
         block, point = fs[0].values[ctx.group.indices_of(xs)], xs
         for f in fs[1:]:
@@ -315,19 +315,14 @@ def test_progression_index_closed_form(p):
     # lam = s t a and c_i = 1 + t^2 + .. + t^(2(i-1)).
     group = borel_subgroup(p)
     checked = 0
-    for s, u in np.ndindex(p - 1, p):
-        s += 1
-        x = shear_element(p, s, u)
-        for t, a in np.ndindex(p - 1, p):
-            t += 1
-            g = np.array([[t, a], [0, pow(t, -1, p)]], dtype=np.int64)
-            point, lam = x, s * t * a
-            for i in (1, 2, 3):
-                point = point @ g % p
-                c = sum(t ** (2 * k) for k in range(i))
-                want = (s * t**i % p - 1) * p + pow(t, -i, p) * (u + c * lam) % p
-                assert group.index_of(point) == want
-                checked += 1
+    for s, u, t, a in itertools.product(range(1, p), range(p), range(1, p), range(p)):
+        point, g, lam = borel_element(p, s, u), borel_element(p, t, a), s * t * a
+        for i in (1, 2, 3):
+            point = point @ g % p
+            c = sum(t ** (2 * k) for k in range(i))
+            want = (s * t**i % p - 1) * p + pow(t, -i, p) * (u + c * lam) % p
+            assert group.index_of(point) == want
+            checked += 1
     assert checked == 3 * group.size**2
 
 
