@@ -19,16 +19,17 @@ x = [[s, u], [0, 1/s]] and g = [[t, a], [0, 1/t]],
     x g^i = [[s t^i, t^-i (u + c_i lam)], [0, (s t^i)^-1]],   lam = s t a,
 
 with c_i = 1 + t^2 + .. + t^(2(i-1)), the coefficients whose Fourier side
-`zero_frequency_mass` measures.  `sheared_average` sums the four-term
-products directly over (t, s, u, lam), n^2 of them.
+`zero_frequency_mass` measures.  One kernel sums the four-term products
+directly over (t, s, u, lam), n^2 of them, and both `four_term_average` and
+`sheared_average` are reductions of its sum.
 
-Each statistic has one code path for every dtype.  `sheared_average` and
-`zero_frequency_mass` reduce integer-valued inputs exactly and return a
-Fraction, and return a float otherwise; the sheared kernel multiplies
-integer inputs in the narrowest integer type that holds their products, and
-sums each slice in the narrowest that holds p^2 n of them.  The U-smoothed
-functions are `mixing.coset_smooth` over U, which sums over U's p elements;
-U is normal in B, so its left and right cosets agree.
+Each statistic has one code path for every dtype.  The four-term averages
+and `zero_frequency_mass` reduce integer-valued inputs exactly to a
+Fraction, and give a float otherwise; the sheared kernel multiplies integer
+inputs in the narrowest integer type that holds their products, and forms
+partial sums of n products, in the narrowest type that holds n of them.  The
+U-smoothed functions average over each coset x U = U x (U is normal in B),
+which is a row of B's (t, a) coordinates, with no permutation.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from . import mixing
 from .budget import OP_BUDGET, charge
 from .fields import inv_mod
 from .fourier import dft
-from .groups import GroupTable, borel_coordinates, borel_subgroup, unipotent_subgroup
+from .groups import GroupTable, borel_coordinates, borel_subgroup
 
 
 @dataclass
@@ -52,10 +53,6 @@ class BorelContext:
 
     p: int
     group: GroupTable  # upper-triangular subgroup, order p(p-1)
-    unipotent: GroupTable  # shear subgroup, order p
-    unipotent_indices: np.ndarray  # positions of the shears inside `group`
-    pi_values: np.ndarray  # lower-right entry per element of `group`
-    upper_left: np.ndarray  # upper-left entry per element of `group`
     shear_mul_index: np.ndarray  # (p, |B|): index of shear(a) * x in `group`
     pi_section: np.ndarray  # t -> index in `group` of a diagonal x with pi(x) = t
 
@@ -64,8 +61,8 @@ class BorelContext:
 def borel_context(p: int) -> BorelContext:
     """The context of B(F_p), every index array a closed form in B's
     `borel_coordinates`, where element (t - 1) p + a is [[t, a], [0, t^-1]]:
-    shear(s) x = [[t, a + s / t], [0, t^-1]], the shears are t = 1, and
-    diag(1 / t, t) is element (1 / t - 1) p."""
+    shear(s) x = [[t, a + s / t], [0, t^-1]], and diag(1 / t, t) is element
+    (1 / t - 1) p."""
     coords = borel_coordinates(p)
     t, a, inverse = coords.t, coords.a, coords.inverse
     s = np.arange(p)
@@ -74,25 +71,39 @@ def borel_context(p: int) -> BorelContext:
     return BorelContext(
         p=p,
         group=borel_subgroup(p),
-        unipotent=unipotent_subgroup(p),
-        unipotent_indices=s,
-        pi_values=inverse[t],
-        upper_left=t,
         shear_mul_index=(t - 1) * p + (a + s[:, None] * inverse[t]) % p,
         pi_section=section,
     )
 
 
 def four_term_average(ctx: BorelContext, fs) -> mixing.MixingResult:
-    """E_{x,g in B} f0(x) f1(xg) f2(xg^2) f3(xg^3), exactly."""
-    if len(fs) != 4:
-        raise ValueError("need exactly four functions")
-    return mixing.progression_average(ctx.group, fs)
+    """E_{x,g in B} f0(x) f1(xg) f2(xg^2) f3(xg^3), exactly: the sum of the
+    shear-coordinate kernel, reduced as `mixing.average_from_total`."""
+    return mixing.average_from_total(fs, _sheared_sum(ctx, fs), ctx.group.size)
+
+
+def _smooth(ctx: BorelContext, f: mixing.GroupFunction) -> mixing.GroupFunction:
+    """f * mu_U, mu_U uniform on the shears u_s = [[1, s], [0, 1]].
+
+    Its value at x is E_s f(x u_s^-1), the mean of f over the coset x U = U x,
+    which is x's row t of B's (t, a) coordinates; x -> x u_-s is the index
+    arithmetic `borel_coordinates(p).rows(1, -s)`.  The terms f(x u_-s) / p
+    are added for s = 0 .. p - 1, as a convolution with mu_U adds them, so
+    the values are bit for bit those of one.  Charges the p n of that
+    convolution, and assembles no permutation.
+    """
+    p, n = ctx.p, ctx.group.size
+    charge(p * n, OP_BUDGET, f"U-smoothing on {n} elements")
+    scaled = f.values * np.float64(1 / p)
+    out = np.zeros(n, dtype=scaled.dtype)
+    for row in borel_coordinates(p).rows(1, -np.arange(p)):
+        out += scaled[row]
+    return mixing.GroupFunction(out, ctx.group)
 
 
 def smoothed(ctx: BorelContext, fs) -> list[mixing.GroupFunction]:
     """The U-smoothed functions f * mu_U, constant on the shear cosets U x."""
-    return [mixing.coset_smooth(f, ctx.unipotent) for f in fs]
+    return [_smooth(ctx, f) for f in fs]
 
 
 def smoothing_gap(ctx: BorelContext, fs) -> float:
@@ -135,27 +146,33 @@ def _sheared_layers(ctx: BorelContext, fs):
         yield block
 
 
-def sheared_average(ctx: BorelContext, fs) -> float | Fraction:
-    """The 4-term average computed in shear coordinates.
+def _sheared_sum(ctx: BorelContext, fs):
+    """sum_{x, g in B} prod_i f_i(x g^i), the one kernel of the four-term
+    average on B, over the slices of `_sheared_layers`.
 
-    Sums prod_i f_i(x g^i) over the (s, u, lam) slices of `_sheared_layers`,
-    n^2 products in all, and divides by n^2.  Averaging also over the p^2
-    substitutions (x, g) -> (psi(a) x, psi(b) g) would add nothing: each is
-    a bijection of B x B, so every substitution gives the same sum.  Integer
-    inputs give the exact Fraction, each slice summed in the narrow dtype
-    `mixing.sum_dtype` gives p^2 n products; other inputs give a float
-    (complex for complex input).  The slice sums are added in t order.  The
-    int64 refusal bound (p^2 n products) and the charge (4 n^2 p^2) are those
-    of the p^2-fold average, and overstate the work by p^2.
+    Each slice is summed over (s, u) for each lam, n products per partial
+    sum, in the dtype `mixing.sum_dtype` gives n products: so integer inputs
+    are refused with a ValueError exactly when a row of the plain sweep over
+    B, which sums n products, would be.  The partial sums are added as
+    Python numbers, in t and then lam order: a Python int for integer inputs,
+    else a float (complex for complex input).  Charges 4 n^2, the products
+    formed.
     """
-    if len(fs) != 4:
-        raise ValueError("need exactly four functions")
-    p, n = ctx.p, ctx.group.size
-    charge(4 * n * n * p * p, OP_BUDGET, "shear-coordinate 4-term average")
-    exact = all(f.is_integer_valued for f in fs)
-    acc = mixing.sum_dtype(fs, p * p * n)
-    total = sum(block.sum(dtype=acc).item() for block in _sheared_layers(ctx, fs))
-    return Fraction(total, n * n) if exact else total / (n * n)
+    if len(fs) != 4 or any(f.table is not ctx.group for f in fs):
+        raise ValueError("need exactly four functions on the context's group")
+    n = ctx.group.size
+    charge(4 * n * n, OP_BUDGET, f"shear-coordinate 4-term average on {n} elements")
+    acc = mixing.sum_dtype(fs, n)
+    return sum(x for block in _sheared_layers(ctx, fs)
+               for x in block.sum(axis=(0, 1), dtype=acc).tolist())
+
+
+def sheared_average(ctx: BorelContext, fs) -> float | Fraction:
+    """The 4-term average computed in shear coordinates: the sum of the
+    kernel `four_term_average` reduces, over n^2.  Integer inputs give the
+    exact Fraction, other inputs a float (complex for complex input)."""
+    total, n = _sheared_sum(ctx, fs), ctx.group.size
+    return Fraction(total, n * n) if all(f.is_integer_valued for f in fs) else total / (n * n)
 
 
 def sheared_average_exact(ctx: BorelContext, fs) -> float | Fraction:
@@ -164,7 +181,7 @@ def sheared_average_exact(ctx: BorelContext, fs) -> float | Fraction:
 
 
 def _check_coset_mean_zero(ctx: BorelContext, f: mixing.GroupFunction, tol: float = 1e-9):
-    worst = float(np.max(np.abs(mixing.coset_smooth(f, ctx.unipotent).values)))
+    worst = float(np.max(np.abs(_smooth(ctx, f).values)))
     if worst > tol:
         raise ValueError(
             f"function must have mean zero on every shear coset "

@@ -5,12 +5,14 @@ lexicographic order of the flattened entries, so every index is reproducible
 across runs.  An element's key is its flattened entries read as a base-p
 number.  No n x n multiplication table is ever materialised.
 
-Lookup.  Every table maps keys to indices through one dense int32 table over
-all p^(d^2) keys (-1 where a key is absent), built on the first lookup.  For
-d = 2 that is 3.7 MB at p = 31; for d = 3 it is 79 KB at p = 3, 7.8 MB at
-p = 5 and 161 MB at p = 7.  The default enumeration budget stops SL_3 at
-p = 7, whose full table holds 405 MB of matrices, so the index of a full table
-is about p / 18 of the matrices it indexes.
+Lookup.  A d = 2 table, and the full SL_3(F_p), map keys to indices through
+one dense int32 table over all p^(d^2) keys (-1 where a key is absent), built
+on the first lookup: 3.7 MB at p = 31 for d = 2, and 79 KB at p = 3, 7.8 MB
+at p = 5 and 161 MB at p = 7 for d = 3.  The default enumeration budget stops
+SL_3 at p = 7, whose full table holds 405 MB of matrices, so the index of a
+full table is about p / 18 of the matrices it indexes.  Any other d = 3
+table (a centralizer, a class, a subset) looks its keys up by binary search
+in its sorted keys, and allocates no index.
 
 Shift permutations.  Row i of x g is (row i of x) g, so right multiplication
 by g acts on each row separately, as a permutation of the p^d row vectors of
@@ -20,21 +22,21 @@ reduction mod p; lmul_perm does the same for g x with the columns.
 
 Coset composition.  coset_decomposition writes every g as h r, with h in a
 subgroup H and r the representative of the right coset H g.  Since
-x g = (x h) r, a sweep over the shifts needs one assembled permutation per h
-and per representative used.  For a full SL_d(F_p) table, d = 2 or 3, H is
-the stabiliser of the line through the bottom row, and H g is the line
-through g's bottom row: p + 1 cosets for d = 2, where H is the Borel
-subgroup B and a sweep over all n shifts assembles |B| + p = p^2
-permutations, and p^2 + p + 1 for d = 3, 13 at p = 3, where a sweep
-assembles 432 + 12 = 444 (H's representative is the identity).  For d = 2
-the other representatives are the Bruhat ones, w u_s = [[0, -1], [1, s]],
-so g = h or g = h w u_s.  Since a sweep holds up to 3 n values per coset, a
-table is decomposed only when (cosets) n is within the enumeration budget,
-which leaves out SL_3(F_5).  For the Borel table H is the shear group U,
-with the p - 1 diagonal matrices as representatives, so a sweep over B
-assembles p + (p - 2) = 2p - 2.  Every other table gets the trivial
-decomposition: each g is its own h, and the identity is the only
-representative.  mixing.shift_sums is the one sweep over the decomposition.
+x g = (x h) r, a sweep over the shifts needs x -> x h once per h and one
+assembled permutation per representative used.  For a full SL_d(F_p)
+table, d = 2 or 3, H is the stabiliser of the line through the bottom row,
+and H g is the line through g's bottom row: p + 1 cosets for d = 2, where H
+is the Borel subgroup B, and p^2 + p + 1 for d = 3, 13 at p = 3, where a
+sweep over all n shifts assembles 432 + 12 = 444 permutations (H's
+representative is the identity).  For d = 2 the other representatives are
+the Bruhat ones, w u_s = [[0, -1], [1, s]], so g = h or g = h w u_s; each
+x -> x h is two gathers of the Bruhat layout (below), so a sweep over all
+n shifts assembles only the p non-identity representatives.  Since a sweep
+holds up to 3 n values per coset, a table is decomposed only when
+(cosets) n is within the enumeration budget, which leaves out SL_3(F_5).
+Every other table gets the trivial decomposition: each g is its own h, and
+the identity is the only representative.  mixing.shift_sums is the one
+sweep over the decomposition.
 
 The Borel subgroup.  B = {[[t, a], [0, t^-1]]}, and its element
 [[t, a], [0, t^-1]] has index (t - 1) p + a, which is the sorted order of
@@ -49,8 +51,10 @@ Bruhat layout.  bruhat_layout puts a full SL_2(F_p) table on a
 first column.  Then x -> x h for h in B is a row take by
 `BorelCoordinates.rows`, and x -> x w is one cached index array.  So the
 3-term integer sweep of mixing.shift_sums assembles no permutation on an
-SL_2 table.  The layout is built on first use and holds three n-element
-index arrays, 118 KB at p = 17 and 714 KB at p = 31, and no |B| x |B| array.
+SL_2 table, and every other sweep takes x -> x h from the layout
+(`BruhatLayout.compose`) instead of assembling it.  The layout is built on
+first use and holds four n-element index arrays, 157 KB at p = 17 and
+952 KB at p = 31, and no |B| x |B| array.
 """
 
 from __future__ import annotations
@@ -227,8 +231,17 @@ class GroupTable:
         return dense
 
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Index of each key, -1 where the key is not in the table."""
-        return self._dense_index[keys].astype(np.intp)
+        """Index of each key, -1 where the key is not in the table.
+
+        d = 2 tables and the full SL_3(F_p) read the dense index; any other
+        d = 3 table, whose dense index would be sized by p^9 and not by the
+        table, searches its sorted keys."""
+        if self.d == 2 or self.size == special_linear_order(self.d, self.p):
+            return self._dense_index[keys].astype(np.intp)
+        if not self.size:
+            return np.full(np.shape(keys), -1, dtype=np.intp)
+        where = np.searchsorted(self._keys, keys)
+        return np.where(self._keys.take(where, mode="clip") == keys, where, -1)
 
     def _indices(self, keys: np.ndarray) -> np.ndarray:
         idx = self._lookup(keys)
@@ -412,11 +425,25 @@ class BorelCoordinates:
     a: np.ndarray  # upper-right entry of each element of B
     inverse: np.ndarray  # t^-1 mod p at index t, 0 at 0
 
+    @cached_property
+    def factor_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(shear, diag): the `rows` of u_s = [[1, s], [0, 1]] for s in F_p,
+        and of diag(t, t^-1) for t = 1 .. p - 1, 2 p |B| ints, read-only."""
+        s = np.arange(self.p)
+        shear, diag = self.rows(1, s), self.rows(s[1:], 0)
+        for array in (shear, diag):
+            array.setflags(write=False)
+        return shear, diag
+
     def rows(self, t, a):
         """Index of b h for each b in B, h = [[t, a], [0, t^-1]]: the index
-        array of x -> x h.  Scalars give an (|B|,) array; arrays t and a
+        array of x -> x h.  Scalars give an (|B|,) array, composed from
+        `factor_rows` as h = u_(a t) diag(t, t^-1); arrays t and a
         broadcast, with B along a new last axis."""
         p = self.p
+        if np.ndim(t) == np.ndim(a) == 0:
+            shear, diag = self.factor_rows
+            return diag[t - 1].take(shear[a * t % p])
         t, a = np.asarray(t)[..., None], np.asarray(a)[..., None]
         return (self.t * t % p - 1) * p + (self.t * a + self.a * self.inverse[t]) % p
 
@@ -643,7 +670,7 @@ def _bottom_row_lines(rows: np.ndarray, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def coset_decomposition(table) -> CosetDecomposition:
-    """g = h r over a subgroup H, for the full SL_d(F_p) and Borel `table_kind`s.
+    """g = h r over a subgroup H, for the full SL_d(F_p) `table_kind`.
 
     Full SL_d(F_p), d = 2 or 3: H is the stabiliser of the line through the
     bottom row, the matrices whose bottom row is (0, .., 0, l).  The right
@@ -652,37 +679,29 @@ def coset_decomposition(table) -> CosetDecomposition:
     0.  For d = 2, H is the Borel subgroup B, with p + 1 cosets; for d = 3
     there are p^2 + p + 1 cosets, 13 of 432 elements at p = 3.
 
-    Borel table (d = 2, every lower-left entry 0, n = p(p - 1)): H = U, the
-    shears.  The right coset U g is fixed by g's upper-left entry t, because
-    [[1, s], [0, 1]] g changes only the upper-right entry; its label is t - 1,
-    so U has label 0, and its representative is diag(t, t^-1).
-
     The representative of coset 0 is the identity.  On a full SL_2 table the
     other representatives are the Bruhat ones, w u_s = [[0, -1], [1, s]] for
     the line 1 / s through its bottom row (1, s), and the line p for s = 0;
-    on SL_3 they are each coset's first element, and on the Borel table
-    diag(t, t^-1), also its first element.  The indices of h come from one
-    batched product and lookup per coset.  A sweep over the decomposition
-    holds up to 3 (cosets) n values, R_r^-1, f_2 o R_r and, when it composes
-    x -> x g, R_r (see mixing.shift_sums), so a table is decomposed only
-    when (cosets) n is within the enumeration budget: every SL_2 table up to
-    p = 31 and SL_3(F_3), but not SL_3(F_5), with 11.5e6.  Larger tables,
-    and any other table (other subgroups, CyclicTable), get the trivial
-    decomposition: each g is its own h.
+    on SL_3 they are each coset's first element.  The indices of h come from
+    one batched product and lookup per coset.  A sweep over the
+    decomposition holds up to 3 (cosets) n values, R_r^-1, f_2 o R_r and,
+    when it composes x -> x g, R_r (see mixing.shift_sums), so a table is
+    decomposed only when (cosets) n is within the enumeration budget: every
+    SL_2 table up to p = 31 and SL_3(F_3), but not SL_3(F_5), with 11.5e6.
+    Larger tables, and any other table (subgroups such as B, CyclicTable),
+    get the trivial decomposition: each g is its own h.
     Cached per table, like `conjugacy_classes`, so a later change to the
     budget does not rebuild it; the sums over it are the same either way.
     """
-    n, kind = table.size, table_kind(table)
-    p, d = getattr(table, "p", None), getattr(table, "d", None)
-    full = kind == "full"
-    cosets = (p**d - 1) // (p - 1) if full else p - 1 if kind == "borel" else 1
+    n, p, d = table.size, getattr(table, "p", None), getattr(table, "d", None)
+    cosets = (p**d - 1) // (p - 1) if table_kind(table) == "full" else 1
     if cosets == 1 or cosets * n > budget_limit(ENUMERATION_BUDGET):
         coset = np.zeros(n, dtype=np.intp)
         reps = np.array([table.identity_index], dtype=np.intp)
         h = np.arange(n)
     else:
-        coset = _bottom_row_lines(table.mats[:, -1], p) if full else table.mats[:, 0, 0] - 1
-        if full and d == 2:
+        coset = _bottom_row_lines(table.mats[:, -1], p)
+        if d == 2:
             # w u_s = [[0, -1], [1, s]] has bottom row (1, s), on line 1 / s (p for s = 0).
             s = [0] + [inv_mod(line, p) for line in range(1, p)] + [0]
             reps = table.indices_of([[[0, -1], [1, t]] for t in s])
@@ -714,8 +733,17 @@ class BruhatLayout:
     """
 
     cells: np.ndarray  # table index of the element in each flat cell
+    pos: np.ndarray  # flat cell of each table element, the inverse of cells
     w_fwd: np.ndarray  # flat cell of z w for each flat cell z, w = [[0, -1], [1, 0]]
     w_back: np.ndarray  # flat cell of z w^-1
+
+    def compose(self, grid: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """v o P_h in table order, P_h being x -> x h for the h in B whose
+        row take is `rows` (`BorelCoordinates.rows`), for values v laid out
+        as grid = v[cells].reshape(|B|, p + 1): a row take and one gather.
+        grid = cells.reshape(|B|, p + 1) gives P_h itself, the array
+        `GroupTable.rmul_perm` assembles for h."""
+        return grid.take(rows, axis=0).ravel()[self.pos]
 
 
 def _grid_cells(mats: np.ndarray, p: int, inverse: np.ndarray) -> np.ndarray:
@@ -731,20 +759,21 @@ def _grid_cells(mats: np.ndarray, p: int, inverse: np.ndarray) -> np.ndarray:
 def bruhat_layout(table) -> BruhatLayout:
     """The `BruhatLayout` of a full SL_2(F_p) table, cached per table.
 
-    Three n-element index arrays: 118 KB at p = 17 and 714 KB at p = 31.
+    Four n-element index arrays: 157 KB at p = 17 and 952 KB at p = 31.
     No |B| x |B| array is held, because x -> x h for h in B is the O(|B|)
     arithmetic of `BorelCoordinates.rows`.
     """
     p, n = table.p, table.size
     inverse = borel_coordinates(p).inverse
+    pos = _grid_cells(table.mats, p, inverse)
     cells = np.empty(n, dtype=np.intp)
-    cells[_grid_cells(table.mats, p, inverse)] = np.arange(n)
+    cells[pos] = np.arange(n)
     laid = table.mats[cells]
     w = np.array([[0, -1], [1, 0]])
     w_fwd, w_back = (_grid_cells(laid @ m % p, p, inverse) for m in (w, -w))
-    for array in (cells, w_fwd, w_back):
+    for array in (cells, pos, w_fwd, w_back):
         array.setflags(write=False)
-    return BruhatLayout(cells, w_fwd, w_back)
+    return BruhatLayout(cells, pos, w_fwd, w_back)
 
 
 @lru_cache(maxsize=32)

@@ -21,22 +21,28 @@ permutation.  It works on the table's `bruhat_layout`, a (|B|, p + 1) grid
 on which x -> x b, for b in the Borel subgroup B, is a row take.  Each shift
 is h or h w u_s, one of the two Bruhat cells, and the shifts that share an h
 are one stacked product of row takes, in int8 for signs and indicators.
-Every other sweep assembles x -> x h once per h and x -> x r once per
-representative r used: p^2 permutations for a 4-term or float SL_2(F_p)
-sweep, 444 for SL_3(F_3) and 2p - 2 for a Borel sweep, rather than one per
-shift.  It scatters f_0 through x -> x h once per h.  Each representative r
-holds x -> x r^-1 and f_2 composed with x -> x r, so f_0 and f_2 cost one
-value gather each per shift, and x -> x g is composed only for f_3 and for
-the x-order sum of float rows.  That sweep holds at most 3 (used cosets) n
-values: 2.1 MB for SL_2(F_17) and 1.8 MB for SL_3(F_3).  Integer rows are
-summed in int16 up to n = 32767.
+Every other sweep takes x -> x h and x -> x h^-1 once per h, and assembles
+x -> x r once per representative r used, rather than one permutation per
+shift.  On a full SL_2(F_p) table x -> x h is two gathers of the Bruhat
+layout, so a 4-term or float sweep assembles only the p non-identity
+representatives; on SL_3(F_3) a sweep over all shifts assembles 444
+permutations, and a table with the trivial decomposition (B, subsets,
+cyclic groups) one per shift.  Each representative r holds x -> x r^-1 and
+f_2 composed with x -> x r, so f_0 and f_2 cost one value gather each per
+shift, and x -> x g is composed only for f_3 and for the x-order sum of
+float rows.  That sweep holds at most 3 (used cosets) n values: 2.1 MB for
+SL_2(F_17) and 1.8 MB for SL_3(F_3).  Integer rows are summed in int16 up
+to n = 32767.
 
 The exact average and deviation are two reductions of one sweep
 (`exact_progression_statistics`), and the restricted deviations two
 reductions of one sweep over the shift set.  Integer-valued inputs
-(indicators, +-1 signs) are summed exactly, and the exact value is
-reported as a Fraction alongside the float.  Float inputs are summed in
-x-order, bit-identical to a sweep with one fresh permutation per shift.
+(indicators, +-1 signs) are summed exactly, over the distinct per-shift
+sums and their counts, and the exact value is reported as a Fraction
+alongside the float.  Float inputs are summed in x-order, bit-identical to
+a sweep with one fresh permutation per shift.  `average_from_total` turns
+the sum of all n^2 products into the exact-mode average, for this sweep and
+for the shear-coordinate kernel of the Borel subgroup.
 """
 
 from __future__ import annotations
@@ -191,9 +197,13 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
     Each progression is anchored at its middle term y = x g, so
     s[g] = sum_y f_0(y g^-1) f_1(y) f_2(y g) f_3(y g^2), over the table's
     `coset_decomposition` g = h r.  Write P_z for the permutation x -> x z,
-    so P_g = R_r[P_h] with R_r = P_r.  Per h the sweep assembles P_h and
-    scatters A_h[P_h] = f_0, so that A_h(z) = f_0(z h^-1); per
-    representative r used it assembles R_r, scatters its inverse, so that
+    so P_g = R_r[P_h] with R_r = P_r.  Per h the sweep takes P_h and
+    A_h = f_0 o P_h^-1, so that A_h(z) = f_0(z h^-1).  On a decomposed full
+    SL_2(F_p) table, where h is in B, both are row takes of the table's
+    `bruhat_layout` (`BruhatLayout.compose`), P_h the same index array that
+    `table.rmul_perm` assembles; elsewhere the sweep assembles P_h and
+    scatters A_h[P_h] = f_0.  Per representative r used it assembles R_r,
+    scatters its inverse, so that
     f_0(y g^-1) = A_h[R_r^-1], and gathers F_2 = f_2[R_r], so that
     f_2(y g) = F_2[P_h].  Coset 0 (by its label), whose representative is
     the identity, skips the R_r gathers.  P_g is composed only for a 4-term
@@ -221,9 +231,13 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
         return np.full(len(shifts), fs[0].values.sum(), dtype=dtype)
     distinct, where = np.unique(shifts, return_inverse=True)
     dec = coset_decomposition(table)
-    if exact and len(vals) == 3 and table_kind(table) == "full" and table.d == 2 \
-            and dec.reps.size > 1:
+    sl2 = table_kind(table) == "full" and table.d == 2 and dec.reps.size > 1
+    if sl2 and exact and len(vals) == 3:
         return _bruhat_sums(table, vals, acc, distinct, dec)[where]
+    if sl2:  # f_0 and the identity laid out on the Bruhat grid
+        layout, coords = bruhat_layout(table), borel_coordinates(table.p)
+        cells = layout.cells.reshape(len(coords.t), -1)
+        f0_grid = vals[0][cells]
     order = np.lexsort((dec.coset[distinct], dec.h[distinct]))
     ordered = distinct[order]
     visits = zip(order.tolist(), dec.h[ordered].tolist(), dec.coset[ordered].tolist())
@@ -236,8 +250,14 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
     h_done = None
     for j, h, label in visits:
         if h != h_done:
-            h_done, perm_h = h, table.rmul_perm(h)
-            a_h[perm_h] = f0
+            h_done = h
+            if sl2:  # h = [[t, a], [0, 1 / t]] in B, h^-1 = [[1 / t, -a], [0, t]]
+                t, a = table.mats[h, 0]
+                perm_h = layout.compose(cells, coords.rows(t, a))
+                a_h = layout.compose(f0_grid, coords.rows(coords.inverse[t], -a))
+            else:
+                perm_h = table.rmul_perm(h)
+                a_h[perm_h] = f0
         if label not in reps:
             r_perm = table.rmul_perm(int(dec.reps[label]))
             r_inv = np.empty_like(r_perm)
@@ -277,7 +297,7 @@ def _bruhat_sums(table, vals, acc, shifts, dec) -> np.ndarray:
     nb = p * (p - 1)  # rows of the grid, one per element of B
     f0, f1, f2 = (v[layout.cells].reshape(nb, p + 1) for v in vals)
     s = np.arange(p)
-    u_rows, t_rows = coords.rows(1, s), coords.rows(s[1:], 0)  # b u_s and b diag(t, 1 / t)
+    u_rows = coords.factor_rows[0]  # b u_s
     # Layer k < p of a stack is the coset of w u_k, layer p is B itself.
     layer = table.mats[dec.reps, 1, 1]
     layer[0] = p
@@ -292,9 +312,7 @@ def _bruhat_sums(table, vals, acc, shifts, dec) -> np.ndarray:
     for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         group = order[start:stop]
         t, a = table.mats[hs[group[0]], 0]
-        t_inv = coords.inverse[t]
-        # h^-1 = [[1 / t, -a], [0, t]] = u_c diag(1 / t, t) with c = -a / t
-        inv_rows = t_rows[t_inv - 1].take(u_rows[-a * t_inv % p])
+        inv_rows = coords.rows(coords.inverse[t], -a)  # h^-1 = [[1 / t, -a], [0, t]]
         de[nb:] = f0.take(inv_rows, axis=0)  # E_h
         de[:nb] = de[nb:].reshape(-1)[layout.w_back].reshape(nb, -1)  # D_h
         k = ks[group]
@@ -332,38 +350,47 @@ def exact_progression_statistics(table, fs) -> tuple[MixingResult, MixingResult]
     k = len(fs)
     charge(k * n * n, OP_BUDGET, f"exact {k}-term average and deviation on {n} elements")
     sums = shift_sums(table, fs)
-    prod_means = np.prod([f.mean() for f in fs])
-    total = sum(sums.tolist())  # Python ints stay exact
-    value = total / (n * n)
-    average = MixingResult(
-        value=value,
-        product_of_means=prod_means,
-        deviation=abs(value - prod_means),
-        samples_used="exact",
-    )
     if not _exact_inputs(fs):
-        dev = float(np.abs(sums / n - prod_means).mean())
-        deviation = MixingResult(
-            value=dev, product_of_means=prod_means, deviation=dev, samples_used="exact"
-        )
+        average = average_from_total(fs, sum(sums.tolist()), n)
+        dev = float(np.abs(sums / n - average.product_of_means).mean())
+        deviation = MixingResult(value=dev, product_of_means=average.product_of_means,
+                                 deviation=dev, samples_used="exact")
         return average, deviation
-    target = _product_of_sums(fs)
-    exact_product = Fraction(target, n**k)
-    average.exact_value = Fraction(total, n * n)
-    average.exact_product = exact_product
-    average.deviation = abs(float(average.exact_value - exact_product))
+    # Python ints over the distinct sums stay exact: a few hundred for random signs.
+    distinct, counts = (a.tolist() for a in np.unique(sums, return_counts=True))
+    average = average_from_total(fs, sum(s * c for s, c in zip(distinct, counts)), n)
     # E_g |s_g / n - prod_i (sum f_i) / n| = sum_g |s_g n^(k-1) - prod_i sum f_i| / n^(k+1)
-    scale = n ** (k - 1)
-    exact_dev = Fraction(sum(abs(s * scale - target) for s in sums.tolist()), n ** (k + 1))
+    target, scale = _product_of_sums(fs), n ** (k - 1)
+    exact_dev = Fraction(sum(abs(s * scale - target) * c for s, c in zip(distinct, counts)),
+                         n ** (k + 1))
     deviation = MixingResult(
         value=float(exact_dev),
-        product_of_means=prod_means,
+        product_of_means=average.product_of_means,
         deviation=float(exact_dev),
         samples_used="exact",
         exact_value=exact_dev,
-        exact_product=exact_product,
+        exact_product=average.exact_product,
     )
     return average, deviation
+
+
+def average_from_total(fs, total, n: int) -> MixingResult:
+    """The exact-mode progression average of fs on n elements, from the sum
+    `total` of prod_i f_i(x g^i) over all n^2 pairs (x, g).
+
+    For integer-valued fs, total is a Python int, and the result carries the
+    exact average and product of means as Fractions; otherwise total is a
+    float (complex for complex input).
+    """
+    prod_means = np.prod([f.mean() for f in fs])
+    value = total / (n * n)
+    average = MixingResult(value=value, product_of_means=prod_means,
+                           deviation=abs(value - prod_means), samples_used="exact")
+    if _exact_inputs(fs):
+        average.exact_value = Fraction(total, n * n)
+        average.exact_product = Fraction(_product_of_sums(fs), n ** len(fs))
+        average.deviation = abs(float(average.exact_value - average.exact_product))
+    return average
 
 
 def _product_of_sums(fs) -> int:
@@ -476,16 +503,3 @@ def convolve(f: GroupFunction, mu: GroupFunction) -> GroupFunction:
     for z in support:
         out += mu.values[z] * f.values[table.rmul_perm(int(inv[z]))]
     return GroupFunction(out, table)
-
-
-def coset_smooth(f: GroupFunction, subgroup) -> GroupFunction:
-    """Convolve f with the uniform probability on a subgroup.
-
-    The result is constant on the left cosets x H, with the same mean as f;
-    its value at x is the mean of f over x H, at |H| permutations.
-    """
-    table = f.table
-    sub_idx = table.indices_of(subgroup.mats)
-    mu = np.zeros(table.size, dtype=np.float64)
-    mu[sub_idx] = 1.0 / len(sub_idx)
-    return convolve(f, GroupFunction(mu, table))

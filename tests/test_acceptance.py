@@ -228,7 +228,7 @@ def test_criterion_12_sheared_average_identity():
         for trial in range(10):
             rng = np.random.default_rng([TREND_SEED, p, trial])
             fs = [mixing.random_sign_function(ctx.group, rng) for _ in range(4)]
-            plain = borel_mod.four_term_average(ctx, fs).value
+            plain = mixing.progression_average(ctx.group, fs).value  # the plain sweep over B
             sheared = borel_mod.sheared_average(ctx, fs)
             worst = max(worst, abs(plain - sheared))
     announce(12, "shear-coordinate identity", worst <= 1e-10,

@@ -17,6 +17,7 @@ from progmix.borel import (
     four_term_average,
     sheared_average,
     sheared_average_exact,
+    smoothed,
     smoothing_gap,
     sum_product_collision_rate,
     zero_frequency_mass,
@@ -27,12 +28,22 @@ from progmix.fourier import dft
 from progmix.groups import GroupTable, borel_subgroup, unipotent_subgroup
 from progmix.mixing import (
     GroupFunction,
-    coset_smooth,
     constant_function,
+    convolve,
     indicator_function,
     progression_average,
     random_sign_function,
 )
+
+
+def coset_smooth(f, subgroup):
+    """Convolve f with the uniform probability on a subgroup, one
+    permutation per element: the oracle for `smoothed`, which averages over
+    the shear cosets in B's coordinates."""
+    table = f.table
+    mu = np.zeros(table.size, dtype=np.float64)
+    mu[table.indices_of(subgroup.mats)] = 1.0 / subgroup.size
+    return convolve(f, GroupFunction(mu, table))
 
 
 def coset_mean_zero_function(ctx, rng):
@@ -112,12 +123,8 @@ def test_context_invariants():
     for p in (3, 5, 7):
         ctx = borel_context(p)
         assert ctx.group.size == p * (p - 1)
-        assert ctx.unipotent.size == p
-        # pi takes value 1 exactly on the shear subgroup
-        assert set(np.flatnonzero(ctx.pi_values == 1)) == set(ctx.unipotent_indices)
         for t in range(1, p):
-            assert ctx.pi_values[ctx.pi_section[t]] == t
-        assert ctx.upper_left[ctx.pi_section[1]] == 1
+            assert ctx.group.mats[ctx.pi_section[t], 1, 1] == t
 
 
 def test_constant_four_term_average():
@@ -149,7 +156,7 @@ def test_sheared_average_equals_plain_average():
         rng = np.random.default_rng(p)
         for _ in range(5):
             fs = [random_sign_function(ctx.group, rng) for _ in range(4)]
-            plain = four_term_average(ctx, fs)
+            plain = progression_average(ctx.group, fs)  # the plain sweep over B
             assert abs(sheared_average(ctx, fs) - plain.value) < 1e-10
 
 
@@ -163,7 +170,7 @@ def test_sheared_average_exact_rational_equality():
             vals = np.zeros(ctx.group.size, dtype=np.int64)
             vals[chosen] = 1
             fs.append(GroupFunction(vals, ctx.group))
-        assert sheared_average_exact(ctx, fs) == four_term_average(ctx, fs).exact_value
+        assert sheared_average_exact(ctx, fs) == progression_average(ctx.group, fs).exact_value
 
 
 def test_sheared_average_needs_four_functions():
@@ -185,7 +192,7 @@ def old_sheared_layers(ctx, fs):
         i1 = perm
         i2 = perm[i1]
         i3 = perm[i2]
-        w = int(ctx.upper_left[gi]) ** 2 % p
+        w = int(ctx.group.mats[gi, 0, 0]) ** 2 % p
         c2 = (1 + w) % p
         c3 = (1 + w + w * w) % p
         t0 = fs[0].values[ctx.shear_mul_index[a_row]]
@@ -240,9 +247,11 @@ def test_sheared_kernel_matches_old_loop(p, kind):
     if kind == "float":
         # The old loop summed every product p^2 times, in its own order, so
         # it agrees to rounding; the slices of the same products, built from
-        # matrix products and summed in t order, agree bit for bit.
+        # matrix products and summed over (s, u) for each lam, in t and then
+        # lam order, agree bit for bit.
         value = sheared_average(ctx, fs)
-        want = sum(block.sum(dtype=np.float64).item() for block in matrix_product_slices(ctx, fs))
+        want = sum(x for block in matrix_product_slices(ctx, fs)
+                   for x in block.sum(axis=(0, 1), dtype=np.float64).tolist())
         assert value == want / (n * n)
         old = sum(float(block.sum(dtype=np.float64)) for block in old_sheared_layers(ctx, fs))
         assert abs(value - old / scale) <= 1e-12 * abs(old / scale)
@@ -251,9 +260,9 @@ def test_sheared_kernel_matches_old_loop(p, kind):
         assert sheared_average(ctx, fs) == sheared_average_exact(ctx, fs) == Fraction(exact, scale)
 
 
-# Largest product bound whose sums over a p^2 x n = 500 block at p = 5 fit
+# Largest product bound whose partial sums of n = 20 products at p = 5 fit
 # int16 and int32.
-BLOCK16, BLOCK32 = (2**15 - 1) // 500, (2**31 - 1) // 500
+BLOCK16, BLOCK32 = (2**15 - 1) // 20, (2**31 - 1) // 20
 
 
 @pytest.mark.parametrize("tops", [(127, 1), (-128, -1), (11, 11), (12, 11), (2**15 - 1, 1),
@@ -262,9 +271,10 @@ BLOCK16, BLOCK32 = (2**15 - 1) // 500, (2**31 - 1) // 500
                                   (BLOCK32, 1), (BLOCK32 + 1, 1), (-(BLOCK32 + 1), 1)])
 def test_sheared_kernel_exact_at_narrowing_bounds(tops):
     # Integer inputs are multiplied in the narrowest type that holds every
-    # product, and each block is summed in the narrowest that holds p^2 n
-    # times it; constant inputs put the product tops[0] * tops[1] in every
-    # entry, so every block sums to 500 times it.
+    # product, and each partial sum, over the (s, u) of one slice and lam,
+    # in the narrowest that holds n times it; constant inputs put the
+    # product tops[0] * tops[1] in every entry, so every partial sum is
+    # n = 20 times it, and every old p^2 n = 500 block 500 times it.
     ctx = borel_context(5)
     assert 25 * ctx.group.size == 500
     fs = [GroupFunction(np.full(ctx.group.size, v), ctx.group) for v in (*tops, 1, 1)]
@@ -273,21 +283,26 @@ def test_sheared_kernel_exact_at_narrowing_bounds(tops):
 
 
 def test_sheared_average_at_the_int64_boundary():
-    # Each block sums p^2 n products: at p = 3 the largest top with
-    # 54 top <= 2^63 - 1 is summed exactly, and one more is refused, though
-    # the plain 4-term sweep, whose rows sum n = 6 products, still takes it.
+    # Each partial sum adds n products, as each row of the plain 4-term
+    # sweep over B does: at p = 3 the largest top with 6 top <= 2^63 - 1 is
+    # summed exactly by both names, and one more is refused by both, and by
+    # the plain sweep.  The old p^2 n bound refused every top above
+    # (2^63 - 1) / 54.
     ctx = borel_context(3)
-    top = mixing.INT64_MAX // (9 * ctx.group.size)
+    n = ctx.group.size
+    top = mixing.INT64_MAX // n
     rng = np.random.default_rng(3)
     signs = [random_sign_function(ctx.group, rng).values for _ in range(4)]
     fs = [GroupFunction(s * v, ctx.group) for s, v in zip(signs, (top, 1, 1, 1))]
-    exact = sum(int(block.sum(dtype=np.int64)) for block in old_sheared_layers(ctx, fs))
-    assert sheared_average(ctx, fs) == Fraction(exact, 54 * ctx.group.size)
-    assert sheared_average(ctx, fs) == four_term_average(ctx, fs).exact_value
+    exact = sum(x for block in old_sheared_layers(ctx, fs) for x in block.ravel().tolist())
+    assert sheared_average(ctx, fs) == Fraction(exact, 9 * n * n)
+    assert sheared_average(ctx, fs) == four_term_average(ctx, fs).exact_value \
+        == progression_average(ctx.group, fs).exact_value
     fs[0] = GroupFunction(signs[0] * (top + 1), ctx.group)
-    four_term_average(ctx, fs)
-    with pytest.raises(ValueError, match="int64 maximum"):
-        sheared_average(ctx, fs)
+    for run in (sheared_average, four_term_average,
+                lambda ctx, fs: progression_average(ctx.group, fs)):
+        with pytest.raises(ValueError, match="int64 maximum"):
+            run(ctx, fs)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -297,7 +312,7 @@ def test_sheared_average_assembles_no_permutation(p, monkeypatch):
     # permutations, is the oracle.
     rng = np.random.default_rng(p)
     fs = [random_sign_function(borel_context(p).group, rng) for _ in range(4)]
-    want = four_term_average(borel_context(p), fs).exact_value
+    want = progression_average(borel_context(p).group, fs).exact_value
 
     def no_permutation(*args):
         raise AssertionError("the sheared kernel assembles no permutation")
@@ -305,7 +320,8 @@ def test_sheared_average_assembles_no_permutation(p, monkeypatch):
     monkeypatch.setattr(GroupTable, "rmul_perm", no_permutation)
     monkeypatch.setattr(GroupTable, "lmul_perm", no_permutation)
     ctx = borel_context.__wrapped__(p)  # uncached: built under the patch too
-    assert sheared_average(ctx, fs) == want
+    assert sheared_average(ctx, fs) == four_term_average(ctx, fs).exact_value == want
+    assert smoothing_gap(ctx, fs) >= 0  # the U-smoothing takes B's rows, no permutation
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -327,19 +343,21 @@ def test_progression_index_closed_form(p):
 
 
 def test_sheared_average_budget_boundary(monkeypatch):
-    # The charge is 4 n^2 p^2, as for the old p^2-fold loop.
+    # Every name charges 4 n^2, the products the kernel forms, as the plain
+    # 4-term sweep over B does; the old p^2-fold loop charged 4 n^2 p^2.
     p = 5
     ctx = borel_context(p)
     n = ctx.group.size
     fs = [random_sign_function(ctx.group, np.random.default_rng(i)) for i in range(4)]
-    want = four_term_average(ctx, fs).exact_value
-    cost = 4 * n * n * p * p
+    want = progression_average(ctx.group, fs).exact_value
+    cost = 4 * n * n
     monkeypatch.setenv("PROGMIX_BUDGET", str(cost - 1))
-    for fn in (sheared_average, sheared_average_exact):
+    for fn in (sheared_average, sheared_average_exact, four_term_average):
         with pytest.raises(BudgetExceededError, match="shear-coordinate 4-term average"):
             fn(ctx, fs)
     monkeypatch.setenv("PROGMIX_BUDGET", str(cost))
     assert sheared_average(ctx, fs) == sheared_average_exact(ctx, fs) == want
+    assert four_term_average(ctx, fs).exact_value == want
 
 
 @pytest.mark.parametrize("kind", ["sign", "indicator"])
@@ -354,7 +372,7 @@ def test_sheared_average_exact_at_larger_primes(p, kind):
         fs = [indicator_function(ctx.group, np.flatnonzero(rng.random(n) < 0.5))
               for _ in range(4)]
     exact = sheared_average(ctx, fs)
-    assert isinstance(exact, Fraction) and exact == four_term_average(ctx, fs).exact_value
+    assert isinstance(exact, Fraction) and exact == progression_average(ctx.group, fs).exact_value
 
 
 def lookup_context_fields(p):
@@ -366,9 +384,6 @@ def lookup_context_fields(p):
     for t in range(1, p):
         section[t] = group.index_of(np.array([[pow(t, -1, p), 0], [0, t]]))
     return dict(
-        unipotent_indices=group.indices_of(unipotent_subgroup(p).mats),
-        pi_values=group.mats[:, 1, 1],
-        upper_left=group.mats[:, 0, 0],
         shear_mul_index=np.stack([group.lmul_perm(int(g)) for g in group.indices_of(shears)]),
         pi_section=section,
     )
@@ -377,7 +392,7 @@ def lookup_context_fields(p):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_context_closed_forms_match_lookups(p):
     ctx = borel_context(p)
-    assert ctx.group is borel_subgroup(p) and ctx.unipotent is unipotent_subgroup(p)
+    assert ctx.group is borel_subgroup(p)
     for name, want in lookup_context_fields(p).items():
         got = getattr(ctx, name)
         assert got.shape == want.shape and np.array_equal(got, want), name
@@ -392,13 +407,62 @@ def test_shear_mul_index_matches_explicit_products():
             assert ctx.shear_mul_index[a].tolist() == ctx.group.indices_of(prods).tolist()
 
 
+@pytest.mark.parametrize("kind", ["int", "float", "complex"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_smoothed_is_the_convolution_bit_for_bit(p, kind):
+    # The mean over each row t of B's coordinates, its terms added in the
+    # convolution's order, is the convolution with the uniform measure on U.
+    ctx = borel_context(p)
+    n = ctx.group.size
+    rng = np.random.default_rng([p, len(kind)])
+    values = {"int": lambda: rng.integers(-5, 6, n), "float": lambda: rng.standard_normal(n),
+              "complex": lambda: rng.standard_normal(n) + 1j * rng.standard_normal(n)}[kind]()
+    f = GroupFunction(values, ctx.group)
+    [got] = smoothed(ctx, [f])
+    want = coset_smooth(f, unipotent_subgroup(p))
+    assert got.values.dtype == want.values.dtype
+    assert np.array_equal(got.values, want.values)
+
+
+def brute_four_term_sum(group, fs):
+    """sum_{x, g} prod_i f_i(x g^i) over all n^2 pairs, x g^i by explicit
+    matrix products and lookups, as Python numbers."""
+    n = group.size
+    xs, gs = np.divmod(np.arange(n * n), n)
+    point, terms = group.mats[xs], [fs[0].values[xs].tolist()]
+    for f in fs[1:]:
+        point = np.einsum("nij,njk->nik", point, group.mats[gs]) % group.p
+        terms.append(f.values[group.indices_of(point)].tolist())
+    return sum(a * b * c * d for a, b, c, d in zip(*terms))
+
+
+@pytest.mark.parametrize("kind", ["sign", "indicator", "float"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_four_term_average_matches_plain_sweep_and_brute_force(p, kind):
+    ctx = borel_context(p)
+    n = ctx.group.size
+    rng = np.random.default_rng([p, len(kind), 4])
+    draw = {"sign": lambda: rng.choice([-1, 1], size=n),
+            "indicator": lambda: (rng.random(n) < 0.4).astype(np.int64),
+            "float": lambda: rng.standard_normal(n)}[kind]
+    fs = [GroupFunction(draw(), ctx.group) for _ in range(4)]
+    got, plain = four_term_average(ctx, fs), progression_average(ctx.group, fs)
+    brute = brute_four_term_sum(ctx.group, fs)
+    if kind == "float":
+        # the plain sweep and the brute force add the products in other orders
+        assert got.product_of_means == plain.product_of_means
+        for want in (plain.value, brute / (n * n)):
+            assert abs(got.value - want) <= 1e-12
+    else:
+        assert got == plain
+        assert got.exact_value == Fraction(brute, n * n)
+
+
 def test_smoothing_gap_vanishes_on_coset_constant_inputs():
     ctx = borel_context(5)
     rng = np.random.default_rng(3)
-    fs = [
-        coset_smooth(GroupFunction(rng.standard_normal(ctx.group.size), ctx.group), ctx.unipotent)
-        for _ in range(4)
-    ]
+    fs = smoothed(ctx, [GroupFunction(rng.standard_normal(ctx.group.size), ctx.group)
+                        for _ in range(4)])
     assert smoothing_gap(ctx, fs) < 1e-12
 
 
@@ -459,10 +523,8 @@ def test_zero_frequency_mass_matches_dft_route(p):
 def test_zero_frequency_mass_of_coset_constant_inputs():
     ctx = borel_context(5)
     rng = np.random.default_rng(7)
-    smooth = [
-        coset_smooth(GroupFunction(rng.standard_normal(ctx.group.size), ctx.group), ctx.unipotent)
-        for _ in range(3)
-    ]
+    smooth = smoothed(ctx, [GroupFunction(rng.standard_normal(ctx.group.size), ctx.group)
+                            for _ in range(3)])
     zero = GroupFunction(np.zeros(ctx.group.size, dtype=np.int64), ctx.group)
     assert zero_frequency_mass(ctx, smooth + [zero], 3) == 0.0
 
@@ -688,7 +750,7 @@ def test_sheared_average_property(inputs):
     ctx, fs = inputs
     exact = sheared_average(ctx, fs)
     assert isinstance(exact, Fraction)
-    assert exact == four_term_average(ctx, fs).exact_value
+    assert exact == progression_average(ctx.group, fs).exact_value
     value = sheared_average(ctx, cast(ctx, fs, np.float64))
     assert isinstance(value, float)
     assert abs(value - float(exact)) <= 1e-12
@@ -720,6 +782,7 @@ def test_narrow_integer_inputs_stay_exact(dtype, m):
           for _ in range(3)]
     fs.append(GroupFunction(m * coset_mean_zero_function(ctx, rng).values, ctx.group))
     narrow = cast(ctx, fs, dtype)
-    assert sheared_average(ctx, narrow) == four_term_average(ctx, fs).exact_value
-    assert four_term_average(ctx, narrow).exact_value == four_term_average(ctx, fs).exact_value
+    want = progression_average(ctx.group, fs).exact_value
+    assert sheared_average(ctx, narrow) == four_term_average(ctx, narrow).exact_value == want
+    assert progression_average(ctx.group, narrow).exact_value == want
     assert zero_frequency_mass(ctx, narrow, 3) == rolled_zero_frequency_mass(ctx, fs)

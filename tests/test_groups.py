@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -284,7 +286,7 @@ def test_coset_decomposition_over_borel(p):
     assert coset_decomposition(table) is dec
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_bruhat_layout_matches_permutations(p):
     table = special_linear_group(2, p)
     layout = bruhat_layout(table)
@@ -292,6 +294,7 @@ def test_bruhat_layout_matches_permutations(p):
     assert sorted(layout.cells.tolist()) == list(range(n))
     cell = np.empty(n, dtype=np.intp)
     cell[layout.cells] = np.arange(n)
+    assert np.array_equal(layout.pos, cell)
     # every element is c_l b, l the line through its first column
     laid = table.mats[layout.cells].reshape(nb, p + 1, 2, 2)
     b = np.array([[[t, a], [0, pow(t, -1, p)]] for t in range(1, p) for a in range(p)])
@@ -300,32 +303,23 @@ def test_bruhat_layout_matches_permutations(p):
     w = table.index_of(np.array([[0, -1], [1, 0]]))
     for array, z in ((layout.w_fwd, w), (layout.w_back, int(table.inv_perm()[w]))):
         assert np.array_equal(array, cell[table.rmul_perm(z)[layout.cells]])
-    # x -> x h for h in B is the row take by rows(h)
-    values = np.arange(n)
+    # x -> x h for h in B is the row take by rows(h), and layout.compose
+    # gives the permutations of h and of h^-1 that table.rmul_perm assembles
+    values, coords = np.arange(n), borel_coordinates(p)
+    grid = layout.cells.reshape(nb, p + 1)
     for h in np.flatnonzero(table.mats[:, 1, 0] == 0):
-        rows = borel_coordinates(p).rows(*table.mats[h, 0])
+        (t, a), perm = table.mats[h, 0], table.rmul_perm(int(h))
+        rows = coords.rows(t, a)
         moved = values[layout.cells].reshape(nb, p + 1).take(rows, axis=0)
-        assert np.array_equal(moved.ravel(), values[table.rmul_perm(int(h))][layout.cells])
-    assert not layout.cells.flags.writeable and bruhat_layout(table) is layout
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_coset_decomposition_over_shears(p):
-    table = borel_subgroup(p)
-    dec = coset_decomposition(table)
-    assert dec.coset.tolist() == (table.mats[:, 0, 0] - 1).tolist()  # upper-left entry t, less one
-    assert len(dec.reps) == p - 1 and dec.reps[0] == table.identity_index
-    for label, rep in enumerate(dec.reps):
-        t = label + 1
-        assert table.mats[rep].tolist() == [[t, 0], [0, pow(t, -1, p)]]
-    for gi in range(table.size):
-        h, r = table.mats[dec.h[gi]], table.mats[dec.reps[dec.coset[gi]]]
-        assert h[0, 0] == h[1, 1] == 1 and h[1, 0] == 0  # h is a shear
-        assert np.array_equal(h @ r % p, table.mats[gi])
-    assert len(set(zip(dec.h.tolist(), dec.coset.tolist()))) == table.size
-    # found from the entries, not the label
-    relabelled = coset_decomposition(GroupTable(table.mats, p, "relabelled"))
-    assert np.array_equal(relabelled.coset, dec.coset) and np.array_equal(relabelled.h, dec.h)
+        assert np.array_equal(moved.ravel(), values[perm][layout.cells])
+        assert np.array_equal(layout.compose(grid, rows), perm)
+        inverse = layout.compose(grid, coords.rows(coords.inverse[t], -a))
+        assert np.array_equal(inverse, table.rmul_perm(int(table.inv_perm()[h])))
+        f = np.sin(values)  # any values laid out on the grid
+        assert np.array_equal(layout.compose(f[layout.cells].reshape(nb, -1), rows), f[perm])
+    for array in (layout.cells, layout.pos, layout.w_fwd, layout.w_back):
+        assert not array.flags.writeable
+    assert bruhat_layout(table) is layout
 
 
 def test_coset_decomposition_over_parabolic():
@@ -377,10 +371,11 @@ def conjugated_borel(p):
 
 @pytest.mark.parametrize("table", [special_linear_group(3, 5), unipotent_subgroup(5),
                                    GroupTable(borel_subgroup(5).mats[::5], 5, "torus"),
-                                   conjugated_borel(5)],
-                         ids=["sl3", "unipotent", "torus", "conjugated_borel"])
+                                   conjugated_borel(5), borel_subgroup(7)],
+                         ids=["sl3", "unipotent", "torus", "conjugated_borel", "borel"])
 def test_coset_decomposition_trivial_elsewhere(table):
-    # SL_3(F_5), with 31 cosets of 12,000, is over the default budget.
+    # SL_3(F_5), with 31 cosets of 12,000, is over the default budget; B is
+    # summed in shear coordinates (borel), so no sweep needs its cosets.
     dec = coset_decomposition(table)
     assert dec.reps.tolist() == [table.identity_index]
     assert not dec.coset.any() and np.array_equal(dec.h, np.arange(table.size))
@@ -407,9 +402,11 @@ def test_borel_coordinates_rows_match_rmul_perm(p):
     assert table.mats[:, 1, 1].tolist() == coords.inverse[coords.t].tolist()
     perms = np.stack([table.rmul_perm(g) for g in range(table.size)])
     for g, (t, a) in enumerate(table.mats[:, 0]):
-        assert np.array_equal(coords.rows(t, a), perms[g])
+        assert np.array_equal(coords.rows(t, a), perms[g])  # composed from factor_rows
+        assert np.array_equal(coords.rows(int(t), int(a) - p), perms[g])
     assert np.array_equal(coords.rows(coords.t, coords.a), perms)
     assert not coords.t.flags.writeable and borel_coordinates(p) is coords
+    assert not any(array.flags.writeable for array in coords.factor_rows)
 
 
 def test_orbit_stabilizer_exhaustive_sl2_f3():
@@ -656,7 +653,41 @@ def test_d3_lookups_match_oracle_on_sampled_shifts():
     assert absent[None] not in table
     with pytest.raises(KeyError):
         table.indices_of(np.stack([sample[0], absent]))
-    assert table._dense_index.shape == (3**9,)  # the one lookup path, dense for d = 3 too
+    assert table._dense_index.shape == (3**9,)  # the full SL_3 table keeps the dense index
+
+
+def test_d3_subtable_first_lookup_allocates_no_dense_index():
+    # A one-element SL_3(F_5) table once built a 7.8 MB index over all 5^9
+    # keys on its first lookup; it now searches its one sorted key.
+    shear3 = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    table = GroupTable(np.eye(3, dtype=np.int64)[None], 5, "one")
+    tracemalloc.start()
+    try:
+        assert table.identity_index == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert shear3[None] not in table
+    with pytest.raises(KeyError):
+        table.indices_of(np.stack([np.eye(3, dtype=np.int64), shear3]))
+
+
+@pytest.mark.parametrize("kind", ["centralizer", "class"])
+def test_d3_subtable_lookups_match_the_dense_index(kind):
+    # Every one of the 3^9 keys, present or absent, gets the index the dense
+    # route would give, on a centralizer and a conjugacy class of SL_3(F_3).
+    full = special_linear_group(3, 3)
+    b = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    sub = centralizer(full, b) if kind == "centralizer" else conjugacy_class(full, b)
+    assert 1 < sub.size < full.size
+    keys = np.arange(3**9)
+    got = sub._lookup(keys)
+    assert got.dtype == np.intp and "_dense_index" not in vars(sub)
+    assert np.array_equal(got, sub._dense_index[keys])
+    assert np.array_equal(sub.indices_of(sub.mats), np.arange(sub.size))
+    with pytest.raises(KeyError):
+        sub.indices_of(full.mats)
 
 
 def test_absent_elements_raise_key_error():

@@ -3,6 +3,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from progmix.borel import borel_context, smoothed
 from progmix.budget import BudgetExceededError
 from progmix.fourier import ap3_average
 from progmix.groups import (
@@ -19,7 +20,6 @@ from progmix.mixing import (
     GroupFunction,
     constant_function,
     convolve,
-    coset_smooth,
     delta_function,
     exact_progression_statistics,
     indicator_function,
@@ -353,33 +353,35 @@ def test_convolve_refuses_int64_overflow():
 
 def test_coset_smoothing_properties():
     p = 5
-    b = borel_subgroup(p)
+    ctx = borel_context(p)
+    b = ctx.group
     u = unipotent_subgroup(p)
     rng = np.random.default_rng(11)
     f = GroupFunction(rng.standard_normal(b.size), b)
-    smoothed = coset_smooth(f, u)
+    [once] = smoothed(ctx, [f])
     # mass preserved, idempotent, and constant on the shear cosets
-    assert abs(smoothed.mean() - f.mean()) < 1e-12
-    twice = coset_smooth(smoothed, u)
-    assert np.max(np.abs(twice.values - smoothed.values)) < 1e-12
+    assert abs(once.mean() - f.mean()) < 1e-12
+    [twice] = smoothed(ctx, [once])
+    assert np.max(np.abs(twice.values - once.values)) < 1e-12
     u_idx = b.indices_of(u.mats)
     for xi in range(b.size):
         coset = b.indices_of((b.mats[u_idx] @ b.mats[xi]) % p)
-        vals = smoothed.values[coset]
+        vals = once.values[coset]
         assert np.max(np.abs(vals - vals[0])) < 1e-12
 
 
 def test_coset_smoothing_of_point_mass():
     p = 5
-    b = borel_subgroup(p)
+    ctx = borel_context(p)
+    b = ctx.group
     u = unipotent_subgroup(p)
     x = 7
-    smoothed = coset_smooth(delta_function(b, x), u)
+    [once] = smoothed(ctx, [delta_function(b, x)])
     u_idx = b.indices_of(u.mats)
     coset = b.indices_of((b.mats[u_idx] @ b.mats[x]) % p)
     expected = np.zeros(b.size)
     expected[coset] = 1 / u.size
-    assert np.allclose(smoothed.values, expected)
+    assert np.allclose(once.values, expected)
 
 
 # Brute-force oracle for the exact statistics: a double loop over (x, g) that
@@ -527,6 +529,29 @@ def test_shared_exact_sweep_matches_separate_sweeps(p, kind, k, monkeypatch):
     assert progression_deviation(table, fs) == dev
 
 
+@pytest.mark.parametrize("kind", ["sign", "indicator", "big"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_exact_statistics_over_distinct_sums(p, k, kind):
+    # The average and deviation numerators, taken over the distinct sums and
+    # their counts, equal the Python-int sums over all n shift sums; one
+    # +-2^40 function puts the deviation terms s n^(k-1) far past int64.
+    table = special_linear_group(2, p)
+    n = table.size
+    rng = np.random.default_rng([p, k, len(kind)])
+    fs = input_functions(table, "indicator" if kind == "indicator" else "sign", k, rng)
+    if kind == "big":
+        fs[0] = GroupFunction(fs[0].values * 2**40, table)
+    avg, dev = exact_progression_statistics(table, fs)
+    sums = shift_sums(table, fs).tolist()
+    target = int(np.prod([int(f.values.sum()) for f in fs], dtype=object))
+    assert avg.exact_value == Fraction(sum(sums), n * n)
+    assert avg.exact_product == dev.exact_product == Fraction(target, n**k)
+    scale = n ** (k - 1)
+    assert dev.exact_value == Fraction(sum(abs(s * scale - target) for s in sums), n ** (k + 1))
+    assert avg.value == sum(sums) / (n * n)
+
+
 def direct_shift_sums(table, fs, shifts=None):
     """The per-shift loop that `shift_sums` replaced: one fresh permutation per shift."""
     vals = [f.values for f in fs]
@@ -573,8 +598,8 @@ def test_composed_shift_sums_match_direct_loop(p, k, kind):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", ["borel", "sl3", "cyclic"])
 def test_shift_sums_unchanged_on_undecomposed_tables(name, k, kind, monkeypatch):
-    # The trivial decomposition: "cyclic" always, and fresh Borel and SL_3
-    # tables built with no budget for their cosets.
+    # The trivial decomposition: "cyclic" and "borel" always, and a fresh
+    # SL_3 table built with no budget for its cosets.
     table = {"borel": lambda: GroupTable(borel_subgroup(7).mats, 7, "borel"),
              "sl3": lambda: GroupTable(special_linear_group(3, 3).mats, 3, "full"),
              "cyclic": lambda: CyclicTable(11)}[name]()
@@ -591,9 +616,9 @@ def test_shift_sums_unchanged_on_undecomposed_tables(name, k, kind, monkeypatch)
 @pytest.mark.parametrize("name, k, kind", [("borel", k, kind) for k in (2, 3, 4) for kind in KINDS]
                          + [("sl3", k, kind) for k in (3, 4) for kind in ("sign", "float")])
 def test_full_sweeps_over_cosets_match_direct_loop(name, k, kind):
-    # Every shift of B(F_7), over its 6 shear cosets, and of SL_3(F_3), over
-    # the 13 cosets of its bottom-row stabiliser.
-    table, cosets = {"borel": (borel_subgroup(7), 6), "sl3": (special_linear_group(3, 3), 13)}[name]
+    # Every shift of B(F_7), over the trivial decomposition, and of
+    # SL_3(F_3), over the 13 cosets of its bottom-row stabiliser.
+    table, cosets = {"borel": (borel_subgroup(7), 1), "sl3": (special_linear_group(3, 3), 13)}[name]
     assert len(coset_decomposition(table).reps) == cosets
     fs = input_functions(table, kind, k, np.random.default_rng([k, KINDS.index(kind), cosets]))
     assert_same_sums(table, fs)
@@ -611,7 +636,7 @@ def test_shift_sums_follow_coset_labels(name, k, kind):
     rng = np.random.default_rng([k, table.size, KINDS.index(kind), 5])
     fs = input_functions(table, kind, k, rng)
     off_identity = np.flatnonzero(dec.coset != 0)
-    if name == "cyclic":
+    if name in ("borel", "cyclic"):
         assert off_identity.size == 0  # the trivial decomposition
     else:
         assert len(np.unique(dec.coset)) > 2  # several non-identity cosets to tell apart
