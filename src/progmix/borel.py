@@ -122,26 +122,26 @@ def _sheared_layers(ctx: BorelContext, fs):
     with c_i = 1 + t^2 + .. + t^(2(i-1)).  For fixed s and t, a -> lam is a
     bijection of F_p, so the (x, g) with upper-left entry t of g are the
     (s, u, lam) in Fx x F_p x F_p.  Yields one slice per t = 1 .. p - 1, of
-    shape (p - 1, p, p) and entry (s, u, lam) = prod_i f_i(x g^i); factor i
-    is a gather from `mixing.kernel_values` at the index
-    ((s t^i mod p) - 1) p + t^-i (u + c_i lam) mod p, in B's index order
-    (element (T - 1) p + A is [[T, A], [0, 1/T]]).  No permutation is
-    assembled; the largest transient is one n p index array.  The slice is
-    one reused buffer.
+    shape (p - 1, p, p) and entry (s, u, lam) = prod_i f_i(x g^i).  With the
+    values of `mixing.kernel_values` laid out as B's (T, A) grid (element
+    (T - 1) p + A is [[T, A], [0, 1/T]]), factor i takes the rows s t^i mod p
+    and then, from each, the (p, p) columns t^-i (u + c_i lam) mod p.  No
+    permutation is assembled, and no n p index: the largest transient is
+    one slice of n p values.  The slice is one reused buffer.
     """
     p = ctx.p
     inverse = borel_coordinates(p).inverse
-    vals = mixing.kernel_values(fs)
-    s = np.arange(1, p)[:, None, None]
+    grids = [v.reshape(p - 1, p) for v in mixing.kernel_values(fs)]
+    s = np.arange(1, p)
     u, lam = np.arange(p)[:, None], np.arange(p)
-    f0 = vals[0].reshape(p - 1, p, 1)  # f_0(x) does not depend on lam
-    block = np.empty((p - 1, p, p), dtype=np.result_type(*vals))
+    f0 = grids[0][:, :, None]  # f_0(x) does not depend on lam
+    block = np.empty((p - 1, p, p), dtype=np.result_type(*grids))
     for t in range(1, p):
         w, power, c, lhs = t * t % p, 1, 0, f0  # power = t^i, c = c_i
-        for v in vals[1:]:
+        for grid in grids[1:]:
             power, c = power * t % p, (1 + w * c) % p
-            index = (s * power % p - 1) * p + inverse[power] * (u + c * lam) % p
-            np.multiply(lhs, v[index], out=block)
+            factor = grid[s * power % p - 1].take(inverse[power] * (u + c * lam) % p, axis=1)
+            np.multiply(lhs, factor, out=block)
             lhs = block
         yield block
 
@@ -150,13 +150,13 @@ def _sheared_sum(ctx: BorelContext, fs):
     """sum_{x, g in B} prod_i f_i(x g^i), the one kernel of the four-term
     average on B, over the slices of `_sheared_layers`.
 
-    Each slice is summed over (s, u) for each lam, n products per partial
-    sum, in the dtype `mixing.sum_dtype` gives n products: so integer inputs
-    are refused with a ValueError exactly when a row of the plain sweep over
-    B, which sums n products, would be.  The partial sums are added as
-    Python numbers, in t and then lam order: a Python int for integer inputs,
-    else a float (complex for complex input).  Charges 4 n^2, the products
-    formed.
+    Each slice of n p products is summed as p partial sums of n consecutive
+    products (in (s, u, lam) order), in the dtype `mixing.sum_dtype` gives n
+    products: so integer inputs are refused with a ValueError exactly when a
+    row of the plain sweep over B, which sums n products, would be.  The
+    partial sums are added as Python numbers, in order: a Python int for
+    integer inputs, else a float (complex for complex input).  Charges
+    4 n^2, the products formed.
     """
     if len(fs) != 4 or any(f.table is not ctx.group for f in fs):
         raise ValueError("need exactly four functions on the context's group")
@@ -164,7 +164,7 @@ def _sheared_sum(ctx: BorelContext, fs):
     charge(4 * n * n, OP_BUDGET, f"shear-coordinate 4-term average on {n} elements")
     acc = mixing.sum_dtype(fs, n)
     return sum(x for block in _sheared_layers(ctx, fs)
-               for x in block.sum(axis=(0, 1), dtype=acc).tolist())
+               for x in block.reshape(ctx.p, n).sum(axis=1, dtype=acc).tolist())
 
 
 def sheared_average(ctx: BorelContext, fs) -> float | Fraction:

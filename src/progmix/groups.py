@@ -441,7 +441,7 @@ class BorelCoordinates:
         `factor_rows` as h = u_(a t) diag(t, t^-1); arrays t and a
         broadcast, with B along a new last axis."""
         p = self.p
-        if np.ndim(t) == np.ndim(a) == 0:
+        if np.isscalar(t) and np.isscalar(a):
             shear, diag = self.factor_rows
             return diag[t - 1].take(shear[a * t % p])
         t, a = np.asarray(t)[..., None], np.asarray(a)[..., None]

@@ -247,11 +247,11 @@ def test_sheared_kernel_matches_old_loop(p, kind):
     if kind == "float":
         # The old loop summed every product p^2 times, in its own order, so
         # it agrees to rounding; the slices of the same products, built from
-        # matrix products and summed over (s, u) for each lam, in t and then
-        # lam order, agree bit for bit.
+        # matrix products and summed as p runs of n consecutive products,
+        # added in order, agree bit for bit.
         value = sheared_average(ctx, fs)
         want = sum(x for block in matrix_product_slices(ctx, fs)
-                   for x in block.sum(axis=(0, 1), dtype=np.float64).tolist())
+                   for x in block.reshape(p, n).sum(axis=1, dtype=np.float64).tolist())
         assert value == want / (n * n)
         old = sum(float(block.sum(dtype=np.float64)) for block in old_sheared_layers(ctx, fs))
         assert abs(value - old / scale) <= 1e-12 * abs(old / scale)
@@ -271,7 +271,7 @@ BLOCK16, BLOCK32 = (2**15 - 1) // 20, (2**31 - 1) // 20
                                   (BLOCK32, 1), (BLOCK32 + 1, 1), (-(BLOCK32 + 1), 1)])
 def test_sheared_kernel_exact_at_narrowing_bounds(tops):
     # Integer inputs are multiplied in the narrowest type that holds every
-    # product, and each partial sum, over the (s, u) of one slice and lam,
+    # product, and each partial sum, of n consecutive products of a slice,
     # in the narrowest that holds n times it; constant inputs put the
     # product tops[0] * tops[1] in every entry, so every partial sum is
     # n = 20 times it, and every old p^2 n = 500 block 500 times it.
