@@ -27,6 +27,7 @@ from .groups import (
     centralizer,
     diagonalisable_set,
     special_linear_group,
+    trace_discriminant_symbol,
     trace_values,
 )
 from .report import ExperimentReport
@@ -252,13 +253,9 @@ def cmd_varieties(args, report: ExperimentReport) -> None:
         # The discriminant t^2 - 4 of a trace t is 0 exactly at t = +-2, a
         # nonzero square for a split regular element and a non-square for a
         # non-split one.  Each row takes the element of smallest index.
-        trace = np.arange(p)
-        disc = (trace * trace - 4) % p
-        square = np.zeros(p, dtype=bool)
-        square[trace * trace % p] = True
-        square = square[disc]
-        for statistic, kind in (("split_centralizer_size", square & (disc != 0)),
-                                ("nonsplit_centralizer_size", ~square)):
+        symbol = trace_discriminant_symbol(p)
+        for statistic, kind in (("split_centralizer_size", symbol == 1),
+                                ("nonsplit_centralizer_size", symbol == -1)):
             first = np.flatnonzero(kind[tr])[:1]
             if first.size:
                 size = centralizer(table, table.mats[first[0]]).size

@@ -486,51 +486,24 @@ def trace_values(table: GroupTable) -> np.ndarray:
 
 
 def is_regular_semisimple(x: GroupElement) -> bool:
-    """Distinct eigenvalues over the algebraic closure.
+    """Distinct eigenvalues over the algebraic closure: the discriminant of
+    the characteristic polynomial is nonzero mod p.
 
-    For d = 2 this is trace != +-2; for d = 3 the characteristic polynomial
-    must be squarefree (trivial gcd with its formal derivative over F_p).
+    For d = 2 the characteristic polynomial is X^2 - t X + 1, t the trace,
+    with discriminant t^2 - 4.  For d = 3 it is X^3 - c_2 X^2 + c_1 X - 1,
+    c_2 the trace and c_1 the sum of the principal 2 x 2 minors, with
+    discriminant c_1^2 c_2^2 - 4 c_1^3 - 4 c_2^3 + 18 c_1 c_2 - 27.
     """
-    p = x.p
-    m = x.array()
+    m = x.array().tolist()
+    c2 = sum(m[i][i] for i in range(x.d))
     if x.d == 2:
-        return int(np.trace(m)) % p not in (2, p - 2)
-    if x.d == 3:
-        c2 = int(np.trace(m)) % p
-        minors = 0
-        for i in range(3):
-            r = [k for k in range(3) if k != i]
-            minors += m[r[0], r[0]] * m[r[1], r[1]] - m[r[0], r[1]] * m[r[1], r[0]]
-        c1 = int(minors) % p
-        # charpoly x^3 - c2 x^2 + c1 x - 1
-        f = [p - 1, c1, (p - c2) % p, 1]
-        fp = [c1, (2 * (p - c2)) % p, 3 % p]
-        return len(_poly_gcd_mod(f, fp, p)) == 1
-    raise ValueError(f"unsupported dimension {x.d}")
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd of two polynomials with coefficients mod p (low-to-high)."""
-    a = _poly_trim([c % p for c in a])
-    b = _poly_trim([c % p for c in b])
-    while b != [0]:
-        # remainder of a by b
-        a = a[:]
-        while len(a) >= len(b) and a != [0]:
-            shift = len(a) - len(b)
-            factor = a[-1] * inv_mod(b[-1], p) % p
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - factor * c) % p
-            a = _poly_trim(a)
-        a, b = b, a
-    lead_inv = inv_mod(a[-1], p)
-    return [c * lead_inv % p for c in a]
+        disc = c2 * c2 - 4
+    elif x.d == 3:
+        c1 = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
+        disc = c1 * c1 * c2 * c2 - 4 * c1**3 - 4 * c2**3 + 18 * c1 * c2 - 27
+    else:
+        raise ValueError(f"unsupported dimension {x.d}")
+    return disc % x.p != 0
 
 
 def centralizer_indices(table: GroupTable, b_mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -776,6 +749,20 @@ def bruhat_layout(table) -> BruhatLayout:
     return BruhatLayout(cells, pos, w_fwd, w_back)
 
 
+def trace_discriminant_symbol(p: int) -> np.ndarray:
+    """The Legendre symbol of t^2 - 4 mod p for each trace t in [0, p).
+
+    It is 1 where t^2 - 4 is a nonzero square, the traces of split regular
+    elements of SL_2(F_p); -1 where it is a non-square, the non-split ones;
+    and 0 at t = +-2.
+    """
+    square = np.zeros(p, dtype=bool)
+    square[list(squares_mod(p))] = True
+    t = np.arange(p)
+    disc = (t * t - 4) % p
+    return np.where(disc == 0, 0, np.where(square[disc], 1, -1))
+
+
 @lru_cache(maxsize=32)
 def diagonalisable_set(p: int) -> GroupTable:
     """Elements of SL_2(F_p) with an eigenbasis over F_p.
@@ -783,13 +770,8 @@ def diagonalisable_set(p: int) -> GroupTable:
     Fast criterion: central (+-identity), or trace^2 - 4 a nonzero square.
     """
     table = special_linear_group(2, p)
-    tr = trace_values(table)
-    disc = (tr * tr - 4) % p
-    nonzero_square = np.zeros(p, dtype=bool)
-    for s in squares_mod(p):
-        nonzero_square[s] = s != 0
     central = np.array([table.index_of(m * np.eye(2, dtype=np.int64)) for m in (1, p - 1)])
-    mask = nonzero_square[disc]
+    mask = trace_discriminant_symbol(p)[trace_values(table)] == 1
     mask[central] = True
     return GroupTable(table.mats[mask], p, "diag_set")
 

@@ -15,32 +15,32 @@ progression at its middle term y = x g, so that
 
     s[g] = sum_y f_0(y g^-1) f_1(y) f_2(y g) f_3(y g^2),
 
-and writes each shift as g = h r over the table's `coset_decomposition`.
-A 3-term sweep with integer values on a full SL_2(F_p) table assembles no
-permutation.  It works on the table's `bruhat_layout`, a (|B|, p + 1) grid
-on which x -> x b, for b in the Borel subgroup B, is a row take.  Each shift
-is h or h w u_s, one of the two Bruhat cells, and the shifts that share an h
-are one stacked product of row takes, in int8 for signs and indicators.
-Every other sweep takes x -> x h and x -> x h^-1 once per h, and assembles
-x -> x r once per representative r used, rather than one permutation per
-shift.  On a full SL_2(F_p) table x -> x h is two gathers of the Bruhat
-layout, so a 4-term or float sweep assembles only the p non-identity
-representatives; on SL_3(F_3) a sweep over all shifts assembles 444
-permutations, and a table with the trivial decomposition (B, subsets,
-cyclic groups) one per shift.  Each representative r holds x -> x r^-1 and
-f_2 composed with x -> x r, so f_0 and f_2 cost one value gather each per
-shift, and x -> x g is composed only for f_3 and for the x-order sum of
-float rows.  That sweep holds at most 3 (used cosets) n values: 2.1 MB for
+and sums each row in y-order, in the dtype of `sum_dtype`, whatever the
+dtype of the inputs.  It writes each shift as g = h r over the table's
+`coset_decomposition`.  A 3-term sweep with integer values on a full
+SL_2(F_p) table assembles no permutation.  It works on the table's
+`bruhat_layout`, a (|B|, p + 1) grid on which x -> x b, for b in the Borel
+subgroup B, is a row take.  Each shift is h or h w u_s, one of the two
+Bruhat cells, and the shifts that share an h are one stacked product of row
+takes, in int8 for signs and indicators.  Every other sweep takes x -> x h
+once per h, scatters f_0 through it, and assembles x -> x r once per
+representative r used, rather than one permutation per shift.  On a full
+SL_2(F_p) table x -> x h is two gathers of the Bruhat layout, so such a
+sweep assembles only the p non-identity representatives; on SL_3(F_3) a
+sweep over all shifts assembles 444 permutations, and a table with the
+trivial decomposition (B, subsets, cyclic groups) one per shift.  Each
+representative r holds x -> x r^-1 and f_2 composed with x -> x r, so f_0
+and f_2 cost one value gather each per shift, and x -> x g is composed only
+for f_3.  That sweep holds at most 3 (used cosets) n values: 2.1 MB for
 SL_2(F_17) and 1.8 MB for SL_3(F_3).  Integer rows are summed in int16 up
 to n = 32767.
 
 The exact average and deviation are two reductions of one sweep
-(`exact_progression_statistics`), and the restricted deviations two
-reductions of one sweep over the shift set.  Integer-valued inputs
-(indicators, +-1 signs) are summed exactly, over the distinct per-shift
-sums and their counts, and the exact value is reported as a Fraction
-alongside the float.  Float inputs are summed in x-order, bit-identical to
-a sweep with one fresh permutation per shift.  `average_from_total` turns
+(`exact_progression_statistics`), over the distinct per-shift sums and
+their counts, and the restricted deviations two reductions of one sweep
+over the shift set.  Integer-valued inputs (indicators, +-1 signs) are
+summed exactly, and the exact value is reported as a Fraction alongside the
+float; other inputs end in a float division.  `average_from_total` turns
 the sum of all n^2 products into the exact-mode average, for this sweep and
 for the shear-coordinate kernel of the Borel subgroup.
 """
@@ -197,30 +197,29 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
     Each progression is anchored at its middle term y = x g, so
     s[g] = sum_y f_0(y g^-1) f_1(y) f_2(y g) f_3(y g^2), over the table's
     `coset_decomposition` g = h r.  Write P_z for the permutation x -> x z,
-    so P_g = R_r[P_h] with R_r = P_r.  Per h the sweep takes P_h and
-    A_h = f_0 o P_h^-1, so that A_h(z) = f_0(z h^-1).  On a decomposed full
-    SL_2(F_p) table, where h is in B, both are row takes of the table's
-    `bruhat_layout` (`BruhatLayout.compose`), P_h the same index array that
-    `table.rmul_perm` assembles; elsewhere the sweep assembles P_h and
-    scatters A_h[P_h] = f_0.  Per representative r used it assembles R_r,
-    scatters its inverse, so that
+    so P_g = R_r[P_h] with R_r = P_r.  Per h the sweep takes P_h and scatters
+    A_h[P_h] = f_0, so that A_h(z) = f_0(z h^-1).  On a decomposed full
+    SL_2(F_p) table, where h is in B, P_h is a row take of the table's
+    `bruhat_layout` (`BruhatLayout.compose`), the same index array that
+    `table.rmul_perm` assembles; elsewhere the sweep assembles it.  Per
+    representative r used it assembles R_r, scatters its inverse, so that
     f_0(y g^-1) = A_h[R_r^-1], and gathers F_2 = f_2[R_r], so that
     f_2(y g) = F_2[P_h].  Coset 0 (by its label), whose representative is
     the identity, skips the R_r gathers.  P_g is composed only for a 4-term
-    shift, whose f_3(y g^2) = f_3[P_g][P_g], and for non-integer inputs,
-    whose rows are gathered back into x-order (row[P_g]) before the sum, so
-    every float sum is bit-identical to the one over x with a fresh
-    `table.rmul_perm(g)` per shift.  Each point's product is taken as
-    ((f_0 f_1) f_2) f_3, as in the sum over x.  Integer inputs are
-    multiplied in the narrow dtype of `kernel_values` and each row is summed
-    in y-order in the narrow dtype of `sum_dtype`.  Per representative used,
-    the sweep holds R_r^-1 and F_2, and R_r only when it composes P_g.  Each
+    shift, whose f_3(y g^2) = f_3[P_g][P_g].  Each point's product is taken
+    as ((f_0 f_1) f_2) f_3, and each row is summed in y-order in the dtype
+    of `sum_dtype`, for every dtype: integer inputs are multiplied in the
+    narrow dtype of `kernel_values` and summed exactly, and float sums are
+    bit-identical to a loop that takes a fresh `table.rmul_perm(g)` per
+    shift and sums the same products in y-order.  Per representative used,
+    the sweep holds R_r^-1 and F_2, and R_r only for a 4-term sweep.  Each
     distinct shift is summed once, and a repeated shift copies its sum.
 
     3-term integer inputs on a decomposed full SL_2(F_p) table take
     `_bruhat_sums` instead: row takes over the table's `bruhat_layout`, with
     the representatives w u_s of `coset_decomposition`, and no assembled
-    permutation.  Its sums are the same integers.
+    permutation.  It sums in grid order, which gives the same sums only
+    because integer sums do not depend on their order.
     """
     vals = kernel_values(fs)
     shifts = np.arange(table.size) if shifts is None else np.asarray(shifts, dtype=np.intp)
@@ -234,45 +233,40 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
     sl2 = table_kind(table) == "full" and table.d == 2 and dec.reps.size > 1
     if sl2 and exact and len(vals) == 3:
         return _bruhat_sums(table, vals, acc, distinct, dec)[where]
-    if sl2:  # f_0 and the identity laid out on the Bruhat grid
+    if sl2:  # the identity laid out on the Bruhat grid
         layout, coords = bruhat_layout(table), borel_coordinates(table.p)
         cells = layout.cells.reshape(len(coords.t), -1)
-        f0_grid = vals[0][cells]
     order = np.lexsort((dec.coset[distinct], dec.h[distinct]))
     ordered = distinct[order]
     visits = zip(order.tolist(), dec.h[ordered].tolist(), dec.coset[ordered].tolist())
     f0, f1, f2, f3 = vals + [None] * (4 - len(vals))
-    composed = f3 is not None or not exact  # the rows that need P_g = R_r[P_h]
     identity = np.arange(table.size)
-    reps = {0: (None, None, f2)}  # coset label -> R_r if composed, R_r^-1, f_2 o R_r
+    reps = {0: (None, None, f2)}  # coset label -> R_r if 4-term, R_r^-1, f_2 o R_r
     a_h = np.empty_like(f0)  # A_h(z) = f_0(z h^-1)
     sums = np.empty(len(distinct), dtype=dtype)
     h_done = None
     for j, h, label in visits:
         if h != h_done:
             h_done = h
-            if sl2:  # h = [[t, a], [0, 1 / t]] in B, h^-1 = [[1 / t, -a], [0, t]]
-                t, a = table.mats[h, 0]
-                perm_h = layout.compose(cells, coords.rows(t, a))
-                a_h = layout.compose(f0_grid, coords.rows(coords.inverse[t], -a))
+            if sl2:  # h = [[t, a], [0, 1 / t]] in B
+                perm_h = layout.compose(cells, coords.rows(*table.mats[h, 0]))
             else:
                 perm_h = table.rmul_perm(h)
-                a_h[perm_h] = f0
+            a_h[perm_h] = f0
         if label not in reps:
             r_perm = table.rmul_perm(int(dec.reps[label]))
             r_inv = np.empty_like(r_perm)
             r_inv[r_perm] = identity
-            reps[label] = (r_perm if composed else None, r_inv,
+            reps[label] = (r_perm if f3 is not None else None, r_inv,
                            None if f2 is None else f2[r_perm])
         r_perm, r_inv, f2_r = reps[label]
         row = (a_h[r_inv] if label else a_h) * f1
         if f2 is not None:
             row = row * f2_r[perm_h]
-        if composed:
+        if f3 is not None:
             perm_g = r_perm[perm_h] if label else perm_h
-            if f3 is not None:
-                row = row * f3[perm_g][perm_g]
-        sums[j] = row.sum(dtype=acc) if exact else row[perm_g].sum()
+            row = row * f3[perm_g][perm_g]
+        sums[j] = row.sum(dtype=acc)
     return sums[where]
 
 
@@ -342,33 +336,30 @@ def exact_progression_statistics(table, fs) -> tuple[MixingResult, MixingResult]
 
     Returns (average, deviation), the results of the exact modes of
     `progression_average` and `progression_deviation`, and charges the
-    k n^2 operations of the sweep once.
+    k n^2 operations of the sweep once.  Both are reductions over the
+    distinct per-shift sums and their counts, exact Fractions for
+    integer-valued inputs and a float division otherwise.
     """
     fs = list(fs)
     table = _common_table(fs, table)
     n = table.size
     k = len(fs)
     charge(k * n * n, OP_BUDGET, f"exact {k}-term average and deviation on {n} elements")
-    sums = shift_sums(table, fs)
-    if not _exact_inputs(fs):
-        average = average_from_total(fs, sum(sums.tolist()), n)
-        dev = float(np.abs(sums / n - average.product_of_means).mean())
-        deviation = MixingResult(value=dev, product_of_means=average.product_of_means,
-                                 deviation=dev, samples_used="exact")
-        return average, deviation
-    # Python ints over the distinct sums stay exact: a few hundred for random signs.
-    distinct, counts = (a.tolist() for a in np.unique(sums, return_counts=True))
+    # Python scalars over the distinct sums: a few hundred for random signs,
+    # and integer sums stay exact.
+    distinct, counts = (a.tolist() for a in np.unique(shift_sums(table, fs), return_counts=True))
     average = average_from_total(fs, sum(s * c for s, c in zip(distinct, counts)), n)
     # E_g |s_g / n - prod_i (sum f_i) / n| = sum_g |s_g n^(k-1) - prod_i sum f_i| / n^(k+1)
+    exact = _exact_inputs(fs)
     target, scale = _product_of_sums(fs), n ** (k - 1)
-    exact_dev = Fraction(sum(abs(s * scale - target) * c for s, c in zip(distinct, counts)),
-                         n ** (k + 1))
+    dev = sum(abs(s * scale - target) * c for s, c in zip(distinct, counts))
+    dev = Fraction(dev, n ** (k + 1)) if exact else dev / n ** (k + 1)
     deviation = MixingResult(
-        value=float(exact_dev),
+        value=float(dev),
         product_of_means=average.product_of_means,
-        deviation=float(exact_dev),
+        deviation=float(dev),
         samples_used="exact",
-        exact_value=exact_dev,
+        exact_value=dev if exact else None,
         exact_product=average.exact_product,
     )
     return average, deviation
@@ -393,11 +384,11 @@ def average_from_total(fs, total, n: int) -> MixingResult:
     return average
 
 
-def _product_of_sums(fs) -> int:
-    """prod_i sum_x f_i(x) for integer-valued inputs, as a Python int."""
+def _product_of_sums(fs):
+    """prod_i sum_x f_i(x), a Python int for integer-valued inputs."""
     prod = 1
     for f in fs:
-        prod *= int(f.values.sum(dtype=np.int64))
+        prod *= f.values.sum().item()
     return prod
 
 

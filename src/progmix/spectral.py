@@ -48,17 +48,9 @@ def classical_sl2_parameter(p: int) -> QuasirandomnessParameter:
     return QuasirandomnessParameter((p - 1) / 2, "classical_formula")
 
 
-def _values(mu) -> np.ndarray:
-    if isinstance(mu, mixing.GroupFunction):
-        return mu.values
-    if hasattr(mu, "weights"):
-        return mu.weights
-    return np.asarray(mu)
-
-
 def convolution_matrix(table, mu) -> np.ndarray:
     """Matrix of f -> f * mu: out[x, y] = mu(y^-1 x).  Charges its n^2 entries."""
-    vals = _values(mu)
+    vals = np.asarray(mu)
     n = table.size
     charge(n * n, OP_BUDGET, f"{n} x {n} convolution matrix")
     out = np.empty((n, n), dtype=vals.dtype if np.iscomplexobj(vals) else np.float64)
@@ -71,7 +63,7 @@ def convolution_matrix(table, mu) -> np.ndarray:
 def spectral_norm(table, mu) -> float:
     """Reduced spectral norm of mu: from U-blocks on full SL_2(F_p) and Borel
     tables, from the full SVD of the convolution matrix on any other table."""
-    vals = _values(mu)
+    vals = np.asarray(mu)
     if table_kind(table) is not None and table.d == 2:
         return _isotypic_norm(table, vals)
     if table.size > FULL_SVD_LIMIT:
@@ -134,7 +126,7 @@ def class_function_norm(table, mu) -> float:
     normal.  Its norm off the constant direction v_j = sqrt(|C_j| / n) is the
     reduced norm.  Costs k shift permutations for k classes.
     """
-    vals = _values(mu)
+    vals = np.asarray(mu)
     labels = conjugacy_classes(table)
     _, reps, sizes = np.unique(labels, return_index=True, return_counts=True)
     if np.any(vals != vals[reps][labels]):
@@ -151,7 +143,7 @@ def class_function_norm(table, mu) -> float:
 
 def cyclic_spectral_oracle(mu) -> float:
     """max over nonzero frequencies of |sum_x mu(x) e(-xi x / n)| on Z_n."""
-    vals = np.asarray(_values(mu), dtype=complex)
+    vals = np.asarray(mu, dtype=complex)
     n = len(vals)
     best = 0.0
     for xi in range(1, n):
@@ -183,7 +175,7 @@ def check_spectral_bounds(table, mu, quasi: QuasirandomnessParameter, c0: float 
     """Compare the reduced spectral norm against its three standard bounds:
     the l1 mass, the quasirandom l2 bound D^(-1/2) |G|^(1/2) |mu|_2, and the
     split bound C0 D^(-1/2) + (mass above the C0/|G| level)."""
-    vals = _values(mu)
+    vals = np.asarray(mu)
     n = table.size
     norm = spectral_norm(table, mu)
     l1 = float(np.sum(np.abs(vals)))
@@ -245,7 +237,7 @@ class TTStarReport:
 
 def tt_star_check(table, mu) -> TTStarReport:
     """Compare |mu * mu~|_S with |mu|_S^2, mu~(g) = conj(mu(g^-1))."""
-    vals = _values(mu)
+    vals = np.asarray(mu)
     tilde = np.conj(vals[table.inv_perm()])
     f_mu = mixing.GroupFunction(vals, table)
     f_tilde = mixing.GroupFunction(tilde, table)

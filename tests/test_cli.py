@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -261,6 +262,24 @@ def test_mixing4_diag_sweeps_each_shift_once(capsys, monkeypatch):
     assert sorted(calls) == sorted(want)
 
 
+@pytest.mark.parametrize("samples", ["exact", "2000"])
+@pytest.mark.parametrize("p", [5, 7])
+def test_float_mixing3_assembles_only_coset_representatives(capsys, monkeypatch, p, samples):
+    calls = count_rmul_perm(monkeypatch)
+    argv = ["mixing3", "--primes", str(p), "--samples", samples, "--functions", "coset-borel"]
+    assert run_cli(capsys, *argv)[0] == 0
+    # Float rows are summed in y-order like integer ones, so x -> x h for h in
+    # B comes from the Bruhat layout, and only the representatives w u_s of
+    # the cosets the shifts use are assembled, once each.
+    table = special_linear_group(2, p)
+    dec = coset_decomposition(table)
+    shifts = np.arange(table.size) if samples == "exact" else \
+        np.random.default_rng([0, p, 2]).integers(0, table.size, size=int(samples))
+    used = np.unique(dec.coset[shifts])
+    assert sorted(calls) == sorted(dec.reps[used[used > 0]].tolist())
+    assert np.all(dec.coset[calls] != 0)  # never an h in B
+
+
 def test_sampled_mixing3_d3_sweeps_over_parabolic_cosets(capsys, monkeypatch):
     calls = count_rmul_perm(monkeypatch)
     assert run_cli(capsys, "mixing3", "--d", "3", "--primes", "3", "--samples", "1000")[0] == 0
@@ -314,6 +333,24 @@ def test_unknown_command_exits_2(capsys):
 def test_bad_samples_value(capsys):
     code, _, err = run_cli(capsys, "mixing3", "--primes", "3", "--samples", "many")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mixing3", "--primes", "3,x"], "--primes must be a comma list of integers"),
+    (["mixing3", "--primes", "3", "--functions", "indicator:1.5"],
+     r"indicator density must lie in \[0, 1\]"),
+    (["mixing3", "--primes", "3", "--functions", "indicator:x"], "bad indicator density"),
+    (["mixing3", "--primes", "3", "--functions", "gaussian"], "unknown function generator"),
+    (["mixing3", "--primes", "3", "--samples", "0"], "--samples must be positive"),
+    (["szemeredi", "--m", "2", "--n", "4", "--set", "0,0;1,0,1"], "does not have 2 coordinates"),
+    (["szemeredi", "--m", "2", "--n", "4", "--set", " ; "], "--set is empty"),
+    (["conic", "--primes", "5", "--k", "1"], "conic parameter k=1 is degenerate mod 5"),
+], ids=["primes-token", "indicator-density", "indicator-text", "generator", "samples-0",
+        "set-arity", "set-empty", "conic-k-1"])
+def test_cli_refusals_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert re.search(message, err) and err.startswith("configuration error: ")
 
 
 def test_output_file(tmp_path, capsys):

@@ -148,6 +148,58 @@ def test_regular_semisimple_d3():
     assert not is_regular_semisimple(identity_element(3, 7))
 
 
+def poly_gcd_mod(a, b, p):
+    """Monic gcd of two polynomials with coefficients mod p (low to high)."""
+
+    def trim(c):
+        c = [v % p for v in c]
+        while len(c) > 1 and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = trim(a), trim(b)
+    while b != [0]:
+        while len(a) >= len(b) and a != [0]:
+            shift, factor = len(a) - len(b), a[-1] * pow(b[-1], p - 2, p)
+            for i, c in enumerate(b):
+                a[shift + i] -= factor * c
+            a = trim(a)
+        a, b = b, a
+    return [c * pow(a[-1], p - 2, p) % p for c in a]
+
+
+def squarefree_charpoly(mat, p):
+    """The oracle: the characteristic polynomial has a trivial gcd with its
+    formal derivative over F_p."""
+    m = np.asarray(mat, dtype=np.int64)
+    d = len(m)
+    c2 = int(np.trace(m))
+    if d == 2:
+        f = [1, -c2, 1]
+    else:
+        c1 = sum(int(m[i, i] * m[j, j] - m[i, j] * m[j, i]) for i, j in ((0, 1), (0, 2), (1, 2)))
+        f = [-1, c1, -c2, 1]
+    derivative = [i * c for i, c in enumerate(f)][1:]
+    return len(poly_gcd_mod(f, derivative, p)) == 1
+
+
+@pytest.mark.parametrize("d, p", [(2, 3), (2, 5), (2, 7), (2, 11), (2, 13), (3, 3)])
+def test_regular_semisimple_matches_squarefree_oracle(d, p):
+    table = special_linear_group(d, p)
+    flags = [is_regular_semisimple(table.element(i)) for i in range(table.size)]
+    assert flags == [squarefree_charpoly(m, p) for m in table.mats]
+    assert 0 < sum(flags) < table.size
+
+
+def test_regular_semisimple_matches_squarefree_oracle_on_sampled_sl3_f5():
+    rng = np.random.default_rng(5)
+    mats = rng.integers(0, 5, size=(120000, 3, 3))
+    mats = mats[np.round(np.linalg.det(mats)).astype(np.int64) % 5 == 1][:20000]
+    assert len(mats) == 20000
+    for m in mats:
+        assert is_regular_semisimple(element(m, 5)) == squarefree_charpoly(m, 5)
+
+
 def test_centralizer_examples():
     table = special_linear_group(2, 5)
     whole = centralizer(table, identity_element(2, 5))
@@ -531,6 +583,12 @@ def test_shear_homomorphism():
     for a in range(p):
         for b in range(p):
             assert mat_mul(shear(a, p), shear(b, p)) == shear(a + b, p)
+
+
+@pytest.mark.parametrize("a", [3, np.int64(3)])
+def test_shear_refuses_a_bare_integer_without_modulus(a):
+    with pytest.raises(ValueError, match="shear needs a modulus"):
+        shear(a)
 
 
 def test_borel_character_examples():

@@ -273,6 +273,23 @@ def test_measure_mass_is_exactly_one():
         assert np.all(mu.weights >= 0)
 
 
+def negative_weights(table):
+    weights = np.full(table.size, 1.0 / table.size)
+    weights[0] = -weights[0]
+    return weights
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda t: heavy_mass_mixing_bound(t, 4.0, 1.0, 0), "need at least one sample"),
+    (lambda t: heavy_mass_mixing_bound(t, 0.5, 1.0, 5), r"threshold constant must be >= 1"),
+    (lambda t: Measure(negative_weights(t), t, 1.0), "measure weights must be nonnegative"),
+    (lambda t: Measure(np.full(t.size - 1, 1.0), t, 1.0), "weights do not match the table size"),
+], ids=["samples-0", "c0-below-1", "negative-weights", "wrong-length"])
+def test_measures_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(special_linear_group(2, 3))
+
+
 def test_identity_atom_of_frozen_instance():
     # frozen from the brute-force oracle above
     table = special_linear_group(2, 3)

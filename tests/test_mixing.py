@@ -211,6 +211,18 @@ def test_functions_must_share_the_given_table():
         progression_average(t1, [constant_function(t2)])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda table, fs: progression_average(table, fs, samples=0), "samples must be positive"),
+    (lambda table, fs: progression_deviation(table, fs, samples=0), "samples must be positive"),
+    (lambda table, fs: GroupFunction(np.ones(table.size + 1), table),
+     "value array does not match the table size"),
+], ids=["average-samples-0", "deviation-samples-0", "function-length"])
+def test_mixing_refusals(call, message):
+    table = special_linear_group(2, 3)
+    with pytest.raises(ValueError, match=message):
+        call(table, [constant_function(table)] * 3)
+
+
 def test_restricted_deviation_rejects_empty_shifts():
     table = special_linear_group(2, 3)
     fs = [constant_function(table)] * 4
@@ -553,7 +565,9 @@ def test_exact_statistics_over_distinct_sums(p, k, kind):
 
 
 def direct_shift_sums(table, fs, shifts=None):
-    """The per-shift loop that `shift_sums` replaced: one fresh permutation per shift."""
+    """The per-shift loop that `shift_sums` replaced: one fresh permutation per
+    shift, each progression anchored at its middle term y = x g, the product
+    ((f_0(y g^-1) f_1(y)) f_2(y g)) f_3(y g^2) summed in y-order."""
     vals = [f.values for f in fs]
     shifts = range(table.size) if shifts is None else shifts
     exact = all(f.is_integer_valued for f in fs)
@@ -561,12 +575,14 @@ def direct_shift_sums(table, fs, shifts=None):
     for j, gi in enumerate(shifts):
         prod = vals[0]
         if len(vals) > 1:
-            perm = table.rmul_perm(int(gi))
+            perm = table.rmul_perm(int(gi))  # y -> y g
+            back = np.empty_like(perm)
+            back[perm] = np.arange(table.size)  # y -> y g^-1
+            prod = prod[back] * vals[1]
             cursor = perm
-            prod = prod * vals[1][cursor]
             for v in vals[2:]:
-                cursor = perm[cursor]
                 prod = prod * v[cursor]
+                cursor = perm[cursor]
         out[j] = prod.sum()
     return out
 

@@ -162,6 +162,12 @@ def test_budget_enforced(monkeypatch):
         lift_pattern(a, 1)
 
 
+@pytest.mark.parametrize("k", [-1, -3])
+def test_count_grid_refuses_negative_k(k):
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        count_grid(WORKED, k)
+
+
 def test_pattern_validation():
     with pytest.raises(ValueError):
         PatternSet(1, 4, np.zeros(5, dtype=bool))  # wrong extent: a member outside Z_4
