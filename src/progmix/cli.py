@@ -48,6 +48,8 @@ def _parse_primes(raw: str | None, big: bool) -> list[int]:
             primes = [int(tok) for tok in raw.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"--primes must be a comma list of integers: {raw!r}") from exc
+        if not primes:
+            raise ConfigError(f"--primes names no prime: {raw!r}")
     for p in primes:
         if p < 3 or not is_prime(p) or p % 2 == 0:
             raise ConfigError(f"modulus {p} is not an odd prime")
@@ -70,8 +72,8 @@ def _make_functions(kind: str, table, rng, count: int):
     if kind == "random-sign":
         return [mixing.random_sign_function(table, rng) for _ in range(count)]
     if kind == "coset-borel":
-        if getattr(table, "label", "") != "full":
-            raise ConfigError("coset-borel functions need the full group table")
+        if getattr(table, "label", "") != "full" or table.d != 2:
+            raise ConfigError("coset-borel functions need the full SL_2 table")
         b = borel_subgroup(table.p)
         b_idx = table.indices_of(b.mats)
         out = []

@@ -29,11 +29,10 @@ and H g is the line through g's bottom row: p + 1 cosets for d = 2, where H
 is the Borel subgroup B, and p^2 + p + 1 for d = 3, 13 at p = 3, where a
 sweep over all n shifts assembles 432 + 12 = 444 permutations (H's
 representative is the identity).  For d = 2 the other representatives are
-the Bruhat ones, w u_s = [[0, -1], [1, s]], so g = h or g = h w u_s; each
-x -> x h is two gathers of the Bruhat layout (below), so a sweep over all
-n shifts assembles only the p non-identity representatives.  Since a sweep
-holds up to 3 n values per coset, a table is decomposed only when
-(cosets) n is within the enumeration budget, which leaves out SL_3(F_5).
+the Bruhat ones, w u_s = [[0, -1], [1, s]], so g = h or g = h w u_s, and
+a sweep takes x -> x g from the Bruhat layout (below) with no permutation.
+Since a sweep holds up to 3 n values per coset, a table is decomposed only
+when (cosets) n is within the enumeration budget, which leaves out SL_3(F_5).
 Every other table gets the trivial decomposition: each g is its own h, and
 the identity is the only representative.  mixing.shift_sums is the one
 sweep over the decomposition.
@@ -49,12 +48,10 @@ index rule, as a closed form in the coordinates of x and g.
 Bruhat layout.  bruhat_layout puts a full SL_2(F_p) table on a
 (|B|, p + 1) grid, x = c_l b at cell (b, l), with l the line through x's
 first column.  Then x -> x h for h in B is a row take by
-`BorelCoordinates.rows`, and x -> x w is one cached index array.  So the
-3-term integer sweep of mixing.shift_sums assembles no permutation on an
-SL_2 table, and every other sweep takes x -> x h from the layout
-(`BruhatLayout.compose`) instead of assembling it.  The layout is built on
-first use and holds four n-element index arrays, 157 KB at p = 17 and
-952 KB at p = 31, and no |B| x |B| array.
+`BorelCoordinates.rows`, and x -> x w is one cached index array.  So no
+sweep of mixing.shift_sums on an SL_2 table assembles a permutation.  The
+layout is built on first use and holds four n-element index arrays, 157 KB
+at p = 17 and 952 KB at p = 31, and no |B| x |B| array.
 """
 
 from __future__ import annotations
@@ -656,11 +653,11 @@ def coset_decomposition(table) -> CosetDecomposition:
     other representatives are the Bruhat ones, w u_s = [[0, -1], [1, s]] for
     the line 1 / s through its bottom row (1, s), and the line p for s = 0;
     on SL_3 they are each coset's first element.  The indices of h come from
-    one batched product and lookup per coset.  A sweep over the
-    decomposition holds up to 3 (cosets) n values, R_r^-1, f_2 o R_r and,
-    when it composes x -> x g, R_r (see mixing.shift_sums), so a table is
-    decomposed only when (cosets) n is within the enumeration budget: every
-    SL_2 table up to p = 31 and SL_3(F_3), but not SL_3(F_5), with 11.5e6.
+    one batched product and lookup per coset.  A sweep holds up to
+    3 (cosets) n values (on SL_2 one stack per term after f_1; see
+    mixing.shift_sums), so a table is decomposed only when (cosets) n is
+    within the enumeration budget: every SL_2 table up to p = 31 and
+    SL_3(F_3), but not SL_3(F_5), with 11.5e6.
     Larger tables, and any other table (subgroups such as B, CyclicTable),
     get the trivial decomposition: each g is its own h.
     Cached per table, like `conjugacy_classes`, so a later change to the

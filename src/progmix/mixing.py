@@ -17,23 +17,15 @@ progression at its middle term y = x g, so that
 
 and sums each row in y-order, in the dtype of `sum_dtype`, whatever the
 dtype of the inputs.  It writes each shift as g = h r over the table's
-`coset_decomposition`.  A 3-term sweep with integer values on a full
-SL_2(F_p) table assembles no permutation.  It works on the table's
-`bruhat_layout`, a (|B|, p + 1) grid on which x -> x b, for b in the Borel
-subgroup B, is a row take.  Each shift is h or h w u_s, one of the two
-Bruhat cells, and the shifts that share an h are one stacked product of row
-takes, in int8 for signs and indicators.  Every other sweep takes x -> x h
-once per h, scatters f_0 through it, and assembles x -> x r once per
-representative r used, rather than one permutation per shift.  On a full
-SL_2(F_p) table x -> x h is two gathers of the Bruhat layout, so such a
-sweep assembles only the p non-identity representatives; on SL_3(F_3) a
-sweep over all shifts assembles 444 permutations, and a table with the
-trivial decomposition (B, subsets, cyclic groups) one per shift.  Each
-representative r holds x -> x r^-1 and f_2 composed with x -> x r, so f_0
-and f_2 cost one value gather each per shift, and x -> x g is composed only
-for f_3.  That sweep holds at most 3 (used cosets) n values: 2.1 MB for
-SL_2(F_17) and 1.8 MB for SL_3(F_3).  Integer rows are summed in int16 up
-to n = 32767.
+`coset_decomposition`, and the table alone chooses the route.  A full
+SL_2(F_p) table is laid out as its `bruhat_layout`, a (|B|, p + 1) grid on
+which x -> x b, for b in the Borel subgroup B, is a row take; every sweep of
+it, of 2 to 4 terms and any dtype, is one stacked product of row takes per
+h (in int8 for signs and indicators) and assembles no permutation.  Every
+other table takes x -> x h once per h and x -> x r once per representative
+r used: 444 permutations for all shifts of SL_3(F_3), and one per shift on
+a table with the trivial decomposition (B, subsets, cyclic groups).
+Integer rows are summed in int16 up to n = 32767.
 
 The exact average and deviation are two reductions of one sweep
 (`exact_progression_statistics`), over the distinct per-shift sums and
@@ -195,63 +187,54 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
     an exact reduction of it.
 
     Each progression is anchored at its middle term y = x g, so
-    s[g] = sum_y f_0(y g^-1) f_1(y) f_2(y g) f_3(y g^2), over the table's
-    `coset_decomposition` g = h r.  Write P_z for the permutation x -> x z,
-    so P_g = R_r[P_h] with R_r = P_r.  Per h the sweep takes P_h and scatters
-    A_h[P_h] = f_0, so that A_h(z) = f_0(z h^-1).  On a decomposed full
-    SL_2(F_p) table, where h is in B, P_h is a row take of the table's
-    `bruhat_layout` (`BruhatLayout.compose`), the same index array that
-    `table.rmul_perm` assembles; elsewhere the sweep assembles it.  Per
-    representative r used it assembles R_r, scatters its inverse, so that
-    f_0(y g^-1) = A_h[R_r^-1], and gathers F_2 = f_2[R_r], so that
-    f_2(y g) = F_2[P_h].  Coset 0 (by its label), whose representative is
-    the identity, skips the R_r gathers.  P_g is composed only for a 4-term
-    shift, whose f_3(y g^2) = f_3[P_g][P_g].  Each point's product is taken
-    as ((f_0 f_1) f_2) f_3, and each row is summed in y-order in the dtype
-    of `sum_dtype`, for every dtype: integer inputs are multiplied in the
-    narrow dtype of `kernel_values` and summed exactly, and float sums are
-    bit-identical to a loop that takes a fresh `table.rmul_perm(g)` per
-    shift and sums the same products in y-order.  Per representative used,
-    the sweep holds R_r^-1 and F_2, and R_r only for a 4-term sweep.  Each
-    distinct shift is summed once, and a repeated shift copies its sum.
-
-    3-term integer inputs on a decomposed full SL_2(F_p) table take
-    `_bruhat_sums` instead: row takes over the table's `bruhat_layout`, with
-    the representatives w u_s of `coset_decomposition`, and no assembled
-    permutation.  It sums in grid order, which gives the same sums only
-    because integer sums do not depend on their order.
+    s[g] = sum_y f_0(y g^-1) f_1(y) f_2(y g) f_3(y g^2).  Each point's
+    product is taken as ((f_0 f_1) f_2) f_3, and each row is summed in
+    y-order in the dtype of `sum_dtype`: integer inputs are multiplied in the
+    narrow dtype of `kernel_values` and summed exactly, and float and complex
+    sums are bit-identical to a loop that takes a fresh `table.rmul_perm(g)`
+    per shift.  Each distinct shift is summed once, and a repeated shift
+    copies its sum.  A full SL_2(F_p) table, when decomposed, takes
+    `_bruhat_sums`, and every other table `_coset_sums`.
     """
     vals = kernel_values(fs)
     shifts = np.arange(table.size) if shifts is None else np.asarray(shifts, dtype=np.intp)
-    exact = _exact_inputs(fs)
     acc = sum_dtype(fs, table.size)
-    dtype = np.int64 if exact else acc
+    dtype = np.int64 if _exact_inputs(fs) else acc
     if len(vals) == 1:
         return np.full(len(shifts), fs[0].values.sum(), dtype=dtype)
     distinct, where = np.unique(shifts, return_inverse=True)
     dec = coset_decomposition(table)
-    sl2 = table_kind(table) == "full" and table.d == 2 and dec.reps.size > 1
-    if sl2 and exact and len(vals) == 3:
-        return _bruhat_sums(table, vals, acc, distinct, dec)[where]
-    if sl2:  # the identity laid out on the Bruhat grid
-        layout, coords = bruhat_layout(table), borel_coordinates(table.p)
-        cells = layout.cells.reshape(len(coords.t), -1)
-    order = np.lexsort((dec.coset[distinct], dec.h[distinct]))
-    ordered = distinct[order]
+    bruhat = table_kind(table) == "full" and table.d == 2 and dec.reps.size > 1
+    sums = (_bruhat_sums if bruhat else _coset_sums)(table, vals, acc, distinct, dec)
+    return sums.astype(dtype, copy=False)[where]
+
+
+def _coset_sums(table, vals, acc, shifts, dec) -> np.ndarray:
+    """s[g] for distinct shifts over any table's `coset_decomposition`.
+
+    Write P_z for the permutation x -> x z, so P_g = R_r[P_h] with R_r = P_r.
+    Per h the sweep assembles P_h and scatters A_h[P_h] = f_0, so that
+    A_h(z) = f_0(z h^-1).  Per representative r used it assembles R_r,
+    scatters its inverse, so that f_0(y g^-1) = A_h[R_r^-1], and gathers
+    F_2 = f_2[R_r], so that f_2(y g) = F_2[P_h].  Coset 0 (by its label),
+    whose representative is the identity, skips the R_r gathers.  P_g is
+    composed only for a 4-term shift, whose f_3(y g^2) = f_3[P_g][P_g].  Per
+    representative used, the sweep holds R_r^-1 and F_2, and R_r only for a
+    4-term sweep.
+    """
+    order = np.lexsort((dec.coset[shifts], dec.h[shifts]))
+    ordered = shifts[order]
     visits = zip(order.tolist(), dec.h[ordered].tolist(), dec.coset[ordered].tolist())
     f0, f1, f2, f3 = vals + [None] * (4 - len(vals))
     identity = np.arange(table.size)
     reps = {0: (None, None, f2)}  # coset label -> R_r if 4-term, R_r^-1, f_2 o R_r
     a_h = np.empty_like(f0)  # A_h(z) = f_0(z h^-1)
-    sums = np.empty(len(distinct), dtype=dtype)
+    sums = np.empty(len(shifts), dtype=acc)
     h_done = None
     for j, h, label in visits:
         if h != h_done:
             h_done = h
-            if sl2:  # h = [[t, a], [0, 1 / t]] in B
-                perm_h = layout.compose(cells, coords.rows(*table.mats[h, 0]))
-            else:
-                perm_h = table.rmul_perm(h)
+            perm_h = table.rmul_perm(h)
             a_h[perm_h] = f0
         if label not in reps:
             r_perm = table.rmul_perm(int(dec.reps[label]))
@@ -267,40 +250,50 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
             perm_g = r_perm[perm_h] if label else perm_h
             row = row * f3[perm_g][perm_g]
         sums[j] = row.sum(dtype=acc)
-    return sums[where]
+    return sums
 
 
 def _bruhat_sums(table, vals, acc, shifts, dec) -> np.ndarray:
-    """s[g] for 3-term integer inputs on a decomposed full SL_2(F_p) table.
+    """s[g] for distinct shifts on a decomposed full SL_2(F_p) table.
 
     On the `bruhat_layout` grid, where z -> z b for b in B is a row take,
-    each shift is g = h (coset 0) or g = h w u_s, w u_s the representative
-    of its coset.  Substituting y = z h^-1 in s[g] = sum_y f_0(y g^-1)
-    f_1(y) f_2(y g) gives
+    each shift is g = h r, with r the identity (coset 0) or w u_s, the
+    representative of its coset.  Substituting y = z h^-1, so that y g = z r
+    and y g^2 = z (r g), gives
 
-        s[h w u_s] = sum_z D_h(z h^-1 u_-s) f_1(z h^-1) G_s(z),
-        s[h] = sum_z E_h(z h^-1) f_1(z h^-1) f_2(z),
+        s[h w u_s] = sum_z D_h(z h^-1 u_-s) f_1(z h^-1) G_s(z) f_3(z r g),
+        s[h] = sum_z E_h(z h^-1) f_1(z h^-1) f_2(z) f_3(z g),
 
     with E_h = f_0 o P_h^-1, D_h = E_h o W^-1 and G_s = f_2 o U_s o W, P_z
-    being x -> x z.  The G_s are laid out once per sweep.  Per h, E_h and
+    being x -> x z.  With r g = h' r' by the decomposition,
+    f_3(z r g) = F_3[r'](z h') for F_3[r] = f_3 o P_r.  So each term after f_1
+    is a row take of a stack of f_i o P_r over the representatives, laid out
+    once per sweep, G_s being its layer of w u_s.  Per h, E_h and
     f_1 o P_h^-1 are row takes, D_h one full gather, and the rows of all
-    shifts with that h one stacked row take of [D_h; E_h], multiplied and
-    summed in the dtype `acc`.
+    shifts with that h one stacked row take of [D_h; E_h], multiplied in the
+    common dtype of vals.  Integer rows are summed in grid order, since
+    integer sums do not depend on their order; float and complex rows are
+    first gathered into y-order, from the cell z = y h of each y.  A sweep
+    holds one (p + 1) n stack per term after f_1, and only one h's rows.
     """
     p, layout, coords = table.p, bruhat_layout(table), borel_coordinates(table.p)
     nb = p * (p - 1)  # rows of the grid, one per element of B
-    f0, f1, f2 = (v[layout.cells].reshape(nb, p + 1) for v in vals)
-    s = np.arange(p)
+    dtype = np.result_type(*vals)
+    f0, f1, *rest = (v.astype(dtype, copy=False)[layout.cells].reshape(nb, p + 1) for v in vals)
     u_rows = coords.factor_rows[0]  # b u_s
-    # Layer k < p of a stack is the coset of w u_k, layer p is B itself.
+    # Layer k < p of a stack is f o P_r for r = w u_k, layer p is f itself.
+    stacks = [np.concatenate([f.take(u_rows, axis=0).reshape(p, -1).take(layout.w_fwd, axis=1),
+                              f.reshape(1, -1)]).reshape(p + 1, nb, p + 1) for f in rest]
     layer = table.mats[dec.reps, 1, 1]
     layer[0] = p
-    g_stack = np.concatenate([f2.take(u_rows, axis=0).reshape(p, -1).take(layout.w_fwd, axis=1),
-                              f2.reshape(1, -1)]).reshape(p + 1, nb, p + 1)
-    de_rows = np.concatenate([u_rows[-s], nb + np.arange(nb)[None]])  # into [D_h; E_h]
-    de = np.empty((2 * nb, p + 1), dtype=f0.dtype)
-    sums = np.empty(len(shifts), dtype=np.int64)
+    de_rows = np.concatenate([u_rows[-np.arange(p)], nb + np.arange(nb)[None]])  # into [D_h; E_h]
+    de = np.empty((2 * nb, p + 1), dtype=dtype)
+    flat = np.arange(table.size).reshape(nb, p + 1)  # the flat index of each cell
+    sums = np.empty(len(shifts), dtype=acc)
     hs, ks = dec.h[shifts], layer[dec.coset[shifts]]
+    if len(stacks) == 2:  # r g = h' r', and h' = [[t3, a3], [0, 1 / t3]]
+        rg = table.rmul_indices_many(dec.reps[dec.coset[shifts]], shifts)
+        (t3, a3), k3 = table.mats[dec.h[rg], 0].T, layer[dec.coset[rg]] * nb
     order = np.argsort(hs, kind="stable")
     bounds = np.flatnonzero(np.diff(hs[order], prepend=-1, append=-1))  # where h changes
     for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
@@ -310,10 +303,17 @@ def _bruhat_sums(table, vals, acc, shifts, dec) -> np.ndarray:
         de[nb:] = f0.take(inv_rows, axis=0)  # E_h
         de[:nb] = de[nb:].reshape(-1)[layout.w_back].reshape(nb, -1)  # D_h
         k = ks[group]
-        stack = de.take(de_rows.take(inv_rows, axis=1)[k], axis=0)
-        stack *= f1.take(inv_rows, axis=0)
-        stack *= g_stack[k]
-        sums[group] = stack.reshape(len(k), -1).sum(axis=1, dtype=acc)
+        prod = de.take(de_rows.take(inv_rows, axis=1)[k], axis=0)
+        prod *= f1.take(inv_rows, axis=0)
+        if stacks:
+            prod *= stacks[0][k]  # G_s, or f_2 itself for coset 0
+        if len(stacks) == 2:  # F_3[r'], row take by h'
+            rows3 = k3[group, None] + coords.rows(t3[group], a3[group])
+            prod *= stacks[1].reshape(-1, p + 1).take(rows3, axis=0)
+        prod = prod.reshape(len(group), -1)
+        if not np.issubdtype(acc, np.integer):  # into y-order
+            prod = prod.take(layout.compose(flat, coords.rows(t, a)), axis=1)
+        sums[group] = prod.sum(axis=1, dtype=acc)
     return sums
 
 

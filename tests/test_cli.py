@@ -250,34 +250,24 @@ def test_exact_mixing3_sweeps_each_prime_once(capsys, monkeypatch):
 
 def test_mixing4_diag_sweeps_each_shift_once(capsys, monkeypatch):
     calls = count_rmul_perm(monkeypatch)
-    assert run_cli(capsys, "mixing4-diag", "--primes", "3,5")[0] == 0
-    # x -> x h for each h in B is taken from the Bruhat layout, so only the
-    # representatives w u_s of the cosets the shifts use are assembled.
-    want = []
-    for p in (3, 5):
-        table = special_linear_group(2, p)
-        dec = coset_decomposition(table)
-        used = np.unique(dec.coset[table.indices_of(diagonalisable_set(p).mats)])
-        want += dec.reps[used[used > 0]].tolist()  # one per used rep; B's is the identity
-    assert sorted(calls) == sorted(want)
+    for functions in ("random-sign", "coset-borel", "indicator:0.3"):
+        argv = ["mixing4-diag", "--primes", "3,5", "--functions", functions]
+        assert run_cli(capsys, *argv)[0] == 0
+    # Every 4-term SL_2 sweep is row takes over the Bruhat layout, for
+    # integer and float inputs alike, so no permutation is assembled.
+    assert calls == []
 
 
 @pytest.mark.parametrize("samples", ["exact", "2000"])
 @pytest.mark.parametrize("p", [5, 7])
 def test_float_mixing3_assembles_only_coset_representatives(capsys, monkeypatch, p, samples):
     calls = count_rmul_perm(monkeypatch)
-    argv = ["mixing3", "--primes", str(p), "--samples", samples, "--functions", "coset-borel"]
-    assert run_cli(capsys, *argv)[0] == 0
-    # Float rows are summed in y-order like integer ones, so x -> x h for h in
-    # B comes from the Bruhat layout, and only the representatives w u_s of
-    # the cosets the shifts use are assembled, once each.
-    table = special_linear_group(2, p)
-    dec = coset_decomposition(table)
-    shifts = np.arange(table.size) if samples == "exact" else \
-        np.random.default_rng([0, p, 2]).integers(0, table.size, size=int(samples))
-    used = np.unique(dec.coset[shifts])
-    assert sorted(calls) == sorted(dec.reps[used[used > 0]].tolist())
-    assert np.all(dec.coset[calls] != 0)  # never an h in B
+    for functions in ("coset-borel", "random-sign", "indicator:0.3"):
+        argv = ["mixing3", "--primes", str(p), "--samples", samples, "--functions", functions]
+        assert run_cli(capsys, *argv)[0] == 0
+    # Float rows take the same Bruhat row takes as integer ones, and the
+    # sampled average uses paired lookups, so no permutation is assembled.
+    assert calls == []
 
 
 def test_sampled_mixing3_d3_sweeps_over_parabolic_cosets(capsys, monkeypatch):
@@ -342,11 +332,14 @@ def test_bad_samples_value(capsys):
     (["mixing3", "--primes", "3", "--functions", "indicator:x"], "bad indicator density"),
     (["mixing3", "--primes", "3", "--functions", "gaussian"], "unknown function generator"),
     (["mixing3", "--primes", "3", "--samples", "0"], "--samples must be positive"),
+    (["mixing3", "--primes", ",,"], "--primes names no prime: ',,'"),
+    (["mixing3", "--d", "3", "--primes", "3", "--functions", "coset-borel", "--samples", "10"],
+     "coset-borel functions need the full SL_2 table"),
     (["szemeredi", "--m", "2", "--n", "4", "--set", "0,0;1,0,1"], "does not have 2 coordinates"),
     (["szemeredi", "--m", "2", "--n", "4", "--set", " ; "], "--set is empty"),
     (["conic", "--primes", "5", "--k", "1"], "conic parameter k=1 is degenerate mod 5"),
 ], ids=["primes-token", "indicator-density", "indicator-text", "generator", "samples-0",
-        "set-arity", "set-empty", "conic-k-1"])
+        "primes-empty", "coset-borel-sl3", "set-arity", "set-empty", "conic-k-1"])
 def test_cli_refusals_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -9,6 +11,7 @@ from progmix.fourier import ap3_average
 from progmix.groups import (
     CyclicTable,
     GroupTable,
+    borel_coordinates,
     borel_subgroup,
     coset_decomposition,
     diagonalisable_set,
@@ -765,41 +768,52 @@ def test_composed_shift_sums_property(problem):
 
 # Tops of |f_0|, |f_1|, |f_2| whose product puts the kernel in int8, int16,
 # int32 and int64 (`kernel_values`), with row sums in int16, int32 and int64
-# (`sum_dtype`) across n = 24, 120 and 336.
+# (`sum_dtype`) across n = 24, 120 and 336; f_3, if any, has top 1.
 BRUHAT_TOPS = [(1, 1, 1), (5, 5, 5), (6, 5, 5), (181, 181, 1), (2**15, 2**10, 1),
                (2**20, 2**10, 1), (2**16, 2**16, 1)]
 
 
 @st.composite
 def bruhat_problems(draw):
-    """SL_2(F_p), p in {3, 5, 7}, three integer functions with the tops of one
-    of BRUHAT_TOPS, and a shift array: every shift, the diagonalisable set,
-    shifts inside B only (coset 0), or an unsorted array with repeats."""
+    """SL_2(F_p), p in {3, 5, 7}, k in {2, 3, 4} functions and a shift array.
+
+    The functions are integers with the tops of one of BRUHAT_TOPS, or signs,
+    indicators, floats, complex values, or floats and complex values in turn.
+    The shifts are every shift, the diagonalisable set, shifts inside B only
+    (coset 0), or an unsorted array with repeats."""
     p = draw(st.sampled_from([3, 5, 7]))
     table = special_linear_group(2, p)
+    k = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    fs = []
-    for top in draw(st.sampled_from(BRUHAT_TOPS)):
-        values = rng.integers(-top, top + 1, table.size)
-        values[rng.integers(table.size)] = top * rng.choice([-1, 1])
-        fs.append(GroupFunction(values, table))
-    kind = draw(st.sampled_from(["all", "diagonalisable", "coset 0", "unsorted"]))
-    if kind == "all":
+    kind = draw(st.sampled_from(["tops", "mixed", *KINDS]))
+    if kind == "tops":
+        fs = []
+        for top in (*draw(st.sampled_from(BRUHAT_TOPS)), 1)[:k]:
+            values = rng.integers(-top, top + 1, table.size)
+            values[rng.integers(table.size)] = top * rng.choice([-1, 1])
+            fs.append(GroupFunction(values, table))
+    elif kind == "mixed":
+        fs = [input_functions(table, ("float", "complex")[i % 2], 1, rng)[0] for i in range(k)]
+    else:
+        fs = input_functions(table, kind, k, rng)
+    shifts = draw(st.sampled_from(["all", "diagonalisable", "coset 0", "unsorted"]))
+    if shifts == "all":
         return table, fs, None
-    if kind == "diagonalisable":
+    if shifts == "diagonalisable":
         return table, fs, table.indices_of(diagonalisable_set(p).mats)
-    members = np.flatnonzero(coset_decomposition(table).coset == 0) if kind == "coset 0" \
+    members = np.flatnonzero(coset_decomposition(table).coset == 0) if shifts == "coset 0" \
         else np.arange(table.size)
-    shifts = np.array(draw(st.lists(st.sampled_from(members.tolist()), max_size=40)), dtype=np.intp)
-    return table, fs, np.concatenate([shifts, shifts[::-2]])
+    drawn = np.array(draw(st.lists(st.sampled_from(members.tolist()), max_size=40)), dtype=np.intp)
+    return table, fs, np.concatenate([drawn, drawn[::-2]])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(bruhat_problems())
 def test_bruhat_shift_sums_property(problem):
-    # 3-term integer sweeps of SL_2(F_p) take row takes over the Bruhat layout
-    # and assemble no permutation; they match the one-permutation-per-shift
-    # loop bit for bit, and brute-force multiplication at p in {3, 5}.
+    # Every sweep of SL_2(F_p), of 2 to 4 terms and any dtype, takes row takes
+    # over the Bruhat layout and assembles no permutation; it matches the
+    # one-permutation-per-shift loop bit for bit, and brute-force
+    # multiplication at p in {3, 5}, exactly for integer inputs.
     table, fs, shifts = problem
 
     def no_permutation(*args):
@@ -808,11 +822,38 @@ def test_bruhat_shift_sums_property(problem):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(GroupTable, "rmul_perm", no_permutation)
         got = shift_sums(table, fs, shifts)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, direct_shift_sums(table, fs, shifts))
+    want = direct_shift_sums(table, fs, shifts)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
     if table.p < 7:
-        values = [f.values.tolist() for f in fs]
-        assert got.tolist() == brute_shift_sums(table, values, shifts)
+        exact = all(f.is_integer_valued for f in fs)
+        brute = brute_shift_sums(table, [f.values.tolist() for f in fs], shifts)
+        assert (got.tolist() == brute) if exact else np.allclose(got, brute, rtol=1e-12)
+
+
+def test_bruhat_sweep_memory_is_linear_in_the_stacks():
+    # A 4-term complex sweep of SL_2(F_23) over the diagonalisable set holds
+    # two (p + 1) n stacks and per h a few (group, n) rows: 15.6 MB peak, or
+    # 53.5 (p + 1) n bytes.  An (|S|, |B|) array of row indices for the whole
+    # shift set is 22.4 MB alone, above the bound.
+    p = 23
+    table = special_linear_group(2, p)
+    bound = 64 * (p + 1) * table.size
+    shifts = table.indices_of(diagonalisable_set(p).mats)
+    rng = np.random.default_rng(23)
+    fs = input_functions(table, "complex", 4, rng)
+    shift_sums(table, fs, shifts[:2])  # build the cached layout and decomposition
+    tracemalloc.start()
+    try:
+        got = shift_sums(table, fs, shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    some = rng.choice(len(shifts), 4, replace=False)
+    assert np.array_equal(got[some], direct_shift_sums(table, fs, shifts[some]))
+    t, a = table.mats[shifts, 0].T
+    assert borel_coordinates(p).rows(t, a).nbytes > bound
 
 
 @st.composite
