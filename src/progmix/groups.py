@@ -5,14 +5,15 @@ lexicographic order of the flattened entries, so every index is reproducible
 across runs.  An element's key is its flattened entries read as a base-p
 number.  No n x n multiplication table is ever materialised.
 
-Lookup.  A d = 2 table, and the full SL_3(F_p), map keys to indices through
-one dense int32 table over all p^(d^2) keys (-1 where a key is absent), built
-on the first lookup: 3.7 MB at p = 31 for d = 2, and 79 KB at p = 3, 7.8 MB
-at p = 5 and 161 MB at p = 7 for d = 3.  The default enumeration budget stops
+Lookup.  A full SL_d(F_p) table maps keys to indices through one dense
+int32 table over all p^(d^2) keys (-1 where a key is absent), built on the
+first lookup: 3.7 MB at p = 31 for d = 2, and 79 KB at p = 3, 7.8 MB at
+p = 5 and 161 MB at p = 7 for d = 3.  The default enumeration budget stops
 SL_3 at p = 7, whose full table holds 405 MB of matrices, so the index of a
-full table is about p / 18 of the matrices it indexes.  Any other d = 3
-table (a centralizer, a class, a subset) looks its keys up by binary search
-in its sorted keys, and allocates no index.
+full table is about p / 18 of the matrices it indexes (p / 8 for d = 2).  Any
+other table (B, a centralizer, a class, a subset) looks its keys up by
+binary search in its sorted keys, and allocates no index: a dense index of
+B(F_211) would take 7.9 GB.
 
 Shift permutations.  Row i of x g is (row i of x) g, so right multiplication
 by g acts on each row separately, as a permutation of the p^d row vectors of
@@ -20,22 +21,12 @@ F_p^d.  rmul_perm builds that image table once per g and assembles every key
 of x g from the cached row keys of x, with no per-element product or
 reduction mod p; lmul_perm does the same for g x with the columns.
 
-Coset composition.  coset_decomposition writes every g as h r, with h in a
-subgroup H and r the representative of the right coset H g.  Since
-x g = (x h) r, a sweep over the shifts needs x -> x h once per h and one
-assembled permutation per representative used.  For a full SL_d(F_p)
-table, d = 2 or 3, H is the stabiliser of the line through the bottom row,
-and H g is the line through g's bottom row: p + 1 cosets for d = 2, where H
-is the Borel subgroup B, and p^2 + p + 1 for d = 3, 13 at p = 3, where a
-sweep over all n shifts assembles 432 + 12 = 444 permutations (H's
-representative is the identity).  For d = 2 the other representatives are
-the Bruhat ones, w u_s = [[0, -1], [1, s]], so g = h or g = h w u_s, and
-a sweep takes x -> x g from the Bruhat layout (below) with no permutation.
-Since a sweep holds up to 3 n values per coset, a table is decomposed only
-when (cosets) n is within the enumeration budget, which leaves out SL_3(F_5).
-Every other table gets the trivial decomposition: each g is its own h, and
-the identity is the only representative.  mixing.shift_sums is the one
-sweep over the decomposition.
+Coset composition.  Since x g = (x h) r, a sweep over shifts g = h r needs
+x -> x h once per h and one assembled permutation per representative r
+used.  For a full SL_d(F_p) table, H is the stabiliser of the line through
+the bottom row, and the right coset H g is labelled by `_bottom_row_lines`
+of g's bottom row.  mixing.shift_sums decides at each call whether to split
+the shifts it sweeps by that label.
 
 The Borel subgroup.  B = {[[t, a], [0, t^-1]]}, and its element
 [[t, a], [0, t^-1]] has index (t - 1) p + a, which is the sorted order of
@@ -49,9 +40,12 @@ Bruhat layout.  bruhat_layout puts a full SL_2(F_p) table on a
 (|B|, p + 1) grid, x = c_l b at cell (b, l), with l the line through x's
 first column.  Then x -> x h for h in B is a row take by
 `BorelCoordinates.rows`, and x -> x w is one cached index array.  So no
-sweep of mixing.shift_sums on an SL_2 table assembles a permutation.  The
+split sweep of mixing.shift_sums on an SL_2 table assembles a permutation.  The
 layout is built on first use and holds four n-element index arrays, 157 KB
 at p = 17 and 952 KB at p = 31, and no |B| x |B| array.
+bruhat_split writes each g as h r with h in B and r the identity or
+w u_k = [[0, -1], [1, k]], the Bruhat representative of the line through g's
+bottom row, read from g's entries with no product and no lookup.
 """
 
 from __future__ import annotations
@@ -62,7 +56,7 @@ from itertools import product
 
 import numpy as np
 
-from .budget import ENUMERATION_BUDGET, OP_BUDGET, budget_limit, charge
+from .budget import ENUMERATION_BUDGET, OP_BUDGET, charge
 from .fields import FieldElement, check_odd_prime, inv_mod, squares_mod
 
 
@@ -230,10 +224,10 @@ class GroupTable:
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
         """Index of each key, -1 where the key is not in the table.
 
-        d = 2 tables and the full SL_3(F_p) read the dense index; any other
-        d = 3 table, whose dense index would be sized by p^9 and not by the
-        table, searches its sorted keys."""
-        if self.d == 2 or self.size == special_linear_order(self.d, self.p):
+        A full SL_d(F_p) table reads the dense index; any other table, whose
+        dense index would be sized by p^(d^2) and not by the table, searches
+        its sorted keys."""
+        if self.size == special_linear_order(self.d, self.p):
             return self._dense_index[keys].astype(np.intp)
         if not self.size:
             return np.full(np.shape(keys), -1, dtype=np.intp)
@@ -606,17 +600,6 @@ def table_kind(table) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class CosetDecomposition:
-    """Every table element written as g = h r, with h in a subgroup H and r
-    the representative of the right coset H g.  Coset 0 is H itself, and its
-    representative is the identity.  The arrays are read-only."""
-
-    coset: np.ndarray  # coset label of every element g
-    reps: np.ndarray  # table index of the representative of each coset
-    h: np.ndarray  # table index of h = g r^-1 for every element g
-
-
 def _bottom_row_lines(rows: np.ndarray, p: int) -> np.ndarray:
     """Label of the line through each nonzero row vector of F_p^d.
 
@@ -636,56 +619,6 @@ def _bottom_row_lines(rows: np.ndarray, p: int) -> np.ndarray:
         labels[at_k] = offset + scaled @ p ** np.arange(k - 1, -1, -1, dtype=np.int64)
         offset += p**k
     return labels
-
-
-@lru_cache(maxsize=32)
-def coset_decomposition(table) -> CosetDecomposition:
-    """g = h r over a subgroup H, for the full SL_d(F_p) `table_kind`.
-
-    Full SL_d(F_p), d = 2 or 3: H is the stabiliser of the line through the
-    bottom row, the matrices whose bottom row is (0, .., 0, l).  The right
-    coset H g is the line through g's bottom row, because h g has bottom row
-    l times that of g; it is labelled by `_bottom_row_lines`, so H has label
-    0.  For d = 2, H is the Borel subgroup B, with p + 1 cosets; for d = 3
-    there are p^2 + p + 1 cosets, 13 of 432 elements at p = 3.
-
-    The representative of coset 0 is the identity.  On a full SL_2 table the
-    other representatives are the Bruhat ones, w u_s = [[0, -1], [1, s]] for
-    the line 1 / s through its bottom row (1, s), and the line p for s = 0;
-    on SL_3 they are each coset's first element.  The indices of h come from
-    one batched product and lookup per coset.  A sweep holds up to
-    3 (cosets) n values (on SL_2 one stack per term after f_1; see
-    mixing.shift_sums), so a table is decomposed only when (cosets) n is
-    within the enumeration budget: every SL_2 table up to p = 31 and
-    SL_3(F_3), but not SL_3(F_5), with 11.5e6.
-    Larger tables, and any other table (subgroups such as B, CyclicTable),
-    get the trivial decomposition: each g is its own h.
-    Cached per table, like `conjugacy_classes`, so a later change to the
-    budget does not rebuild it; the sums over it are the same either way.
-    """
-    n, p, d = table.size, getattr(table, "p", None), getattr(table, "d", None)
-    cosets = (p**d - 1) // (p - 1) if table_kind(table) == "full" else 1
-    if cosets == 1 or cosets * n > budget_limit(ENUMERATION_BUDGET):
-        coset = np.zeros(n, dtype=np.intp)
-        reps = np.array([table.identity_index], dtype=np.intp)
-        h = np.arange(n)
-    else:
-        coset = _bottom_row_lines(table.mats[:, -1], p)
-        if d == 2:
-            # w u_s = [[0, -1], [1, s]] has bottom row (1, s), on line 1 / s (p for s = 0).
-            s = [0] + [inv_mod(line, p) for line in range(1, p)] + [0]
-            reps = table.indices_of([[[0, -1], [1, t]] for t in s])
-        else:
-            reps = np.unique(coset, return_index=True)[1]
-        reps[0] = table.identity_index
-        h = np.empty(n, dtype=np.intp)
-        # One coset at a time, so the transient products stay at one coset's size.
-        for label, r_inv in enumerate(_inverse_many(table.mats[reps], p)):
-            members = np.flatnonzero(coset == label)
-            h[members] = table.indices_of(_mul_many(table.mats[members], r_inv, p))
-    for array in (coset, reps, h):
-        array.setflags(write=False)
-    return CosetDecomposition(coset, reps, h)
 
 
 @dataclass(frozen=True)
@@ -744,6 +677,25 @@ def bruhat_layout(table) -> BruhatLayout:
     for array in (cells, pos, w_fwd, w_back):
         array.setflags(write=False)
     return BruhatLayout(cells, pos, w_fwd, w_back)
+
+
+def bruhat_split(mats: np.ndarray, p: int):
+    """Each SL_2(F_p) matrix g = [[a, b], [c, d]] of an (m, 2, 2) stack as
+    g = h r, from its entries, with no product and no lookup.
+
+    Returns (t, u, k, rg): h = [[t, u], [0, 1 / t]] in B, at index
+    (t - 1) p + u of `borel_coordinates`.  For c != 0, h = [[1 / c, a], [0, c]]
+    and r = w u_k = [[0, -1], [1, k]] with k = d / c; for c = 0, h = g, r is
+    the identity and k = p.  rg is the (m, 2, 2) stack of r g, which is
+    [[-c, -d], [a + d, b + k d]] for c != 0 and g for c = 0.
+    """
+    a, b, c, d = mats.reshape(-1, 4).T
+    low = c != 0
+    c_inv = borel_coordinates(p).inverse[c]
+    k = np.where(low, d * c_inv % p, p)
+    rg = np.stack([-c, -d, a + d, b + k * d], axis=1).reshape(-1, 2, 2) % p
+    rg = np.where(low[:, None, None], rg, mats)
+    return np.where(low, c_inv, a), np.where(low, a, b), k, rg
 
 
 def trace_discriminant_symbol(p: int) -> np.ndarray:

@@ -16,16 +16,25 @@ progression at its middle term y = x g, so that
     s[g] = sum_y f_0(y g^-1) f_1(y) f_2(y g) f_3(y g^2),
 
 and sums each row in y-order, in the dtype of `sum_dtype`, whatever the
-dtype of the inputs.  It writes each shift as g = h r over the table's
-`coset_decomposition`, and the table alone chooses the route.  A full
-SL_2(F_p) table is laid out as its `bruhat_layout`, a (|B|, p + 1) grid on
-which x -> x b, for b in the Borel subgroup B, is a row take; every sweep of
-it, of 2 to 4 terms and any dtype, is one stacked product of row takes per
-h (in int8 for signs and indicators) and assembles no permutation.  Every
-other table takes x -> x h once per h and x -> x r once per representative
-r used: 444 permutations for all shifts of SL_3(F_3), and one per shift on
-a table with the trivial decomposition (B, subsets, cyclic groups).
-Integer rows are summed in int16 up to n = 32767.
+dtype of the inputs.  On a full SL_d(F_p) table a sweep splits its shifts
+as g = h r, with h in the stabiliser H of the line through the bottom row
+(the matrices whose bottom row is (0, .., 0, l)) and r the representative
+of the right coset H g, the line through g's bottom row: p + 1 lines for
+d = 2, where H is the Borel subgroup B, and 13 for SL_3(F_3).  A split
+sweep holds up to 3 values per line and element, so `shift_sums` splits
+only when (lines) n is within the enumeration budget, read at each call:
+SL_2(F_p) up to p = 53 and SL_3(F_3), but not SL_3(F_5), with 11.5e6.
+
+A split SL_2 sweep reads h and r = w u_s from each shift's entries
+(`bruhat_split`) and runs on the table's `bruhat_layout`, a (|B|, p + 1)
+grid on which x -> x b, for b in B, is a row take: every such sweep, of 2
+to 4 terms and any dtype, is one stacked product of row takes per h (in
+int8 for signs and indicators) and assembles no permutation.  Every other
+sweep takes x -> x h once per h and x -> x r once per representative r
+used other than the identity: 444 permutations for all shifts of
+SL_3(F_3), whose representatives are the first swept shift on each line,
+and one per distinct shift on an unsplit sweep (B, subsets, cyclic groups,
+SL_3(F_5)).  Integer rows are summed in int16 up to n = 32767.
 
 The exact average and deviation are two reductions of one sweep
 (`exact_progression_statistics`), over the distinct per-shift sums and
@@ -44,8 +53,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .budget import OP_BUDGET, charge
-from .groups import borel_coordinates, bruhat_layout, coset_decomposition, table_kind
+from .budget import ENUMERATION_BUDGET, OP_BUDGET, budget_limit, charge
+from .groups import (_bottom_row_lines, _inverse_many, _mul_many, borel_coordinates,
+                     bruhat_layout, bruhat_split, table_kind)
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -193,8 +203,10 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
     narrow dtype of `kernel_values` and summed exactly, and float and complex
     sums are bit-identical to a loop that takes a fresh `table.rmul_perm(g)`
     per shift.  Each distinct shift is summed once, and a repeated shift
-    copies its sum.  A full SL_2(F_p) table, when decomposed, takes
-    `_bruhat_sums`, and every other table `_coset_sums`.
+    copies its sum.  Whether the shifts are split over the lines through
+    their bottom rows is decided at each call (see the module docstring); a
+    split SL_2 sweep takes `_bruhat_sums`, and every other sweep
+    `_coset_sums`.
     """
     vals = kernel_values(fs)
     shifts = np.arange(table.size) if shifts is None else np.asarray(shifts, dtype=np.intp)
@@ -203,31 +215,46 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
     if len(vals) == 1:
         return np.full(len(shifts), fs[0].values.sum(), dtype=dtype)
     distinct, where = np.unique(shifts, return_inverse=True)
-    dec = coset_decomposition(table)
-    bruhat = table_kind(table) == "full" and table.d == 2 and dec.reps.size > 1
-    sums = (_bruhat_sums if bruhat else _coset_sums)(table, vals, acc, distinct, dec)
+    # A split sweep holds up to 3 (cosets) n values: one stack per term after f_1 on SL_2.
+    cosets = (table.p**table.d - 1) // (table.p - 1) if table_kind(table) == "full" else 1
+    split = 1 < cosets and cosets * table.size <= budget_limit(ENUMERATION_BUDGET)
+    if split and table.d == 2:
+        sums = _bruhat_sums(table, vals, acc, distinct)
+    else:
+        sums = _coset_sums(table, vals, acc, distinct, split)
     return sums.astype(dtype, copy=False)[where]
 
 
-def _coset_sums(table, vals, acc, shifts, dec) -> np.ndarray:
-    """s[g] for distinct shifts over any table's `coset_decomposition`.
+def _coset_sums(table, vals, acc, shifts, split) -> np.ndarray:
+    """s[g] for distinct shifts on any table, each written as g = h r.
 
-    Write P_z for the permutation x -> x z, so P_g = R_r[P_h] with R_r = P_r.
-    Per h the sweep assembles P_h and scatters A_h[P_h] = f_0, so that
-    A_h(z) = f_0(z h^-1).  Per representative r used it assembles R_r,
-    scatters its inverse, so that f_0(y g^-1) = A_h[R_r^-1], and gathers
-    F_2 = f_2[R_r], so that f_2(y g) = F_2[P_h].  Coset 0 (by its label),
-    whose representative is the identity, skips the R_r gathers.  P_g is
-    composed only for a 4-term shift, whose f_3(y g^2) = f_3[P_g][P_g].  Per
-    representative used, the sweep holds R_r^-1 and F_2, and R_r only for a
-    4-term sweep.
+    When `split`, r is the representative of the line through g's bottom row
+    (`_bottom_row_lines`): the identity for line 0, whose h have bottom row
+    (0, .., 0, l), and the first swept shift on every other line.  Otherwise
+    every g is its own h and r is the identity.  Write P_z for the
+    permutation x -> x z, so P_g = R_r[P_h] with R_r = P_r.  Per h the sweep
+    assembles P_h and scatters A_h[P_h] = f_0, so that A_h(z) = f_0(z h^-1).
+    Per representative r other than the identity it assembles R_r, scatters
+    its inverse, so that f_0(y g^-1) = A_h[R_r^-1], and gathers F_2 = f_2[R_r],
+    so that f_2(y g) = F_2[P_h].  P_g is composed only for a 4-term shift,
+    whose f_3(y g^2) = f_3[P_g][P_g].  Every row is in y-order, so the sums
+    do not depend on the representatives.  Per representative used, the
+    sweep holds R_r^-1 and F_2, and R_r only for a 4-term sweep.
     """
-    order = np.lexsort((dec.coset[shifts], dec.h[shifts]))
-    ordered = shifts[order]
-    visits = zip(order.tolist(), dec.h[ordered].tolist(), dec.coset[ordered].tolist())
+    if split:
+        labels = _bottom_row_lines(table.mats[shifts, -1], table.p)
+        used, first = np.unique(labels, return_index=True)
+        rep_idx = np.where(used == 0, table.identity_index, shifts[first])
+        r_inv = _inverse_many(table.mats[rep_idx], table.p)[np.searchsorted(used, labels)]
+        hs = table.indices_of(_mul_many(table.mats[shifts], r_inv, table.p))
+        rep_of = dict(zip(used.tolist(), rep_idx.tolist()))
+    else:
+        labels, hs, rep_of = np.zeros_like(shifts), shifts, {}
+    order = np.lexsort((labels, hs))
+    visits = zip(order.tolist(), hs[order].tolist(), labels[order].tolist())
     f0, f1, f2, f3 = vals + [None] * (4 - len(vals))
     identity = np.arange(table.size)
-    reps = {0: (None, None, f2)}  # coset label -> R_r if 4-term, R_r^-1, f_2 o R_r
+    reps = {0: (None, None, f2)}  # line label -> R_r if 4-term, R_r^-1, f_2 o R_r
     a_h = np.empty_like(f0)  # A_h(z) = f_0(z h^-1)
     sums = np.empty(len(shifts), dtype=acc)
     h_done = None
@@ -237,7 +264,7 @@ def _coset_sums(table, vals, acc, shifts, dec) -> np.ndarray:
             perm_h = table.rmul_perm(h)
             a_h[perm_h] = f0
         if label not in reps:
-            r_perm = table.rmul_perm(int(dec.reps[label]))
+            r_perm = table.rmul_perm(rep_of[label])
             r_inv = np.empty_like(r_perm)
             r_inv[r_perm] = identity
             reps[label] = (r_perm if f3 is not None else None, r_inv,
@@ -253,28 +280,29 @@ def _coset_sums(table, vals, acc, shifts, dec) -> np.ndarray:
     return sums
 
 
-def _bruhat_sums(table, vals, acc, shifts, dec) -> np.ndarray:
-    """s[g] for distinct shifts on a decomposed full SL_2(F_p) table.
+def _bruhat_sums(table, vals, acc, shifts) -> np.ndarray:
+    """s[g] for distinct shifts on a full SL_2(F_p) table.
 
     On the `bruhat_layout` grid, where z -> z b for b in B is a row take,
-    each shift is g = h r, with r the identity (coset 0) or w u_s, the
-    representative of its coset.  Substituting y = z h^-1, so that y g = z r
-    and y g^2 = z (r g), gives
+    each shift is g = h r, read from its entries by `bruhat_split`, with r
+    the identity or w u_s.  Substituting y = z h^-1, so that y g = z r and
+    y g^2 = z (r g), gives
 
         s[h w u_s] = sum_z D_h(z h^-1 u_-s) f_1(z h^-1) G_s(z) f_3(z r g),
         s[h] = sum_z E_h(z h^-1) f_1(z h^-1) f_2(z) f_3(z g),
 
     with E_h = f_0 o P_h^-1, D_h = E_h o W^-1 and G_s = f_2 o U_s o W, P_z
-    being x -> x z.  With r g = h' r' by the decomposition,
+    being x -> x z.  With r g = h' r', split by `bruhat_split` too,
     f_3(z r g) = F_3[r'](z h') for F_3[r] = f_3 o P_r.  So each term after f_1
     is a row take of a stack of f_i o P_r over the representatives, laid out
-    once per sweep, G_s being its layer of w u_s.  Per h, E_h and
-    f_1 o P_h^-1 are row takes, D_h one full gather, and the rows of all
-    shifts with that h one stacked row take of [D_h; E_h], multiplied in the
-    common dtype of vals.  Integer rows are summed in grid order, since
-    integer sums do not depend on their order; float and complex rows are
-    first gathered into y-order, from the cell z = y h of each y.  A sweep
-    holds one (p + 1) n stack per term after f_1, and only one h's rows.
+    once per sweep, G_s being its layer of w u_s.  The shifts are grouped by
+    h's index (t - 1) p + a in B.  Per h, E_h and f_1 o P_h^-1 are row takes,
+    D_h one full gather, and the rows of all shifts with that h one stacked
+    row take of [D_h; E_h], multiplied in the common dtype of vals.  Integer
+    rows are summed in grid order, since integer sums do not depend on their
+    order; float and complex rows are first gathered into y-order, from the
+    cell z = y h of each y.  A sweep holds one (p + 1) n stack per term after
+    f_1, and only one h's rows.
     """
     p, layout, coords = table.p, bruhat_layout(table), borel_coordinates(table.p)
     nb = p * (p - 1)  # rows of the grid, one per element of B
@@ -284,21 +312,20 @@ def _bruhat_sums(table, vals, acc, shifts, dec) -> np.ndarray:
     # Layer k < p of a stack is f o P_r for r = w u_k, layer p is f itself.
     stacks = [np.concatenate([f.take(u_rows, axis=0).reshape(p, -1).take(layout.w_fwd, axis=1),
                               f.reshape(1, -1)]).reshape(p + 1, nb, p + 1) for f in rest]
-    layer = table.mats[dec.reps, 1, 1]
-    layer[0] = p
     de_rows = np.concatenate([u_rows[-np.arange(p)], nb + np.arange(nb)[None]])  # into [D_h; E_h]
     de = np.empty((2 * nb, p + 1), dtype=dtype)
     flat = np.arange(table.size).reshape(nb, p + 1)  # the flat index of each cell
     sums = np.empty(len(shifts), dtype=acc)
-    hs, ks = dec.h[shifts], layer[dec.coset[shifts]]
+    h_t, h_a, ks, rg = bruhat_split(table.mats[shifts], p)
     if len(stacks) == 2:  # r g = h' r', and h' = [[t3, a3], [0, 1 / t3]]
-        rg = table.rmul_indices_many(dec.reps[dec.coset[shifts]], shifts)
-        (t3, a3), k3 = table.mats[dec.h[rg], 0].T, layer[dec.coset[rg]] * nb
+        t3, a3, k3, _ = bruhat_split(rg, p)
+        k3 = k3 * nb
+    hs = (h_t - 1) * p + h_a
     order = np.argsort(hs, kind="stable")
     bounds = np.flatnonzero(np.diff(hs[order], prepend=-1, append=-1))  # where h changes
     for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         group = order[start:stop]
-        t, a = table.mats[hs[group[0]], 0]
+        t, a = h_t[group[0]], h_a[group[0]]
         inv_rows = coords.rows(coords.inverse[t], -a)  # h^-1 = [[1 / t, -a], [0, t]]
         de[nb:] = f0.take(inv_rows, axis=0)  # E_h
         de[:nb] = de[nb:].reshape(-1)[layout.w_back].reshape(nb, -1)  # D_h
@@ -306,7 +333,7 @@ def _bruhat_sums(table, vals, acc, shifts, dec) -> np.ndarray:
         prod = de.take(de_rows.take(inv_rows, axis=1)[k], axis=0)
         prod *= f1.take(inv_rows, axis=0)
         if stacks:
-            prod *= stacks[0][k]  # G_s, or f_2 itself for coset 0
+            prod *= stacks[0][k]  # G_s, or f_2 itself for r the identity
         if len(stacks) == 2:  # F_3[r'], row take by h'
             rows3 = k3[group, None] + coords.rows(t3[group], a3[group])
             prod *= stacks[1].reshape(-1, p + 1).take(rows3, axis=0)

@@ -11,9 +11,9 @@ from progmix.cli import _make_functions, _rng, main
 from progmix.fields import is_square_mod
 from progmix.groups import (
     GroupTable,
+    _bottom_row_lines,
     borel_subgroup,
     centralizer,
-    coset_decomposition,
     diagonalisable_set,
     special_linear_group,
     trace_values,
@@ -275,14 +275,18 @@ def test_sampled_mixing3_d3_sweeps_over_parabolic_cosets(capsys, monkeypatch):
     assert run_cli(capsys, "mixing3", "--d", "3", "--primes", "3", "--samples", "1000")[0] == 0
     # The sampled deviation sweeps 1000 shifts drawn with seed [0, p, 2]; the
     # sampled average uses paired lookups and assembles no permutation.
+    # Each shift g = h r, with r the identity on the line of H and the first
+    # drawn shift on every other line through the bottom row.
     table = special_linear_group(3, 3)
-    dec = coset_decomposition(table)
-    shifts = np.random.default_rng([0, 3, 2]).integers(0, table.size, size=1000)
-    want = np.unique(dec.h[shifts]).tolist()  # one per distinct h
-    used = np.unique(dec.coset[shifts])
-    want += dec.reps[used[used > 0]].tolist()  # one per used rep; H's is the identity
+    shifts = np.unique(np.random.default_rng([0, 3, 2]).integers(0, table.size, size=1000))
+    lines = _bottom_row_lines(table.mats[shifts, 2], 3)
+    used, first = np.unique(lines, return_index=True)
+    reps = shifts[first]
+    reps[used == 0] = table.identity_index
+    h = table.indices_of(table.mats[shifts] @ table.inv_mats()[reps[np.searchsorted(used, lines)]])
+    want = np.unique(h).tolist() + reps[used > 0].tolist()  # one per h and per rep other than H's
     assert sorted(calls) == sorted(want)
-    assert len(calls) < len(np.unique(shifts)) / 2
+    assert len(calls) < len(shifts) / 2
 
 
 def test_borel4_sweeps_twice_per_prime(capsys, monkeypatch):

@@ -11,14 +11,15 @@ from progmix.groups import (
     borel_character,
     borel_coordinates,
     bruhat_layout,
+    bruhat_split,
     _as_array,
+    _bottom_row_lines,
     _det_many,
     _mul_many,
     centralizer,
     centralizer_indices,
     conjugacy_class,
     conjugacy_classes,
-    coset_decomposition,
     diagonalisable_set,
     distinct_conjugate_count,
     element,
@@ -34,6 +35,7 @@ from progmix.groups import (
     trace_values,
     unipotent_subgroup,
 )
+from test_mixing import assert_same_sums, input_functions
 
 
 def brute_force_sl2_count(p):
@@ -317,25 +319,29 @@ def test_conjugacy_classes_match_single_orbits():
             assert np.array_equal(table.mats[members], orbit.mats)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_coset_decomposition_over_borel(p):
-    table = special_linear_group(2, p)
-    dec = coset_decomposition(table)
-    assert len(dec.reps) == p + 1 and dec.reps[0] == table.identity_index
-    assert np.array_equal(dec.coset[dec.reps], np.arange(p + 1))
-    assert np.bincount(dec.coset).tolist() == [p * (p - 1)] * (p + 1)
-    h, r = table.mats[dec.h], table.mats[dec.reps[dec.coset]]
-    assert np.all(h[:, 1, 0] == 0)  # every h is upper-triangular
-    for gi in range(table.size):
-        assert np.array_equal(h[gi] @ r[gi] % p, table.mats[gi])
-    assert len(set(zip(dec.h.tolist(), dec.coset.tolist()))) == table.size
-    # Bruhat representatives: w u_s = [[0, -1], [1, s]] for each s, on the line 1 / s
-    s = table.mats[dec.reps[1:], 1, 1]
-    assert sorted(s.tolist()) == list(range(p))
-    for label, rep in enumerate(dec.reps[1:], start=1):
-        want = [[0, p - 1], [1, pow(label, -1, p) if label < p else 0]]
-        assert table.mats[rep].tolist() == want
-    assert coset_decomposition(table) is dec
+    # bruhat_split writes every g of SL_2(F_p) as h r, with h in the Borel
+    # subgroup B and r the identity (k = p) or w u_k = [[0, -1], [1, k]], and
+    # gives r g with no product; checked against matrix products, for g and
+    # again for r g.
+    table, borel = special_linear_group(2, p), borel_subgroup(p)
+    reps = np.array([[[0, p - 1], [1, k]] for k in range(p)] + [np.eye(2, dtype=np.int64)])
+    mats = table.mats
+    for _ in range(2):
+        t, u, k, rg = bruhat_split(mats, p)
+        h = borel.mats[(t - 1) * p + u]  # upper-triangular, at its index in B
+        assert np.array_equal(h[:, 0], np.stack([t, u], axis=1))
+        assert np.array_equal(h @ reps[k] % p, mats)
+        assert np.array_equal(rg, reps[k] @ mats % p)
+        mats = rg
+    # each coset H g is the line through g's bottom row, labelled 1 / k, or
+    # 0 for k = p (`_bottom_row_lines`); every (h, k) pair occurs once
+    t, u, k, _ = bruhat_split(table.mats, p)
+    lines = np.where(k == p, 0, np.where(k == 0, p, borel_coordinates(p).inverse[k % p]))
+    assert np.array_equal(lines, _bottom_row_lines(table.mats[:, -1], p))
+    assert np.bincount(k).tolist() == [p * (p - 1)] * (p + 1)
+    assert len(set(zip(((t - 1) * p + u).tolist(), k.tolist()))) == table.size
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -376,43 +382,41 @@ def test_bruhat_layout_matches_permutations(p):
 
 def test_coset_decomposition_over_parabolic():
     # SL_3(F_3) over the stabiliser H of the line through the bottom row:
-    # p^2 + p + 1 = 13 right cosets H g, one per line, of |H| = 432 elements.
+    # p^2 + p + 1 = 13 right cosets H g, one per line (`_bottom_row_lines`),
+    # of |H| = 432 elements.  With the identity for H and the first element
+    # of every other line as representatives r, each g = h r with h in H.
     p = 3
     table = special_linear_group(3, p)
-    dec = coset_decomposition(table)
-    assert len(dec.reps) == 13 and dec.reps[0] == table.identity_index
-    assert np.array_equal(dec.coset[dec.reps], np.arange(13))
-    assert np.bincount(dec.coset).tolist() == [432] * 13
-    h, r = table.mats[dec.h], table.mats[dec.reps[dec.coset]]
+    lines = _bottom_row_lines(table.mats[:, 2], p)
+    assert np.bincount(lines).tolist() == [432] * 13
+    assert lines[table.identity_index] == 0
+    reps = np.unique(lines, return_index=True)[1]
+    assert lines[reps[0]] == 0 and not table.mats[reps[0], 2, :2].any()
+    reps[0] = table.identity_index
+    h = np.einsum("nij,njk->nik", table.mats, table.inv_mats()[reps[lines]]) % p
     assert not h[:, 2, :2].any() and h[:, 2, 2].all()  # every h has bottom row (0, 0, l)
-    assert np.array_equal(np.einsum("nij,njk->nik", h, r) % p, table.mats)
-    assert len(set(zip(dec.h.tolist(), dec.coset.tolist()))) == table.size
-    # the coset of g is the line through its bottom row
-    lines = {}
-    for gi, row in enumerate(table.mats[:, 2].tolist()):
+    assert len(set(zip(table.indices_of(h).tolist(), lines.tolist()))) == table.size
+    # the label of g is the line through its bottom row
+    seen = {}
+    for label, row in zip(lines.tolist(), table.mats[:, 2].tolist()):
         line = min(tuple(t * v % p for v in row) for t in (1, 2))
-        assert lines.setdefault(line, dec.coset[gi]) == dec.coset[gi]
-    assert len(lines) == 13
-    assert coset_decomposition(table) is dec
+        assert seen.setdefault(line, label) == label
+    assert len(seen) == 13
 
 
 @pytest.mark.parametrize("d, p", [(2, 5), (3, 3)])
 def test_coset_decomposition_within_budget_only(d, p, monkeypatch):
-    # A table is decomposed when (cosets) n is within the enumeration budget;
-    # fresh tables, because the decomposition is cached per table.
-    full = special_linear_group(d, p)
+    # shift_sums splits the shifts by their bottom-row lines only when
+    # (cosets) n is within the enumeration budget, read at each call on the
+    # same table: split, SL_2 assembles no permutation and all shifts of
+    # SL_3(F_3) 432 + 12; one short of it, one permutation per shift.
+    table = special_linear_group(d, p)
     cosets = (p**d - 1) // (p - 1)
-    monkeypatch.setenv("PROGMIX_BUDGET", str(cosets * full.size))
-    inside = coset_decomposition(GroupTable(full.mats, p, "full"))
-    want = coset_decomposition(full)
-    assert len(inside.reps) == cosets and np.array_equal(inside.reps, want.reps)
-    assert np.array_equal(inside.coset, want.coset) and np.array_equal(inside.h, want.h)
-    monkeypatch.setenv("PROGMIX_BUDGET", str(cosets * full.size - 1))
-    outside = coset_decomposition(GroupTable(full.mats, p, "full"))
-    assert outside.reps.tolist() == [full.identity_index]
-    assert not outside.coset.any() and np.array_equal(outside.h, np.arange(full.size))
-    monkeypatch.delenv("PROGMIX_BUDGET")
-    assert coset_decomposition(GroupTable(full.mats, p, "full")).reps.size == cosets
+    fs = input_functions(table, "float", 3, np.random.default_rng([d, p]))
+    monkeypatch.setenv("PROGMIX_BUDGET", str(cosets * table.size))
+    assert len(assert_same_sums(table, fs)) == (0 if d == 2 else 444)
+    monkeypatch.setenv("PROGMIX_BUDGET", str(cosets * table.size - 1))
+    assert sorted(assert_same_sums(table, fs)) == list(range(table.size))
 
 
 def conjugated_borel(p):
@@ -426,11 +430,14 @@ def conjugated_borel(p):
                                    conjugated_borel(5), borel_subgroup(7)],
                          ids=["sl3", "unipotent", "torus", "conjugated_borel", "borel"])
 def test_coset_decomposition_trivial_elsewhere(table):
-    # SL_3(F_5), with 31 cosets of 12,000, is over the default budget; B is
-    # summed in shear coordinates (borel), so no sweep needs its cosets.
-    dec = coset_decomposition(table)
-    assert dec.reps.tolist() == [table.identity_index]
-    assert not dec.coset.any() and np.array_equal(dec.h, np.arange(table.size))
+    # SL_3(F_5), with 31 cosets of 12,000, is over the default budget, and
+    # no other table here is a full SL_d: their shifts are not split, and a
+    # sweep assembles one permutation per distinct shift.
+    rng = np.random.default_rng(table.size)
+    shifts = rng.integers(0, table.size, size=min(table.size, 6))
+    shifts = np.concatenate([shifts, shifts[::-2]])
+    fs = input_functions(table, "sign", 4, rng)
+    assert sorted(assert_same_sums(table, fs, shifts)) == np.unique(shifts).tolist()
 
 
 @pytest.mark.parametrize("table, kind", [
@@ -729,6 +736,22 @@ def test_d3_subtable_first_lookup_allocates_no_dense_index():
     assert shear3[None] not in table
     with pytest.raises(KeyError):
         table.indices_of(np.stack([np.eye(3, dtype=np.int64), shear3]))
+
+
+@pytest.mark.parametrize("make", [unipotent_subgroup, borel_subgroup], ids=["unipotent", "borel"])
+def test_d2_subgroup_lookups_allocate_no_dense_index(make):
+    # Only a full SL_d(F_p) table reads the dense index.  Over the 61^4 keys
+    # of d = 2 it would take 55.4 MB, even for the 61 elements of U(F_61);
+    # the subgroups search their sorted keys, and find what a dict finds.
+    p = 61
+    table = make(p)
+    where = dict(zip(table._keys.tolist(), range(table.size)))
+    rng = np.random.default_rng(p)
+    keys = np.concatenate([table._keys, (table._keys + 1) % p**4, rng.integers(0, p**4, 5000)])
+    assert table._lookup(keys).tolist() == [where.get(key, -1) for key in keys.tolist()]
+    assert np.array_equal(table.indices_of(table.mats), np.arange(table.size))
+    assert table.identity_index == where[int(table._encode(np.eye(2, dtype=np.int64)[None])[0])]
+    assert "_dense_index" not in vars(table)
 
 
 @pytest.mark.parametrize("kind", ["centralizer", "class"])

@@ -10,10 +10,10 @@ from progmix.budget import BudgetExceededError
 from progmix.fourier import ap3_average
 from progmix.groups import (
     CyclicTable,
+    _bottom_row_lines,
     GroupTable,
     borel_coordinates,
     borel_subgroup,
-    coset_decomposition,
     diagonalisable_set,
     special_linear_group,
     unipotent_subgroup,
@@ -591,9 +591,21 @@ def direct_shift_sums(table, fs, shifts=None):
 
 
 def assert_same_sums(table, fs, shifts=None):
-    got, want = shift_sums(table, fs, shifts), direct_shift_sums(table, fs, shifts)
+    """Check shift_sums against direct_shift_sums, bit for bit, and return the
+    shifts whose permutation shift_sums assembled, in call order."""
+    calls, original = [], type(table).rmul_perm
+
+    def counted(self, gi):
+        calls.append(gi)
+        return original(self, gi)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(type(table), "rmul_perm", counted)
+        got = shift_sums(table, fs, shifts)
+    want = direct_shift_sums(table, fs, shifts)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)  # bit for bit, floats included
+    return calls
 
 
 KINDS = ["sign", "indicator", "float", "complex"]
@@ -623,24 +635,25 @@ def test_shift_sums_unchanged_on_undecomposed_tables(name, k, kind, monkeypatch)
              "sl3": lambda: GroupTable(special_linear_group(3, 3).mats, 3, "full"),
              "cyclic": lambda: CyclicTable(11)}[name]()
     monkeypatch.setenv("PROGMIX_BUDGET", "0")
-    assert coset_decomposition(table).reps.size == 1
     rng = np.random.default_rng([k, table.size, KINDS.index(kind)])
     fs = input_functions(table, kind, k, rng)
     sampled = rng.integers(0, table.size, size=30)
-    assert_same_sums(table, fs, np.concatenate([sampled, sampled[:7]]))
+    calls = assert_same_sums(table, fs, np.concatenate([sampled, sampled[:7]]))
+    assert sorted(calls) == (np.unique(sampled).tolist() if k > 1 else [])  # one per shift
     if name != "sl3":
-        assert_same_sums(table, fs)
+        assert sorted(assert_same_sums(table, fs)) == (list(range(table.size)) if k > 1 else [])
 
 
 @pytest.mark.parametrize("name, k, kind", [("borel", k, kind) for k in (2, 3, 4) for kind in KINDS]
                          + [("sl3", k, kind) for k in (3, 4) for kind in ("sign", "float")])
 def test_full_sweeps_over_cosets_match_direct_loop(name, k, kind):
-    # Every shift of B(F_7), over the trivial decomposition, and of
-    # SL_3(F_3), over the 13 cosets of its bottom-row stabiliser.
-    table, cosets = {"borel": (borel_subgroup(7), 1), "sl3": (special_linear_group(3, 3), 13)}[name]
-    assert len(coset_decomposition(table).reps) == cosets
+    # Every shift of B(F_7), one permutation per shift, and of SL_3(F_3),
+    # over the 13 cosets of its bottom-row stabiliser: 432 h and 12
+    # representatives other than the identity.
+    table, cosets, perms = {"borel": (borel_subgroup(7), 1, 42),
+                            "sl3": (special_linear_group(3, 3), 13, 444)}[name]
     fs = input_functions(table, kind, k, np.random.default_rng([k, KINDS.index(kind), cosets]))
-    assert_same_sums(table, fs)
+    assert len(assert_same_sums(table, fs)) == perms
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -651,20 +664,21 @@ def test_shift_sums_follow_coset_labels(name, k, kind):
     # identity one by its label, not by its place among the cosets a set uses.
     table = {"sl2": special_linear_group(2, 5), "borel": borel_subgroup(7),
              "sl3": special_linear_group(3, 3), "cyclic": CyclicTable(11)}[name]
-    dec = coset_decomposition(table)
+    lines = np.zeros(table.size, dtype=np.intp) if name == "cyclic" \
+        else _bottom_row_lines(table.mats[:, -1], table.p)
     rng = np.random.default_rng([k, table.size, KINDS.index(kind), 5])
     fs = input_functions(table, kind, k, rng)
-    off_identity = np.flatnonzero(dec.coset != 0)
+    off_identity = np.flatnonzero(lines != 0)
     if name in ("borel", "cyclic"):
-        assert off_identity.size == 0  # the trivial decomposition
+        assert off_identity.size == 0  # B lies on line 0, and Z_11 has no bottom rows
     else:
-        assert len(np.unique(dec.coset)) > 2  # several non-identity cosets to tell apart
+        assert len(np.unique(lines)) > 2  # several non-identity cosets to tell apart
         if name == "sl3":  # 5184 shifts in 12 cosets
             off_identity = rng.choice(off_identity, size=60)
-            assert len(np.unique(dec.coset[off_identity])) > 2
+            assert len(np.unique(lines[off_identity])) > 2
         assert_same_sums(table, fs, off_identity)
-    for label in np.unique(dec.coset):
-        members = np.flatnonzero(dec.coset == label)
+    for label in np.unique(lines):
+        members = np.flatnonzero(lines == label)
         assert_same_sums(table, fs, rng.choice(members, size=min(members.size, 24)))
         assert_same_sums(table, fs, members[-3:][::-1])
 
@@ -691,7 +705,8 @@ def test_shift_sums_exact_at_narrowing_bounds(tops, k):
     for draw in (signs, np.ones((k, table.size), dtype=np.int64)):
         fs = [GroupFunction(s * v, table) for s, v in zip(draw, (*tops, 1, 1))]
         assert_same_sums(table, fs)
-        assert_same_sums(table, fs, np.flatnonzero(coset_decomposition(table).coset == 3))
+        on_line_3 = np.flatnonzero(_bottom_row_lines(table.mats[:, -1], 5) == 3)
+        assert_same_sums(table, fs, on_line_3)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -801,7 +816,7 @@ def bruhat_problems(draw):
         return table, fs, None
     if shifts == "diagonalisable":
         return table, fs, table.indices_of(diagonalisable_set(p).mats)
-    members = np.flatnonzero(coset_decomposition(table).coset == 0) if shifts == "coset 0" \
+    members = np.flatnonzero(_bottom_row_lines(table.mats[:, -1], p) == 0) if shifts == "coset 0" \
         else np.arange(table.size)
     drawn = np.array(draw(st.lists(st.sampled_from(members.tolist()), max_size=40)), dtype=np.intp)
     return table, fs, np.concatenate([drawn, drawn[::-2]])
@@ -842,7 +857,7 @@ def test_bruhat_sweep_memory_is_linear_in_the_stacks():
     shifts = table.indices_of(diagonalisable_set(p).mats)
     rng = np.random.default_rng(23)
     fs = input_functions(table, "complex", 4, rng)
-    shift_sums(table, fs, shifts[:2])  # build the cached layout and decomposition
+    shift_sums(table, fs, shifts[:2])  # build the cached layout
     tracemalloc.start()
     try:
         got = shift_sums(table, fs, shifts)
