@@ -39,13 +39,13 @@ index rule, as a closed form in the coordinates of x and g.
 Bruhat layout.  bruhat_layout puts a full SL_2(F_p) table on a
 (|B|, p + 1) grid, x = c_l b at cell (b, l), with l the line through x's
 first column.  Then x -> x h for h in B is a row take by
-`BorelCoordinates.rows`, and x -> x w is one cached index array.  So no
-split sweep of mixing.shift_sums on an SL_2 table assembles a permutation.  The
+`BorelCoordinates.rows`, and x -> x w is one cached index array.  The
 layout is built on first use and holds four n-element index arrays, 157 KB
-at p = 17 and 952 KB at p = 31, and no |B| x |B| array.
-bruhat_split writes each g as h r with h in B and r the identity or
-w u_k = [[0, -1], [1, k]], the Bruhat representative of the line through g's
-bottom row, read from g's entries with no product and no lookup.
+at p = 17 and 952 KB at p = 31, and no |B| x |B| array.  bruhat_split
+writes each g as h r, with h in B and r the identity or
+w u_k = [[0, -1], [1, k]], the Bruhat representative of the line through
+g's bottom row, from g's entries with no product and no lookup.  So no
+split sweep of mixing.shift_sums on an SL_2 table assembles a permutation.
 """
 
 from __future__ import annotations
