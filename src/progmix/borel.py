@@ -24,12 +24,14 @@ directly over (t, s, u, lam), n^2 of them, and both `four_term_average` and
 `sheared_average` are reductions of its sum.
 
 Each statistic has one code path for every dtype.  The four-term averages
-and `zero_frequency_mass` reduce integer-valued inputs exactly to a
-Fraction, and give a float otherwise; the sheared kernel multiplies integer
-inputs in the narrowest integer type that holds their products, and forms
-partial sums of n products, in the narrowest type that holds n of them.  The
-U-smoothed functions average over each coset x U = U x (U is normal in B),
-which is a row of B's (t, a) coordinates, with no permutation.
+and `zero_frequency_mass` reduce exact inputs, integer or rational (see
+`mixing.GroupFunction`), exactly to a Fraction, over their numerators and
+divided once by their denominators, and give a float otherwise; the sheared
+kernel multiplies exact inputs in the narrowest integer type that holds
+their products, and forms partial sums of n products, in the narrowest type
+that holds n of them.  The U-smoothed functions average over each coset
+x U = U x (U is normal in B), which is a row of B's (t, a) coordinates, with
+no permutation.
 """
 
 from __future__ import annotations
@@ -169,10 +171,12 @@ def _sheared_sum(ctx: BorelContext, fs):
 
 def sheared_average(ctx: BorelContext, fs) -> float | Fraction:
     """The 4-term average computed in shear coordinates: the sum of the
-    kernel `four_term_average` reduces, over n^2.  Integer inputs give the
-    exact Fraction, other inputs a float (complex for complex input)."""
+    kernel `four_term_average` reduces, over n^2.  Exact inputs, integer or
+    rational, give the exact Fraction, the kernel's sum of numerators divided
+    by their Q; other inputs a float (complex for complex input)."""
     total, n = _sheared_sum(ctx, fs), ctx.group.size
-    return Fraction(total, n * n) if all(f.is_integer_valued for f in fs) else total / (n * n)
+    q = mixing.exact_denominator(fs)
+    return total / (n * n) if q is None else Fraction(total, q * n * n)
 
 
 def sheared_average_exact(ctx: BorelContext, fs) -> float | Fraction:
@@ -189,11 +193,12 @@ def _check_coset_mean_zero(ctx: BorelContext, f: mixing.GroupFunction, tol: floa
         )
 
 
-def _autocorrelations(ctx: BorelContext, f: mixing.GroupFunction) -> np.ndarray:
+def _autocorrelations(ctx: BorelContext, values: np.ndarray) -> np.ndarray:
     """Row t - 1 is h -> sum_a r(a) conj(r(a + h)) for the shear restriction
-    r(a) = f(shear(a) x) at the x with pi(x) = t, for t = 1 .. p - 1."""
+    r(a) = f(shear(a) x) at the x with pi(x) = t, for t = 1 .. p - 1, where
+    f has the given values."""
     p = ctx.p
-    r = f.values[ctx.shear_mul_index[:, ctx.pi_section[1:]]].T  # (p - 1, p)
+    r = values[ctx.shear_mul_index[:, ctx.pi_section[1:]]].T  # (p - 1, p)
     lagged = (np.arange(p)[:, None] + np.arange(p)) % p  # [h, a] -> a + h
     return np.einsum("ta,tha->th", r, np.conj(r)[:, lagged])
 
@@ -210,12 +215,13 @@ def zero_frequency_mass(ctx: BorelContext, fs, i0: int) -> float | Fraction:
     Requires f_{i0} to have mean zero on every shear coset, which forces
     mu_{i0,.}(0) = 0, so the excluded slice xi_{i0} = 0 adds nothing.  Each
     (s, t) term is then p^-4 sum_h A1(h) A2(c2 h) A3(c3 h) with A_i the
-    autocorrelation of the restriction of f_i.  Integer f_1, f_2, f_3 give
-    the exact Fraction, other inputs the real part as a float.  Charges the
-    3 (p-1) p^2 autocorrelation and (p-1)^2 p summation operations.  Integer
-    inputs are summed in int64, and refused with a ValueError when
-    (p-1) p prod_i (p max|f_i|^2), the bound of one t's sum, exceeds its
-    maximum.
+    autocorrelation of the restriction of f_i.  Exact f_1, f_2, f_3, integer
+    or rational, give the exact Fraction, other inputs the real part as a
+    float.  Charges the 3 (p-1) p^2 autocorrelation and (p-1)^2 p summation
+    operations.  Exact inputs are summed in int64 over their numerators, Q^2
+    times the true sum for Q = q_1 q_2 q_3, and refused with a ValueError
+    when (p-1) p prod_i (p max|f_i|^2), in numerators the bound of one t's
+    sum, exceeds its maximum.
     """
     if i0 not in (2, 3):
         raise ValueError("i0 must be 2 or 3")
@@ -225,7 +231,8 @@ def zero_frequency_mass(ctx: BorelContext, fs, i0: int) -> float | Fraction:
     # A_i(h) sums p products f_i f_i, so one t's sum is bounded like a sum of
     # (p - 1) p^4 products of f_1, f_2, f_3 taken twice each.
     mixing.sum_dtype([fs[i] for i in (1, 2, 3)] * 2, (p - 1) * p**4)
-    a1, a2, a3 = (_autocorrelations(ctx, fs[i]) for i in (1, 2, 3))
+    q = mixing.exact_denominator(fs[1:4])
+    a1, a2, a3 = (_autocorrelations(ctx, v) for v in mixing.numerators_or_values(fs[1:4]))
     h = np.arange(p)
     s = np.arange(1, p)
     total = 0
@@ -235,9 +242,7 @@ def zero_frequency_mass(ctx: BorelContext, fs, i0: int) -> float | Fraction:
         terms = a1[s - 1] * a2[s * t % p - 1][:, c2 * h % p]
         total += (terms * a3[s * t * t % p - 1][:, c3 * h % p]).sum().item()
     scale = (p - 1) ** 2 * p**4
-    if all(fs[i].is_integer_valued for i in (1, 2, 3)):
-        return Fraction(total, scale)
-    return total.real / scale
+    return total.real / scale if q is None else Fraction(total, q * q * scale)
 
 
 def sum_product_collision_rate(p: int, eta1, eta2, eta3) -> Fraction:

@@ -74,6 +74,7 @@ def _make_functions(kind: str, table, rng, count: int):
     if kind == "coset-borel":
         if getattr(table, "label", "") != "full" or table.d != 2:
             raise ConfigError("coset-borel functions need the full SL_2 table")
+        # 1_C - |B| / n for a coset C = g B: the numerators p and -1 over p + 1.
         b = borel_subgroup(table.p)
         b_idx = table.indices_of(b.mats)
         out = []
@@ -81,7 +82,7 @@ def _make_functions(kind: str, table, rng, count: int):
             coset = table.lmul_perm(int(rng.integers(table.size)))[b_idx]
             values = np.full(table.size, -b.size / table.size)
             values[coset] += 1.0
-            out.append(mixing.GroupFunction(values, table))
+            out.append(mixing.GroupFunction(values, table, denominator=table.p + 1))
         return out
     if kind.startswith("indicator:"):
         try:

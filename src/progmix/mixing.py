@@ -21,34 +21,48 @@ as g = h r, with h in the stabiliser H of the line through the bottom row
 (the matrices whose bottom row is (0, .., 0, l)) and r the representative
 of the right coset H g, the line through g's bottom row: p + 1 lines for
 d = 2, where H is the Borel subgroup B, and 13 for SL_3(F_3).  A split
-sweep holds up to 3 values per line and element, so `shift_sums` splits
-only when (lines) n is within the enumeration budget, read at each call:
-SL_2(F_p) up to p = 53 and SL_3(F_3), but not SL_3(F_5), with 11.5e6.
+sweep holds up to 3 values per line and element, and on SL_3 the
+permutations of the factors of h (below), up to p^2 of them, so
+`shift_sums` splits only when (lines + p^2) n, or (lines) n for SL_2, is
+within the enumeration budget, read at each call: SL_2(F_p) up to p = 53
+and SL_3(F_3), but not SL_3(F_5), with 20.8e6.
 
 A split SL_2 sweep reads h and r = w u_s from each shift's entries
 (`bruhat_split`) and runs on the table's `bruhat_layout`, a (|B|, p + 1)
 grid on which x -> x b, for b in B, is a row take: every such sweep, of 2
 to 4 terms and any dtype, is one stacked product of row takes per h (in
-int8 for signs and indicators) and assembles no permutation.  Every other
-sweep takes x -> x h once per h and x -> x r once per representative r
-used other than the identity: 444 permutations for all shifts of
-SL_3(F_3), whose representatives are the first swept shift on each line,
-and one per distinct shift on an unsplit sweep (B, subsets, cyclic groups,
-SL_3(F_5)).  Integer rows are summed in int16 up to n = 32767.
+int8 for signs and indicators) and assembles no permutation.  A split SL_3
+sweep writes each h as m u, its Levi part m = [[A, 0], [0, l]] times its
+radical part u = [[I, A^-1 v], [0, 1]], and composes x -> x h from
+x -> x m and x -> x u: 68 permutations for all shifts of SL_3(F_3) (48 m,
+8 u other than the identity and 12 representatives r, the first swept
+shift on each line).  An unsplit sweep (B, subsets, cyclic groups,
+SL_3(F_5)) assembles one per distinct shift.  Integer rows are summed in
+int16 up to n = 32767.
+
+Rational inputs.  A `GroupFunction` with a denominator q holds float values
+and the integer numerators q f.  The kernels read the numerators whenever
+every input is exact (integer, or rational with its denominator), so the
+coset-borel functions (p and -1 over p + 1) take the integer routes; each
+sum is then Q = prod_i q_i times the true one, and every reduction divides
+by Q once.  A tuple with any float-only input takes the float routes over
+the values.
 
 The exact average and deviation are two reductions of one sweep
 (`exact_progression_statistics`), over the distinct per-shift sums and
 their counts, and the restricted deviations two reductions of one sweep
-over the shift set.  Integer-valued inputs (indicators, +-1 signs) are
-summed exactly, and the exact value is reported as a Fraction alongside the
-float; other inputs end in a float division.  `average_from_total` turns
-the sum of all n^2 products into the exact-mode average, for this sweep and
-for the shear-coordinate kernel of the Borel subgroup.
+over the shift set.  Exact inputs are summed exactly, and the exact value
+is reported as a Fraction alongside the float; other inputs end in a float
+division.  The product of means is always the product of the float means.
+`average_from_total` turns the sum of all n^2 products into the exact-mode
+average, for this sweep and for the shear-coordinate kernel of the Borel
+subgroup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -67,19 +81,45 @@ class GroupFunction:
     Integer values are held as int64, the dtype in which every exact route
     multiplies and sums them, so narrower integer input cannot overflow there;
     unsigned values above the int64 maximum are refused, not wrapped.
+
+    A `denominator` q > 1 marks real float values as the rationals
+    numerators / q, with integer `numerators` = rint(q values) derived once;
+    a ValueError refuses a q that is not a positive integer, a q on integer
+    values (whose denominator is 1), and float values that numerators / q
+    does not reproduce exactly.  `values` stays the float view that every
+    float route reads, and the exact routes read the numerators: `numerators`
+    is the int64 values themselves for integer input, and None for float
+    input without a denominator.
     """
 
     values: np.ndarray
     table: object
+    denominator: int = 1
+    numerators: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
+        q = self.denominator
+        if not isinstance(q, (int, np.integer)) or q < 1:
+            raise ValueError(f"denominator must be a positive integer, got {q!r}")
         if self.is_integer_valued:
+            if q != 1:
+                raise ValueError("integer values take no denominator")
             if self.values.dtype.kind == "u" and int(self.values.max(initial=0)) > INT64_MAX:
                 raise ValueError("integer values above the int64 maximum")
             self.values = self.values.astype(np.int64, copy=False)
         if len(self.values) != self.table.size:
             raise ValueError("value array does not match the table size")
+        self.numerators = self.values if self.is_integer_valued else None
+        if q > 1:
+            if self.values.dtype.kind != "f":
+                raise ValueError("a denominator needs real float values")
+            scaled = np.rint(self.values * q)
+            if not np.all(np.abs(scaled) < 2.0**63):
+                raise ValueError(f"values times {q} are not finite int64 numerators")
+            self.numerators = scaled.astype(np.int64)
+            if not np.array_equal((self.numerators / q).astype(self.values.dtype), self.values):
+                raise ValueError(f"values are not multiples of 1/{q}")
 
     @property
     def is_integer_valued(self) -> bool:
@@ -141,14 +181,26 @@ def _common_table(fs, table=None):
 
 
 def _exact_inputs(fs) -> bool:
-    return all(f.is_integer_valued for f in fs)
+    return all(f.numerators is not None for f in fs)
+
+
+def exact_denominator(fs) -> int | None:
+    """Q = prod_i q_i when every f_i is exact (integer or rational), the factor
+    by which the integer sums of the kernels exceed the true sums; else None."""
+    return math.prod(f.denominator for f in fs) if _exact_inputs(fs) else None
+
+
+def numerators_or_values(fs) -> list[np.ndarray]:
+    """The arrays the kernels read: the numerators when every f_i is exact,
+    else the values."""
+    return [f.numerators for f in fs] if _exact_inputs(fs) else [f.values for f in fs]
 
 
 def _product_bound(fs) -> int:
-    """The largest |prod_i f_i(x_i)| over all points, for integer-valued fs."""
+    """The largest |prod_i f_i(x_i)| over all points, in numerators, for exact fs."""
     bound = 1
     for f in fs:
-        bound *= max(-int(f.values.min(initial=0)), int(f.values.max(initial=0)), 1)
+        bound *= max(-int(f.numerators.min(initial=0)), int(f.numerators.max(initial=0)), 1)
     return bound
 
 
@@ -164,24 +216,24 @@ def _narrowest(bound: int, types):
 def kernel_values(fs) -> list[np.ndarray]:
     """The values of fs in the dtype the shift kernels multiply them in.
 
-    Integer-valued fs are narrowed to the smallest signed integer type that
-    holds every product of their values exactly, int8 for signs and
+    Exact fs give their numerators, narrowed to the smallest signed integer
+    type that holds every product of them exactly, int8 for signs and
     indicators, which cuts the kernels' memory traffic up to eightfold.
-    Other inputs keep their dtype.
+    Other inputs give their values, in their dtype.
     """
     if not _exact_inputs(fs):
         return [f.values for f in fs]
     dtype = _narrowest(_product_bound(fs), (np.int8, np.int16, np.int32))
-    return [f.values.astype(dtype) for f in fs]
+    return [f.numerators.astype(dtype) for f in fs]
 
 
 def sum_dtype(fs, length: int):
     """The dtype in which the shift kernels sum `length` products of fs.
 
-    For integer-valued fs it is the narrowest of int16, int32 and int64 that
-    holds length times the largest product, so every such sum is exact: int16
-    for a row of signs up to n = 32767.  It raises ValueError when length
-    times the largest product exceeds the int64 maximum.  Other inputs are
+    For exact fs it is the narrowest of int16, int32 and int64 that holds
+    length times the largest product of numerators, so every such sum is
+    exact: int16 for a row of signs up to n = 32767.  It raises ValueError
+    when length times the largest product exceeds the int64 maximum.  Other inputs are
     summed in their float or complex result type.
     """
     if not _exact_inputs(fs):
@@ -193,13 +245,14 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
     """The per-shift sums s[j] = sum_x prod_i f_i(x g_j^i).
 
     `shifts` is an index array of shifts g_j, every table element by default.
-    The result is int64 for integer-valued inputs, so each exact statistic is
+    For exact inputs the result is the int64 sums of the numerators, Q times
+    the true sums for Q = `exact_denominator(fs)`, so each exact statistic is
     an exact reduction of it.
 
     Each progression is anchored at its middle term y = x g, so
     s[g] = sum_y f_0(y g^-1) f_1(y) f_2(y g) f_3(y g^2).  Each point's
     product is taken as ((f_0 f_1) f_2) f_3, and each row is summed in
-    y-order in the dtype of `sum_dtype`: integer inputs are multiplied in the
+    y-order in the dtype of `sum_dtype`: exact inputs are multiplied in the
     narrow dtype of `kernel_values` and summed exactly, and float and complex
     sums are bit-identical to a loop that takes a fresh `table.rmul_perm(g)`
     per shift.  Each distinct shift is summed once, and a repeated shift
@@ -213,11 +266,14 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
     acc = sum_dtype(fs, table.size)
     dtype = np.int64 if _exact_inputs(fs) else acc
     if len(vals) == 1:
-        return np.full(len(shifts), fs[0].values.sum(), dtype=dtype)
+        return np.full(len(shifts), numerators_or_values(fs)[0].sum(), dtype=dtype)
     distinct, where = np.unique(shifts, return_inverse=True)
-    # A split sweep holds up to 3 (cosets) n values: one stack per term after f_1 on SL_2.
-    cosets = (table.p**table.d - 1) // (table.p - 1) if table_kind(table) == "full" else 1
-    split = 1 < cosets and cosets * table.size <= budget_limit(ENUMERATION_BUDGET)
+    # A split sweep holds up to 3 (cosets) n values: one stack per term after f_1 on SL_2,
+    # and on SL_3 the p^(d - 1) - 1 radical permutations and one Levi permutation besides.
+    full = table_kind(table) == "full"
+    cosets = (table.p**table.d - 1) // (table.p - 1) if full else 1
+    factors = table.p ** (table.d - 1) if full and table.d > 2 else 0
+    split = 1 < cosets and (cosets + factors) * table.size <= budget_limit(ENUMERATION_BUDGET)
     if split and table.d == 2:
         sums = _bruhat_sums(table, vals, acc, distinct)
     else:
@@ -230,38 +286,58 @@ def _coset_sums(table, vals, acc, shifts, split) -> np.ndarray:
 
     When `split`, r is the representative of the line through g's bottom row
     (`_bottom_row_lines`): the identity for line 0, whose h have bottom row
-    (0, .., 0, l), and the first swept shift on every other line.  Otherwise
-    every g is its own h and r is the identity.  Write P_z for the
-    permutation x -> x z, so P_g = R_r[P_h] with R_r = P_r.  Per h the sweep
-    assembles P_h and scatters A_h[P_h] = f_0, so that A_h(z) = f_0(z h^-1).
-    Per representative r other than the identity it assembles R_r, scatters
-    its inverse, so that f_0(y g^-1) = A_h[R_r^-1], and gathers F_2 = f_2[R_r],
-    so that f_2(y g) = F_2[P_h].  P_g is composed only for a 4-term shift,
-    whose f_3(y g^2) = f_3[P_g][P_g].  Every row is in y-order, so the sums
-    do not depend on the representatives.  Per representative used, the
-    sweep holds R_r^-1 and F_2, and R_r only for a 4-term sweep.
+    (0, .., 0, l), and the first swept shift on every other line.  Each such
+    h = [[A, v], [0, l]] is then m u, with m = [[A, 0], [0, l]] its Levi part
+    and u = [[I, A^-1 v], [0, 1]] its radical part.  Otherwise every g is its
+    own h = m, and u and r are the identity.  Write P_z for the permutation
+    x -> x z, so P_h = P_u[P_m] and P_g = R_r[P_h] with R_r = P_r.  The
+    shifts are visited m-major, holding one P_m at a time and P_u for every
+    radical part used other than the identity, at most p^(d - 1) - 1 of
+    them: a full SL_3(F_3) sweep assembles 48 P_m, 8 P_u and 12 R_r.  Per h
+    the sweep composes P_h and scatters A_h[P_h] = f_0, so that
+    A_h(z) = f_0(z h^-1).  Per representative r other than the identity it
+    assembles R_r, scatters its inverse, so that f_0(y g^-1) = A_h[R_r^-1],
+    and gathers F_2 = f_2[R_r], so that f_2(y g) = F_2[P_h].  P_g is composed
+    only for a 4-term shift, whose f_3(y g^2) = f_3[P_g][P_g].  Every row is
+    in y-order, so the sums do not depend on the factors or the
+    representatives.  Per representative used, the sweep holds R_r^-1 and
+    F_2, and R_r only for a 4-term sweep.
     """
     if split:
-        labels = _bottom_row_lines(table.mats[shifts, -1], table.p)
+        p = table.p
+        labels = _bottom_row_lines(table.mats[shifts, -1], p)
         used, first = np.unique(labels, return_index=True)
         rep_idx = np.where(used == 0, table.identity_index, shifts[first])
-        r_inv = _inverse_many(table.mats[rep_idx], table.p)[np.searchsorted(used, labels)]
-        hs = table.indices_of(_mul_many(table.mats[shifts], r_inv, table.p))
+        r_inv = _inverse_many(table.mats[rep_idx], p)[np.searchsorted(used, labels)]
+        h = _mul_many(table.mats[shifts], r_inv, p)
+        m = h.copy()
+        m[:, :-1, -1] = 0  # the Levi part of h = m u
+        ms = table.indices_of(m)
+        u = table.indices_of(_mul_many(_inverse_many(m, p), h, p))
+        us = np.where(u == table.identity_index, -1, u)  # -1 for the identity
         rep_of = dict(zip(used.tolist(), rep_idx.tolist()))
     else:
-        labels, hs, rep_of = np.zeros_like(shifts), shifts, {}
-    order = np.lexsort((labels, hs))
-    visits = zip(order.tolist(), hs[order].tolist(), labels[order].tolist())
+        labels, ms, us, rep_of = np.zeros_like(shifts), shifts, np.full_like(shifts, -1), {}
+    order = np.lexsort((labels, us, ms))
+    visits = zip(order.tolist(), ms[order].tolist(), us[order].tolist(), labels[order].tolist())
     f0, f1, f2, f3 = vals + [None] * (4 - len(vals))
     identity = np.arange(table.size)
     reps = {0: (None, None, f2)}  # line label -> R_r if 4-term, R_r^-1, f_2 o R_r
+    radicals = {}  # u -> P_u
     a_h = np.empty_like(f0)  # A_h(z) = f_0(z h^-1)
     sums = np.empty(len(shifts), dtype=acc)
-    h_done = None
-    for j, h, label in visits:
-        if h != h_done:
-            h_done = h
-            perm_h = table.rmul_perm(h)
+    m_done = h_done = None
+    for j, m, u, label in visits:
+        if (m, u) != h_done:
+            if m != m_done:
+                m_done, perm_m = m, table.rmul_perm(m)
+            h_done = m, u
+            if u < 0:
+                perm_h = perm_m
+            else:
+                if u not in radicals:
+                    radicals[u] = table.rmul_perm(u)
+                perm_h = radicals[u].take(perm_m)
             a_h[perm_h] = f0
         if label not in reps:
             r_perm = table.rmul_perm(rep_of[label])
@@ -323,6 +399,7 @@ def _bruhat_sums(table, vals, acc, shifts) -> np.ndarray:
     hs = (h_t - 1) * p + h_a
     order = np.argsort(hs, kind="stable")
     bounds = np.flatnonzero(np.diff(hs[order], prepend=-1, append=-1))  # where h changes
+    into_y_order = not np.issubdtype(acc, np.integer)
     for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         group = order[start:stop]
         t, a = h_t[group[0]], h_a[group[0]]
@@ -338,7 +415,7 @@ def _bruhat_sums(table, vals, acc, shifts) -> np.ndarray:
             rows3 = k3[group, None] + coords.rows(t3[group], a3[group])
             prod *= stacks[1].reshape(-1, p + 1).take(rows3, axis=0)
         prod = prod.reshape(len(group), -1)
-        if not np.issubdtype(acc, np.integer):  # into y-order
+        if into_y_order:
             prod = prod.take(layout.compose(flat, coords.rows(t, a)), axis=1)
         sums[group] = prod.sum(axis=1, dtype=acc)
     return sums
@@ -364,8 +441,8 @@ def exact_progression_statistics(table, fs) -> tuple[MixingResult, MixingResult]
     Returns (average, deviation), the results of the exact modes of
     `progression_average` and `progression_deviation`, and charges the
     k n^2 operations of the sweep once.  Both are reductions over the
-    distinct per-shift sums and their counts, exact Fractions for
-    integer-valued inputs and a float division otherwise.
+    distinct per-shift sums and their counts, exact Fractions for exact
+    inputs, divided once by their Q, and a float division otherwise.
     """
     fs = list(fs)
     table = _common_table(fs, table)
@@ -376,17 +453,18 @@ def exact_progression_statistics(table, fs) -> tuple[MixingResult, MixingResult]
     # and integer sums stay exact.
     distinct, counts = (a.tolist() for a in np.unique(shift_sums(table, fs), return_counts=True))
     average = average_from_total(fs, sum(s * c for s, c in zip(distinct, counts)), n)
-    # E_g |s_g / n - prod_i (sum f_i) / n| = sum_g |s_g n^(k-1) - prod_i sum f_i| / n^(k+1)
-    exact = _exact_inputs(fs)
+    # E_g |s_g / n - prod_i (sum f_i) / n| = sum_g |s_g n^(k-1) - prod_i sum f_i| / n^(k+1),
+    # with s_g and prod_i sum f_i both Q times the true ones for exact inputs.
+    q = exact_denominator(fs)
     target, scale = _product_of_sums(fs), n ** (k - 1)
     dev = sum(abs(s * scale - target) * c for s, c in zip(distinct, counts))
-    dev = Fraction(dev, n ** (k + 1)) if exact else dev / n ** (k + 1)
+    dev = dev / n ** (k + 1) if q is None else Fraction(dev, q * n ** (k + 1))
     deviation = MixingResult(
         value=float(dev),
         product_of_means=average.product_of_means,
         deviation=float(dev),
         samples_used="exact",
-        exact_value=dev if exact else None,
+        exact_value=None if q is None else dev,
         exact_product=average.exact_product,
     )
     return average, deviation
@@ -396,26 +474,29 @@ def average_from_total(fs, total, n: int) -> MixingResult:
     """The exact-mode progression average of fs on n elements, from the sum
     `total` of prod_i f_i(x g^i) over all n^2 pairs (x, g).
 
-    For integer-valued fs, total is a Python int, and the result carries the
+    For exact fs, total is a Python int summed over numerators, Q times the
+    true total for Q = `exact_denominator(fs)`, and the result carries the
     exact average and product of means as Fractions; otherwise total is a
-    float (complex for complex input).
+    float (complex for complex input).  The product of means is the product
+    of the float means in either case.
     """
+    q = exact_denominator(fs)
     prod_means = np.prod([f.mean() for f in fs])
-    value = total / (n * n)
+    value = total / ((q or 1) * n * n)
     average = MixingResult(value=value, product_of_means=prod_means,
                            deviation=abs(value - prod_means), samples_used="exact")
-    if _exact_inputs(fs):
-        average.exact_value = Fraction(total, n * n)
-        average.exact_product = Fraction(_product_of_sums(fs), n ** len(fs))
+    if q is not None:
+        average.exact_value = Fraction(total, q * n * n)
+        average.exact_product = Fraction(_product_of_sums(fs), q * n ** len(fs))
         average.deviation = abs(float(average.exact_value - average.exact_product))
     return average
 
 
 def _product_of_sums(fs):
-    """prod_i sum_x f_i(x), a Python int for integer-valued inputs."""
+    """prod_i sum_x f_i(x), a Python int in numerators for exact inputs."""
     prod = 1
-    for f in fs:
-        prod *= f.values.sum().item()
+    for v in numerators_or_values(fs):
+        prod *= v.sum().item()
     return prod
 
 
@@ -461,7 +542,8 @@ def progression_deviation(table=None, fs=None, samples=None, seed=None) -> Mixin
     prod_means = np.prod([f.mean() for f in fs])
     rng = np.random.default_rng(seed)
     g_indices = rng.integers(0, n, size=samples)
-    devs = np.abs(shift_sums(table, fs, g_indices) / n - prod_means)
+    scale = (exact_denominator(fs) or 1) * n
+    devs = np.abs(shift_sums(table, fs, g_indices) / scale - prod_means)
     stderr = float(devs.std(ddof=1) / np.sqrt(samples)) if samples > 1 else float("inf")
     value = float(devs.mean())
     return MixingResult(
@@ -489,7 +571,7 @@ def restricted_progression_deviation(table, shift_set, fs) -> tuple[MixingResult
            f"restricted {len(fs)}-term deviation over {shift_set.size} shifts on {n} elements")
     shift_indices = table.indices_of(shift_set.mats)
     prod_means = np.prod([f.mean() for f in fs])
-    inner = shift_sums(table, fs, shift_indices) / n
+    inner = shift_sums(table, fs, shift_indices) / ((exact_denominator(fs) or 1) * n)
     unsigned = float(np.mean(np.abs(inner - prod_means)))
     signed = abs(inner.mean() - prod_means)
     return tuple(

@@ -786,3 +786,56 @@ def test_narrow_integer_inputs_stay_exact(dtype, m):
     assert sheared_average(ctx, narrow) == four_term_average(ctx, narrow).exact_value == want
     assert progression_average(ctx.group, narrow).exact_value == want
     assert zero_frequency_mass(ctx, narrow, 3) == rolled_zero_frequency_mass(ctx, fs)
+
+
+def rational_functions(ctx, qs, rng):
+    """numerators / q on B for each q: integer values for q = 1, else float
+    values with denominator q; the last is mean zero on every shear coset."""
+    out = []
+    for i, q in enumerate(qs):
+        nums = rng.integers(-q, q + 1, ctx.group.size)
+        if i == len(qs) - 1:
+            nums = coset_mean_zero_projection(ctx, nums)
+        out.append(GroupFunction(nums, ctx.group) if q == 1 else
+                   GroupFunction(nums / q, ctx.group, denominator=q))
+    return out
+
+
+class FractionValues:
+    """A function's values as Fractions, for the brute-force oracle."""
+
+    def __init__(self, f):
+        self.values = np.array([Fraction(int(v), f.denominator) for v in f.numerators], dtype=object)
+
+
+BOREL_STATISTICS = {
+    "four_term_average": lambda ctx, fs: four_term_average(ctx, fs),
+    "smoothing_gap": smoothing_gap,
+    "sheared_average": sheared_average,
+    "sheared_average_exact": sheared_average_exact,
+    "zero_frequency_mass": lambda ctx, fs: zero_frequency_mass(ctx, fs, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(BOREL_STATISTICS))
+def test_denominated_borel_statistics_match_their_floats(name):
+    # The sheared kernel and the autocorrelations read the numerators of
+    # rational inputs and divide by Q = 2 * 3 * 5 (Q^2 for the mass, which
+    # is quadratic in each input); the same float values without
+    # denominators agree within rounding, and the exact results equal the
+    # Fraction oracles.
+    p = 5
+    ctx = borel_context(p)
+    n = ctx.group.size
+    fs = rational_functions(ctx, (2, 3, 1, 5), np.random.default_rng([p, len(name)]))
+    floats = [GroupFunction(f.values.astype(np.float64), ctx.group) for f in fs]
+    got, plain = BOREL_STATISTICS[name](ctx, fs), BOREL_STATISTICS[name](ctx, floats)
+    value = getattr(got, "value", got)
+    assert abs(float(value) - getattr(plain, "value", plain)) <= 1e-15
+    if name in ("four_term_average", "sheared_average", "sheared_average_exact"):
+        want = Fraction(brute_four_term_sum(ctx.group, [FractionValues(f) for f in fs]), n * n)
+        assert getattr(got, "exact_value", got) == want
+        assert float(value) == float(want)
+    if name == "zero_frequency_mass":
+        numerators = [GroupFunction(f.numerators, ctx.group) for f in fs]
+        assert got == rolled_zero_frequency_mass(ctx, numerators) / (3 * 1 * 5) ** 2

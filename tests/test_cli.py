@@ -276,17 +276,24 @@ def test_sampled_mixing3_d3_sweeps_over_parabolic_cosets(capsys, monkeypatch):
     # The sampled deviation sweeps 1000 shifts drawn with seed [0, p, 2]; the
     # sampled average uses paired lookups and assembles no permutation.
     # Each shift g = h r, with r the identity on the line of H and the first
-    # drawn shift on every other line through the bottom row.
+    # drawn shift on every other line through the bottom row, and each
+    # h = [[A, v], [0, l]] = m u with m = [[A, 0], [0, l]] and u = m^-1 h.
     table = special_linear_group(3, 3)
     shifts = np.unique(np.random.default_rng([0, 3, 2]).integers(0, table.size, size=1000))
     lines = _bottom_row_lines(table.mats[shifts, 2], 3)
     used, first = np.unique(lines, return_index=True)
     reps = shifts[first]
     reps[used == 0] = table.identity_index
-    h = table.indices_of(table.mats[shifts] @ table.inv_mats()[reps[np.searchsorted(used, lines)]])
-    want = np.unique(h).tolist() + reps[used > 0].tolist()  # one per h and per rep other than H's
+    h = table.mats[shifts] @ table.inv_mats()[reps[np.searchsorted(used, lines)]] % 3
+    m = h.copy()
+    m[:, :2, 2] = 0
+    m_idx = table.indices_of(m)
+    u_idx = table.indices_of(table.inv_mats()[m_idx] @ h % 3)
+    # one per m, per u other than the identity, and per rep other than H's
+    want = (np.unique(m_idx).tolist() + np.setdiff1d(u_idx, [table.identity_index]).tolist()
+            + reps[used > 0].tolist())
     assert sorted(calls) == sorted(want)
-    assert len(calls) < len(shifts) / 2
+    assert len(calls) <= 48 + 8 + 12
 
 
 def test_borel4_sweeps_twice_per_prime(capsys, monkeypatch):
@@ -310,6 +317,30 @@ def test_coset_borel_functions_match_explicit_cosets():
             want = np.full(table.size, -b.size / table.size)
             want[coset] += 1.0
             assert f.values.tolist() == want.tolist()
+            # 1_C - 1 / (p + 1): the numerators p on C and -1 elsewhere over p + 1
+            assert f.denominator == p + 1
+            numerators = np.full(table.size, -1)
+            numerators[coset] = p
+            assert f.numerators.tolist() == numerators.tolist()
+
+
+def test_sampled_coset_borel_mixing3_sweeps_integer_numerators(capsys, monkeypatch):
+    # The sampled deviation of the coset-borel functions takes the Bruhat
+    # route once per prime with the integer numerators p and -1, summed in
+    # an integer dtype; the float values are read by the sampled average only.
+    sweeps = []
+    bruhat_sums = mixing._bruhat_sums
+
+    def record(table, vals, acc, shifts):
+        sweeps.append((table.p, sorted({int(v) for f in vals for v in np.unique(f)}),
+                       all(np.issubdtype(f.dtype, np.integer) for f in vals),
+                       np.issubdtype(acc, np.integer)))
+        return bruhat_sums(table, vals, acc, shifts)
+
+    monkeypatch.setattr(mixing, "_bruhat_sums", record)
+    argv = ["mixing3", "--primes", "3,5,7,11,13", "--samples", "2000", "--functions", "coset-borel"]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert sweeps == [(p, [-1, p], True, True) for p in (3, 5, 7, 11, 13)]
 
 
 def test_unknown_flag_exits_2(capsys):

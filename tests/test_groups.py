@@ -35,7 +35,7 @@ from progmix.groups import (
     trace_values,
     unipotent_subgroup,
 )
-from test_mixing import assert_same_sums, input_functions
+from test_mixing import assert_same_sums, input_functions, parabolic_factor_perms
 
 
 def brute_force_sl2_count(p):
@@ -407,15 +407,17 @@ def test_coset_decomposition_over_parabolic():
 @pytest.mark.parametrize("d, p", [(2, 5), (3, 3)])
 def test_coset_decomposition_within_budget_only(d, p, monkeypatch):
     # shift_sums splits the shifts by their bottom-row lines only when
-    # (cosets) n is within the enumeration budget, read at each call on the
-    # same table: split, SL_2 assembles no permutation and all shifts of
-    # SL_3(F_3) 432 + 12; one short of it, one permutation per shift.
+    # (cosets) n, plus on SL_3 the p^2 n of the held radical and Levi
+    # permutations, is within the enumeration budget, read at each call on
+    # the same table: split, SL_2 assembles no permutation and all shifts of
+    # SL_3(F_3) 48 Levi + 8 radical + 12 representatives; one short of it,
+    # one permutation per shift.
     table = special_linear_group(d, p)
-    cosets = (p**d - 1) // (p - 1)
+    held = (p**d - 1) // (p - 1) + (p**2 if d == 3 else 0)
     fs = input_functions(table, "float", 3, np.random.default_rng([d, p]))
-    monkeypatch.setenv("PROGMIX_BUDGET", str(cosets * table.size))
-    assert len(assert_same_sums(table, fs)) == (0 if d == 2 else 444)
-    monkeypatch.setenv("PROGMIX_BUDGET", str(cosets * table.size - 1))
+    monkeypatch.setenv("PROGMIX_BUDGET", str(held * table.size))
+    assert sorted(assert_same_sums(table, fs)) == ([] if d == 2 else parabolic_factor_perms(table))
+    monkeypatch.setenv("PROGMIX_BUDGET", str(held * table.size - 1))
     assert sorted(assert_same_sums(table, fs)) == list(range(table.size))
 
 

@@ -219,7 +219,29 @@ def test_functions_must_share_the_given_table():
     (lambda table, fs: progression_deviation(table, fs, samples=0), "samples must be positive"),
     (lambda table, fs: GroupFunction(np.ones(table.size + 1), table),
      "value array does not match the table size"),
-], ids=["average-samples-0", "deviation-samples-0", "function-length"])
+    (lambda table, fs: GroupFunction(np.full(table.size, 0.3), table, denominator=4),
+     "not multiples of 1/4"),
+    (lambda table, fs: GroupFunction(np.zeros(table.size), table, denominator=0),
+     "positive integer"),
+    (lambda table, fs: GroupFunction(np.zeros(table.size), table, denominator=-3),
+     "positive integer"),
+    (lambda table, fs: GroupFunction(np.zeros(table.size), table, denominator=2.0),
+     "positive integer"),
+    (lambda table, fs: GroupFunction(np.zeros(table.size, dtype=np.int64), table, denominator=2),
+     "integer values take no denominator"),
+    (lambda table, fs: GroupFunction(np.zeros(table.size, dtype=complex), table, denominator=2),
+     "real float values"),
+    (lambda table, fs: GroupFunction(np.full(table.size, 2.0**62), table, denominator=2),
+     "int64 numerators"),
+    (lambda table, fs: GroupFunction(np.full(table.size, np.inf), table, denominator=2),
+     "int64 numerators"),
+    # numerators of +-2^40 over 3: products of 2^120 would wrap an int64 sum
+    (lambda table, fs: shift_sums(table, [GroupFunction(np.full(table.size, 2**40 / 3), table,
+                                                        denominator=3)] * 3), "int64 maximum"),
+], ids=["average-samples-0", "deviation-samples-0", "function-length", "denominator-non-multiple",
+        "denominator-0", "denominator-negative",
+        "denominator-float", "denominator-on-integers", "denominator-on-complex",
+        "numerators-past-int64", "numerators-infinite", "numerator-products-past-int64"])
 def test_mixing_refusals(call, message):
     table = special_linear_group(2, 3)
     with pytest.raises(ValueError, match=message):
@@ -426,14 +448,20 @@ def brute_shift_sums(table, values, shifts=None):
     return sums
 
 
-def brute_statistics(table, fs, shift_subset=None):
+def fraction_values(f):
+    """The values of an exact (integer or rational) f as Fractions."""
+    return [Fraction(int(v), f.denominator) for v in f.numerators]
+
+
+def brute_statistics(table, fs, shift_subset=None, sums=None):
     """Average, product of means, deviation and restricted deviations, as exact
-    Fractions for integer inputs and as floats otherwise."""
+    Fractions for exact (integer or rational) inputs and as floats otherwise.
+    `sums` gives the per-shift sums in place of the brute-force ones."""
     n = table.size
-    exact = all(f.is_integer_valued for f in fs)
-    values = [[int(v) for v in f.values] if exact else list(f.values) for f in fs]
+    exact = all(f.numerators is not None for f in fs)
+    values = [fraction_values(f) if exact else list(f.values) for f in fs]
     scalar = Fraction if exact else lambda a, b: a / b
-    sums = brute_shift_sums(table, values)
+    sums = brute_shift_sums(table, values) if sums is None else sums
     means = [scalar(sum(v), n) for v in values]
     prod_means = 1
     for m in means:
@@ -644,16 +672,37 @@ def test_shift_sums_unchanged_on_undecomposed_tables(name, k, kind, monkeypatch)
         assert sorted(assert_same_sums(table, fs)) == (list(range(table.size)) if k > 1 else [])
 
 
+def parabolic_factor_perms(table):
+    """The permutations a split sweep of every shift of SL_3(F_p) assembles:
+    the Levi parts [[A, 0], [0, l]] and radical parts [[I, w], [0, 1]] other
+    than the identity of the bottom-row stabiliser H, and the first element
+    on each line through the bottom row other than H's."""
+    mats = table.mats
+    levi = ~mats[:, :2, 2].any(axis=1) & ~mats[:, 2, :2].any(axis=1)
+    eye = np.eye(2, dtype=mats.dtype)
+    radical = (mats[:, :2, :2] == eye).all(axis=(1, 2)) & ~mats[:, 2, :2].any(axis=1)
+    radical &= mats[:, :2, 2].any(axis=1)
+    lines = _bottom_row_lines(mats[:, 2], table.p)
+    _, first = np.unique(lines, return_index=True)
+    return sorted(np.flatnonzero(levi).tolist() + np.flatnonzero(radical).tolist()
+                  + first[1:].tolist())
+
+
 @pytest.mark.parametrize("name, k, kind", [("borel", k, kind) for k in (2, 3, 4) for kind in KINDS]
                          + [("sl3", k, kind) for k in (3, 4) for kind in ("sign", "float")])
 def test_full_sweeps_over_cosets_match_direct_loop(name, k, kind):
     # Every shift of B(F_7), one permutation per shift, and of SL_3(F_3),
-    # over the 13 cosets of its bottom-row stabiliser: 432 h and 12
-    # representatives other than the identity.
-    table, cosets, perms = {"borel": (borel_subgroup(7), 1, 42),
-                            "sl3": (special_linear_group(3, 3), 13, 444)}[name]
+    # over the 13 cosets of its bottom-row stabiliser H: each h in H is m u,
+    # so 48 Levi and 8 radical permutations for the 432 h, and 12
+    # representatives other than the identity, each assembled once.
+    table, cosets = {"borel": (borel_subgroup(7), 1), "sl3": (special_linear_group(3, 3), 13)}[name]
     fs = input_functions(table, kind, k, np.random.default_rng([k, KINDS.index(kind), cosets]))
-    assert len(assert_same_sums(table, fs)) == perms
+    calls = sorted(assert_same_sums(table, fs))
+    if name == "borel":
+        assert calls == list(range(42))
+    else:
+        assert len(calls) == 48 + 8 + 12
+        assert calls == parabolic_factor_perms(table)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -903,3 +952,91 @@ def test_two_term_average_factorises_exactly_property(problem):
     expected = Fraction(int(f0.values.sum()), n) * Fraction(int(f1.values.sum()), n)
     result = progression_average(table, [f0, f1])
     assert result.exact_value == expected == result.exact_product
+
+
+def rational_function(table, numerators, q):
+    """numerators / q: integer values for q = 1, else float values with denominator q."""
+    numerators = np.asarray(numerators, dtype=np.int64)
+    return GroupFunction(numerators, table) if q == 1 else \
+        GroupFunction(numerators / q, table, denominator=q)
+
+
+MIXING_STATISTICS = {
+    "average": lambda table, fs: progression_average(table, fs),
+    "average-sampled": lambda table, fs: progression_average(table, fs, samples=500, seed=1),
+    "deviation": lambda table, fs: progression_deviation(table, fs),
+    "deviation-sampled": lambda table, fs: progression_deviation(table, fs, samples=60, seed=2),
+    "restricted-unsigned":
+        lambda table, fs: restricted_progression_deviation(table, borel_subgroup(5), fs)[0],
+    "restricted-signed":
+        lambda table, fs: restricted_progression_deviation(table, borel_subgroup(5), fs)[1],
+}
+
+
+@pytest.mark.parametrize("name", list(MIXING_STATISTICS))
+def test_denominated_statistics_match_their_floats(name):
+    # Rational inputs take the integer kernels and divide once by Q = 6 * 4;
+    # the same float values without denominators take the float kernels.
+    # Float rows agree within rounding, exact rows equal the Fraction oracle,
+    # and the product of means is the product of the same float means.
+    table = special_linear_group(2, 5)
+    rng = np.random.default_rng([5, len(name)])
+    fs = [rational_function(table, rng.integers(-q, q + 1, table.size), q) for q in (6, 1, 4)]
+    floats = [GroupFunction(f.values.astype(np.float64), table) for f in fs]
+    got, plain = MIXING_STATISTICS[name](table, fs), MIXING_STATISTICS[name](table, floats)
+    assert got.product_of_means == plain.product_of_means
+    assert abs(got.value - plain.value) <= 1e-15
+    if name == "average-sampled":  # paired lookups of the float values in both
+        assert got == plain
+    want = brute_statistics(table, fs, table.indices_of(borel_subgroup(5).mats))
+    key = {"average": "average", "deviation": "deviation", "deviation-sampled": None,
+           "restricted-unsigned": "unsigned", "restricted-signed": "signed"}.get(name)
+    if name in ("average", "deviation"):
+        assert got.exact_value == want[key] and got.exact_product == want["product"]
+        assert got.value == float(want[key])
+    elif key is not None:
+        assert abs(got.value - float(want[key])) <= 1e-15
+
+
+@st.composite
+def rational_problems(draw):
+    """A table, functions numerators / q_i with q_i in 1..7 and numerators in
+    [-3 q_i, 3 q_i], and shifts: all of SL_2(F_p) for p in {3, 5, 7}, of
+    B(F_7) or of Z_11, or up to 40 drawn shifts of SL_3(F_3)."""
+    name = draw(st.sampled_from(["sl2-3", "sl2-5", "sl2-7", "borel-7", "cyclic", "sl3"]))
+    table = {"sl2-3": lambda: special_linear_group(2, 3), "sl2-5": lambda: special_linear_group(2, 5),
+             "sl2-7": lambda: special_linear_group(2, 7), "borel-7": lambda: borel_subgroup(7),
+             "cyclic": lambda: CyclicTable(11), "sl3": lambda: special_linear_group(3, 3)}[name]()
+    qs = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fs = [rational_function(table, rng.integers(-3 * q, 3 * q + 1, table.size), q) for q in qs]
+    if name != "sl3":
+        return table, fs, None
+    return table, fs, np.array(draw(st.lists(st.integers(0, table.size - 1), max_size=40)),
+                               dtype=np.intp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_problems())
+def test_rational_shift_sums_property(problem):
+    # shift_sums of numerators / q_i is prod_i q_i times the rational sums:
+    # the integer sweep of the numerators everywhere, and the rational brute
+    # force at p in {3, 5}, B(F_7) and Z_11.  Over all shifts, the exact
+    # statistics equal the rational Fraction oracle.
+    table, fs, shifts = problem
+    q = int(np.prod([f.denominator for f in fs]))
+    got = shift_sums(table, fs, shifts)
+    assert got.dtype == np.int64
+    numerators = [GroupFunction(f.numerators, table) for f in fs]
+    assert np.array_equal(got, direct_shift_sums(table, numerators, shifts))
+    small = table.size <= 120
+    if small:
+        brute = brute_shift_sums(table, [fraction_values(f) for f in fs], shifts)
+        assert got.tolist() == [q * b for b in brute]
+    if shifts is None:
+        want = brute_statistics(table, fs, sums=None if small else
+                                [Fraction(s, q) for s in got.tolist()])
+        avg, dev = exact_progression_statistics(table, fs)
+        assert avg.exact_value == want["average"] and dev.exact_value == want["deviation"]
+        assert avg.exact_product == dev.exact_product == want["product"]
+        assert avg.value == float(want["average"]) and dev.value == float(want["deviation"])
