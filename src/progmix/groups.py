@@ -26,7 +26,8 @@ x -> x h once per h and one assembled permutation per representative r
 used.  For a full SL_d(F_p) table, H is the stabiliser of the line through
 the bottom row, and the right coset H g is labelled by `_bottom_row_lines`
 of g's bottom row.  mixing.shift_sums decides at each call whether to split
-the shifts it sweeps by that label.
+the shifts it sweeps by that label, and on SL_3 composes x -> x h from the
+permutations of h's Levi and radical parts.
 
 The Borel subgroup.  B = {[[t, a], [0, t^-1]]}, and its element
 [[t, a], [0, t^-1]] has index (t - 1) p + a, which is the sorted order of
