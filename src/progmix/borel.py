@@ -46,7 +46,7 @@ from . import mixing
 from .budget import OP_BUDGET, charge
 from .fields import inv_mod
 from .fourier import dft
-from .groups import GroupTable, borel_coordinates, borel_subgroup
+from .groups import GroupTable, borel_coordinates, borel_subgroup, parabolic_coordinates
 
 
 @dataclass
@@ -89,16 +89,16 @@ def _smooth(ctx: BorelContext, f: mixing.GroupFunction) -> mixing.GroupFunction:
 
     Its value at x is E_s f(x u_s^-1), the mean of f over the coset x U = U x,
     which is x's row t of B's (t, a) coordinates; x -> x u_-s is the index
-    arithmetic `borel_coordinates(p).rows(1, -s)`.  The terms f(x u_-s) / p
-    are added for s = 0 .. p - 1, as a convolution with mu_U adds them, so
-    the values are bit for bit those of one.  Charges the p n of that
-    convolution, and assembles no permutation.
+    arithmetic `parabolic_coordinates(2, p).rows` of u_-s, element -s mod p
+    of B.  The terms f(x u_-s) / p are added for s = 0 .. p - 1, as a
+    convolution with mu_U adds them, so the values are bit for bit those of
+    one.  Charges the p n of that convolution, and assembles no permutation.
     """
     p, n = ctx.p, ctx.group.size
     charge(p * n, OP_BUDGET, f"U-smoothing on {n} elements")
     scaled = f.values * np.float64(1 / p)
     out = np.zeros(n, dtype=scaled.dtype)
-    for row in borel_coordinates(p).rows(1, -np.arange(p)):
+    for row in parabolic_coordinates(2, p).rows(-np.arange(p) % p):
         out += scaled[row]
     return mixing.GroupFunction(out, ctx.group)
 

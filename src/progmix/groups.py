@@ -21,37 +21,33 @@ F_p^d.  rmul_perm builds that image table once per g and assembles every key
 of x g from the cached row keys of x, with no per-element product or
 reduction mod p; lmul_perm does the same for g x with the columns.
 
-Coset composition.  Since x g = (x h) r, a sweep over shifts g = h r needs
-x -> x h once per h and one assembled permutation per representative r
-used.  For a full SL_d(F_p) table, H is the stabiliser of the line through
-the bottom row, and the right coset H g is labelled by `_bottom_row_lines`
-of g's bottom row.  mixing.shift_sums decides at each call whether to split
-the shifts it sweeps by that label, and on SL_3 composes x -> x h from the
-permutations of h's Levi and radical parts.
-
 The Borel subgroup.  B = {[[t, a], [0, t^-1]]}, and its element
 [[t, a], [0, t^-1]] has index (t - 1) p + a, which is the sorted order of
-its keys.  borel_coordinates holds t, a and t^-1 for every index, so
-x -> x h for h in B is index arithmetic, `BorelCoordinates.rows`, with no
-lookup and no assembled permutation.  borel_subgroup is built from these
-coordinates, and the sheared kernel of borel gathers x g^i by the same
-index rule, as a closed form in the coordinates of x and g.
+its keys.  borel_coordinates holds t, a and t^-1 for every index, and
+x -> x h for h in B is the index arithmetic of parabolic_coordinates(2, p)
+below, with no lookup and no assembled permutation.  borel_subgroup is built
+from these coordinates, and the sheared kernel of borel gathers x g^i by the
+same index rule, as a closed form in the coordinates of x and g.
 
-Bruhat layout.  bruhat_layout puts a full SL_2(F_p) table on a
-(|B|, p + 1) grid, x = c_l b at cell (b, l), with l the line through x's
-first column.  Then x -> x h for h in B is a row take by
-`BorelCoordinates.rows`, and x -> x w is one cached index array.  The
-layout is built on first use and holds four n-element index arrays, 157 KB
-at p = 17 and 952 KB at p = 31, and no |B| x |B| array.  bruhat_split
-writes each g as h r, with h in B and r the identity or
-w u_k = [[0, -1], [1, k]], the Bruhat representative of the line through
-g's bottom row, from g's entries with no product and no lookup.  So no
-split sweep of mixing.shift_sums on an SL_2 table assembles a permutation.
+Bruhat layout.  For a full SL_d(F_p) table, d = 2 or 3, H is the stabiliser
+of the line through the bottom row, B for d = 2, and the right coset H g is
+labelled by `_bottom_row_lines` of g's bottom row: L = p + 1 lines for
+d = 2 and p^2 + p + 1 for d = 3.  parabolic_coordinates holds H's
+arithmetic, so that x -> x h for h in H is an index array computed in
+O(|H|), and the identity or w v, v in H, as each line's representative r.
+bruhat_layout puts the table on an (|H|, L) grid of left cosets c_l H, so
+that x -> x h for h in H is a row take, and x -> x w one cached index
+array; bruhat_split writes each g as h r from g's entries with one batched
+product and no lookup.  Since x g = (x h) r, no split sweep of
+mixing.shift_sums assembles a permutation.  The layout holds four
+n-element index arrays and no |H| x |H| array: 157 KB at p = 17 and
+952 KB at p = 31 for d = 2, and 180 KB for SL_3(F_3), whose coordinates
+add 31 KB.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import product
 
@@ -130,6 +126,8 @@ def _mul_many(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def _det_many(mats: np.ndarray, p: int) -> np.ndarray:
     d = mats.shape[-1]
+    if d == 1:
+        return mats[..., 0, 0] % p
     if d == 2:
         return (mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]) % p
     a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 0, 2]
@@ -407,37 +405,14 @@ def special_linear_group(d: int, p: int) -> GroupTable:
 class BorelCoordinates:
     """t, a and t^-1 at every index of the Borel subgroup B of SL_2(F_p).
 
-    Since b h = [[t_b t, t_b a + a_b / t], [0, 1 / (t_b t)]], right
-    multiplication by h is index arithmetic on the coordinates of b.  The
-    arrays are read-only.
+    Right multiplication in B is the d = 2 case of `parabolic_coordinates`,
+    whose rows are B's indices.  The arrays are read-only.
     """
 
     p: int
     t: np.ndarray  # upper-left entry of each element of B
     a: np.ndarray  # upper-right entry of each element of B
     inverse: np.ndarray  # t^-1 mod p at index t, 0 at 0
-
-    @cached_property
-    def factor_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(shear, diag): the `rows` of u_s = [[1, s], [0, 1]] for s in F_p,
-        and of diag(t, t^-1) for t = 1 .. p - 1, 2 p |B| ints, read-only."""
-        s = np.arange(self.p)
-        shear, diag = self.rows(1, s), self.rows(s[1:], 0)
-        for array in (shear, diag):
-            array.setflags(write=False)
-        return shear, diag
-
-    def rows(self, t, a):
-        """Index of b h for each b in B, h = [[t, a], [0, t^-1]]: the index
-        array of x -> x h.  Scalars give an (|B|,) array, composed from
-        `factor_rows` as h = u_(a t) diag(t, t^-1); arrays t and a
-        broadcast, with B along a new last axis."""
-        p = self.p
-        if np.isscalar(t) and np.isscalar(a):
-            shear, diag = self.factor_rows
-            return diag[t - 1].take(shear[a * t % p])
-        t, a = np.asarray(t)[..., None], np.asarray(a)[..., None]
-        return (self.t * t % p - 1) * p + (self.t * a + self.a * self.inverse[t]) % p
 
 
 @lru_cache(maxsize=32)
@@ -611,92 +586,154 @@ def _bottom_row_lines(rows: np.ndarray, p: int) -> np.ndarray:
     c / d, or p when d = 0.
     """
     d = rows.shape[1]
-    inverses = np.array([0] + [inv_mod(t, p) for t in range(1, p)], dtype=np.int64)
+    inverse = borel_coordinates(p).inverse
     labels = np.empty(len(rows), dtype=np.int64)
     offset = 0
     for k in range(d - 1, -1, -1):
         at_k = (rows[:, k] != 0) & ~rows[:, k + 1:].any(axis=1)
-        scaled = rows[at_k, :k] * inverses[rows[at_k, k], None] % p
+        scaled = rows[at_k, :k] * inverse[rows[at_k, k], None] % p
         labels[at_k] = offset + scaled @ p ** np.arange(k - 1, -1, -1, dtype=np.int64)
         offset += p**k
     return labels
 
 
 @dataclass(frozen=True)
-class BruhatLayout:
-    """The elements of a full SL_2(F_p) table on a (|B|, p + 1) grid.
+class ParabolicCoordinates:
+    """Coordinates on H, the stabiliser in SL_d(F_p), d = 2 or 3, of the line
+    through the bottom row: the b = [[A, u], [0, 1 / det A]] with A in
+    GL_(d-1)(F_p) and u in F_p^(d-1).
 
-    Every x is c_l b, with l the line through x's first column and b in the
-    Borel subgroup B, the left coset x B being that line.  Cell (b, l), at
-    flat index b (p + 1) + l, holds x; row b is element b of B in the order
-    of `borel_coordinates`, and c_l is [[1, 0], [l, 1]] for the line through
-    (1, l) and [[0, -1], [1, 0]] for l = p.  So x -> x h for h in B moves
-    whole rows: a function laid out as f[cells].reshape(|B|, p + 1) composed
-    with it is a row take by `borel_coordinates(p).rows(h)`.  The arrays are
-    read-only.
+    Row i q + j of H, q = p^(d - 1), has the i-th block A in key order and
+    the vector u of key j (its base-p digits); for d = 2, H is the Borel
+    subgroup B in the order of `borel_coordinates`.  Since
+    b h = [[A_b A_h, A_b u_h + u_b / det A_h], ..], x -> x h for h in H is
+    index arithmetic, `rows`, over four tables of the blocks and vectors, of
+    |GL_(d-1)|^2, |H|, |H| and q^2 entries.  reps[l] represents the right
+    coset H g of the g whose bottom row lies on line l (`_bottom_row_lines`):
+    the identity for l = 0, H itself, and else w v_l, with w the antidiagonal
+    [[0, -1], [1, 0]] or [[0, 0, 1], [0, -1, 0], [1, 0, 0]], whose bottom row
+    is e_1, and v_l the first element of H whose first row lies on line l.
+    So G = H + H w H.  The arrays are read-only.
     """
 
+    p: int
+    levi_index: np.ndarray  # index of each block key among the blocks, -1 where singular
+    levi_mul: np.ndarray  # [h, b]: q times the index of A_b A_h
+    act: np.ndarray  # [j, b]: q times the key of A_b u_j
+    scaled: np.ndarray  # [h, j]: key of u_j / det A_h
+    add: np.ndarray  # [x q + y]: key of u_x + u_y
+    inverse: np.ndarray  # row of b^-1 for each row b of H
+    w: np.ndarray
+    reps: np.ndarray  # (L, d, d): the representative r_l of each line l
+    v: np.ndarray  # row of v_l for each line l, of the identity for l = 0
+
+    def index(self, mats: np.ndarray) -> np.ndarray:
+        """Row in H of each element of H in an (..., d, d) stack."""
+        k = mats.shape[-1] - 1
+        weights = self.p ** np.arange(k * k - 1, -1, -1)
+        levi = self.levi_index[mats[..., :k, :k].reshape(*mats.shape[:-2], k * k) @ weights]
+        return levi * self.p**k + mats[..., :k, k] @ weights[-k:]
+
+    def rows(self, hs) -> np.ndarray:
+        """Row of b h for every row b of H, for each row h in hs: the index
+        array of x -> x h, with H along a new last axis.  O(|H|) per h."""
+        i, j = divmod(hs, self.scaled.shape[1])
+        moved = self.add.take(self.act[j][..., None] + self.scaled[i][..., None, :])
+        return (self.levi_mul[i][..., None] + moved).reshape(*np.shape(i), -1)
+
+
+@lru_cache(maxsize=32)
+def parabolic_coordinates(d: int, p: int) -> ParabolicCoordinates:
+    """The `ParabolicCoordinates` of SL_d(F_p), cached per (d, p): for
+    SL_3(F_3), 48 blocks, |H| = 432 and 13 lines, 31 KB."""
+    k, q = d - 1, p ** (d - 1)
+    weights, vectors = p ** np.arange(k * k - 1, -1, -1), _vectors(k, p)
+    blocks = _vectors(k * k, p).reshape(-1, k, k)
+    det = _det_many(blocks, p)
+    levi, lam = blocks[det != 0], borel_coordinates(p).inverse[det[det != 0]]
+    g = len(levi)
+    levi_index = np.full(len(blocks), -1)
+    levi_index[det != 0] = np.arange(g)
+    levi_mul = levi_index[(levi[None] @ levi[:, None] % p).reshape(g, g, -1) @ weights] * q
+    act = (levi[None] @ vectors[:, None, :, None])[..., 0] % p @ weights[-k:] * q
+    scaled = lam[:, None, None] * vectors % p @ weights[-k:]
+    add = ((vectors[:, None] + vectors) % p @ weights[-k:]).ravel()
+    elements = np.zeros((g * q, d, d), dtype=np.int64)  # H, in its row order
+    elements[:, :k, :k], elements[:, k, k] = np.repeat(levi, q, axis=0), np.repeat(lam, q)
+    elements[:, :k, k] = np.tile(vectors, (g, 1))
+    w = np.fliplr(np.diag((-1) ** np.arange(k, -1, -1))) % p
+    first = np.unique(_bottom_row_lines(elements[:, 0], p), return_index=True)[1]
+    reps = np.concatenate([np.eye(d, dtype=np.int64)[None], w @ elements[first] % p])
+    coords = ParabolicCoordinates(p, levi_index, levi_mul, act, scaled, add, None, w, reps, None)
+    coords = replace(coords, inverse=coords.index(_inverse_many(elements, p)),
+                     v=np.concatenate([coords.index(reps[:1]), first]))
+    for array in (levi_index, levi_mul, act, scaled, add, coords.inverse, w, reps, coords.v):
+        array.setflags(write=False)
+    return coords
+
+
+@dataclass(frozen=True)
+class BruhatLayout:
+    """The elements of a full SL_d(F_p) table, d = 2 or 3, on an (|H|, L) grid.
+
+    Every x is c_l b with c_l = r_l^-1, l the line through the bottom row of
+    x^-1 and b in H, the left coset x H being c_l H; r_l and the rows of H
+    are those of `coords`.  Cell (b, l), at flat index b L + l, holds x.  So
+    x -> x h for h in H moves whole rows: a function laid out as
+    f[cells].reshape(|H|, L) composed with it is a row take by
+    `coords.rows(h)`.  The arrays are read-only.
+    """
+
+    coords: ParabolicCoordinates
     cells: np.ndarray  # table index of the element in each flat cell
     pos: np.ndarray  # flat cell of each table element, the inverse of cells
-    w_fwd: np.ndarray  # flat cell of z w for each flat cell z, w = [[0, -1], [1, 0]]
+    w_fwd: np.ndarray  # flat cell of z w for each flat cell z
     w_back: np.ndarray  # flat cell of z w^-1
 
     def compose(self, grid: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """v o P_h in table order, P_h being x -> x h for the h in B whose
-        row take is `rows` (`BorelCoordinates.rows`), for values v laid out
-        as grid = v[cells].reshape(|B|, p + 1): a row take and one gather.
-        grid = cells.reshape(|B|, p + 1) gives P_h itself, the array
+        """v o P_h in table order, P_h being x -> x h for the h in H whose
+        row take is `rows` (`coords.rows(h)`), for values v laid out as
+        grid = v[cells].reshape(|H|, L): a row take and one gather.
+        grid = cells.reshape(|H|, L) gives P_h itself, the array
         `GroupTable.rmul_perm` assembles for h."""
         return grid.take(rows, axis=0).ravel()[self.pos]
 
 
-def _grid_cells(mats: np.ndarray, p: int, inverse: np.ndarray) -> np.ndarray:
-    """Flat `BruhatLayout` cell of each SL_2 matrix [[a, b], [c, d]]: for a != 0
-    it is [[1, 0], [c / a, 1]] [[a, b], [0, 1 / a]], else w [[c, d], [0, -b]]."""
-    a, b, c, d = mats.reshape(-1, 4).T
-    top = a != 0
-    line = np.where(top, c * inverse[a] % p, p)
-    return ((np.where(top, a, c) - 1) * p + np.where(top, b, d)) * (p + 1) + line
-
-
 @lru_cache(maxsize=32)
 def bruhat_layout(table) -> BruhatLayout:
-    """The `BruhatLayout` of a full SL_2(F_p) table, cached per table.
+    """The `BruhatLayout` of a full SL_d(F_p) table, cached per table.
 
-    Four n-element index arrays: 157 KB at p = 17 and 952 KB at p = 31.
-    No |B| x |B| array is held, because x -> x h for h in B is the O(|B|)
-    arithmetic of `BorelCoordinates.rows`.
+    Four n-element index arrays: 157 KB at p = 17 and 952 KB at p = 31 for
+    SL_2, 180 KB for SL_3(F_3).  No |H| x |H| array is held, because
+    x -> x h for h in H is the O(|H|) arithmetic of `coords.rows`.
     """
     p, n = table.p, table.size
-    inverse = borel_coordinates(p).inverse
-    pos = _grid_cells(table.mats, p, inverse)
+    coords = parabolic_coordinates(table.d, p)
+
+    def cells_of(mats):  # x^-1 = h r_l, so x = c_l h^-1
+        hs, lines = bruhat_split(_inverse_many(mats, p), p)
+        return coords.inverse[hs] * len(coords.reps) + lines
+
+    pos = cells_of(table.mats)
     cells = np.empty(n, dtype=np.intp)
     cells[pos] = np.arange(n)
     laid = table.mats[cells]
-    w = np.array([[0, -1], [1, 0]])
-    w_fwd, w_back = (_grid_cells(laid @ m % p, p, inverse) for m in (w, -w))
+    w_fwd, w_back = (cells_of(laid @ m % p) for m in (coords.w, _inverse_many(coords.w, p)))
     for array in (cells, pos, w_fwd, w_back):
         array.setflags(write=False)
-    return BruhatLayout(cells, pos, w_fwd, w_back)
+    return BruhatLayout(coords, cells, pos, w_fwd, w_back)
 
 
 def bruhat_split(mats: np.ndarray, p: int):
-    """Each SL_2(F_p) matrix g = [[a, b], [c, d]] of an (m, 2, 2) stack as
-    g = h r, from its entries, with no product and no lookup.
+    """Each SL_d(F_p) matrix g of an (m, d, d) stack, d = 2 or 3, as
+    g = h r_l, with r_l the representative of `parabolic_coordinates`.
 
-    Returns (t, u, k, rg): h = [[t, u], [0, 1 / t]] in B, at index
-    (t - 1) p + u of `borel_coordinates`.  For c != 0, h = [[1 / c, a], [0, c]]
-    and r = w u_k = [[0, -1], [1, k]] with k = d / c; for c = 0, h = g, r is
-    the identity and k = p.  rg is the (m, 2, 2) stack of r g, which is
-    [[-c, -d], [a + d, b + k d]] for c != 0 and g for c = 0.
+    Returns (h, l): l is the line through g's bottom row, and h = g r_l^-1,
+    at its row in H, from one batched product and no lookup in the table.
     """
-    a, b, c, d = mats.reshape(-1, 4).T
-    low = c != 0
-    c_inv = borel_coordinates(p).inverse[c]
-    k = np.where(low, d * c_inv % p, p)
-    rg = np.stack([-c, -d, a + d, b + k * d], axis=1).reshape(-1, 2, 2) % p
-    rg = np.where(low[:, None, None], rg, mats)
-    return np.where(low, c_inv, a), np.where(low, a, b), k, rg
+    coords = parabolic_coordinates(mats.shape[-1], p)
+    lines = _bottom_row_lines(mats[:, -1], p)
+    return coords.index(_mul_many(mats, _inverse_many(coords.reps, p)[lines], p)), lines
 
 
 def trace_discriminant_symbol(p: int) -> np.ndarray:

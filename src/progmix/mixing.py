@@ -16,29 +16,21 @@ progression at its middle term y = x g, so that
     s[g] = sum_y f_0(y g^-1) f_1(y) f_2(y g) f_3(y g^2),
 
 and sums each row in y-order, in the dtype of `sum_dtype`, whatever the
-dtype of the inputs.  On a full SL_d(F_p) table a sweep splits its shifts
-as g = h r, with h in the stabiliser H of the line through the bottom row
-(the matrices whose bottom row is (0, .., 0, l)) and r the representative
-of the right coset H g, the line through g's bottom row: p + 1 lines for
-d = 2, where H is the Borel subgroup B, and 13 for SL_3(F_3).  A split
-sweep holds up to 3 values per line and element, and on SL_3 the
-permutations of the factors of h (below), up to p^2 of them, so
-`shift_sums` splits only when (lines + p^2) n, or (lines) n for SL_2, is
-within the enumeration budget, read at each call: SL_2(F_p) up to p = 53
-and SL_3(F_3), but not SL_3(F_5), with 20.8e6.
-
-A split SL_2 sweep reads h and r = w u_s from each shift's entries
-(`bruhat_split`) and runs on the table's `bruhat_layout`, a (|B|, p + 1)
-grid on which x -> x b, for b in B, is a row take: every such sweep, of 2
-to 4 terms and any dtype, is one stacked product of row takes per h (in
-int8 for signs and indicators) and assembles no permutation.  A split SL_3
-sweep writes each h as m u, its Levi part m = [[A, 0], [0, l]] times its
-radical part u = [[I, A^-1 v], [0, 1]], and composes x -> x h from
-x -> x m and x -> x u: 68 permutations for all shifts of SL_3(F_3) (48 m,
-8 u other than the identity and 12 representatives r, the first swept
-shift on each line).  An unsplit sweep (B, subsets, cyclic groups,
-SL_3(F_5)) assembles one per distinct shift.  Integer rows are summed in
-int16 up to n = 32767.
+dtype of the inputs.  On a full SL_d(F_p) table, d = 2 or 3, a sweep splits
+its shifts as g = h r, with h in the stabiliser H of the line through the
+bottom row (the matrices whose bottom row is (0, .., 0, l)) and r the
+representative of the right coset H g, the line through g's bottom row:
+p + 1 lines for d = 2, where H is the Borel subgroup B, and p^2 + p + 1
+for d = 3.  `bruhat_split` reads h and r from each shift's entries, and the
+sweep runs on the table's `bruhat_layout`, an (|H|, lines) grid on which
+x -> x b, for b in H, is a row take: every split sweep, of 2 to 4 terms
+and any dtype, is one stacked product of row takes per h (in int8 for signs
+and indicators) and assembles no permutation.  A split sweep holds up to
+2 (lines) n values, so `shift_sums` splits only when (lines) n is within
+the enumeration budget, read at each call: SL_2(F_p) up to p = 53 and
+SL_3(F_3), but not SL_3(F_5), with 11.5e6.  An unsplit sweep (B, U, tori,
+subsets, cyclic groups, SL_3(F_5)) assembles one permutation per distinct
+shift.  Integer rows are summed in int16 up to n = 32767.
 
 Rational inputs.  A `GroupFunction` with a denominator q holds float values
 and the integer numerators q f.  The kernels read the numerators whenever
@@ -68,8 +60,7 @@ from fractions import Fraction
 import numpy as np
 
 from .budget import ENUMERATION_BUDGET, OP_BUDGET, budget_limit, charge
-from .groups import (_bottom_row_lines, _inverse_many, _mul_many, borel_coordinates,
-                     bruhat_layout, bruhat_split, table_kind)
+from .groups import _mul_many, bruhat_layout, bruhat_split, table_kind
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -256,10 +247,10 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
     narrow dtype of `kernel_values` and summed exactly, and float and complex
     sums are bit-identical to a loop that takes a fresh `table.rmul_perm(g)`
     per shift.  Each distinct shift is summed once, and a repeated shift
-    copies its sum.  Whether the shifts are split over the lines through
-    their bottom rows is decided at each call (see the module docstring); a
-    split SL_2 sweep takes `_bruhat_sums`, and every other sweep
-    `_coset_sums`.
+    copies its sum.  Whether the shifts of a full SL_d(F_p) table, d = 2
+    or 3, are split over the lines through their bottom rows is decided at
+    each call (see the module docstring); a split sweep takes `_bruhat_sums`,
+    and every other sweep `_coset_sums`.
     """
     vals = kernel_values(fs)
     shifts = np.arange(table.size) if shifts is None else np.asarray(shifts, dtype=np.intp)
@@ -268,155 +259,99 @@ def shift_sums(table, fs, shifts=None) -> np.ndarray:
     if len(vals) == 1:
         return np.full(len(shifts), numerators_or_values(fs)[0].sum(), dtype=dtype)
     distinct, where = np.unique(shifts, return_inverse=True)
-    # A split sweep holds up to 3 (cosets) n values: one stack per term after f_1 on SL_2,
-    # and on SL_3 the p^(d - 1) - 1 radical permutations and one Levi permutation besides.
-    full = table_kind(table) == "full"
-    cosets = (table.p**table.d - 1) // (table.p - 1) if full else 1
-    factors = table.p ** (table.d - 1) if full and table.d > 2 else 0
-    split = 1 < cosets and (cosets + factors) * table.size <= budget_limit(ENUMERATION_BUDGET)
-    if split and table.d == 2:
-        sums = _bruhat_sums(table, vals, acc, distinct)
-    else:
-        sums = _coset_sums(table, vals, acc, distinct, split)
+    # A split sweep holds up to 2 stacks of (lines) n values, one per term after f_1.
+    lines = (table.p**table.d - 1) // (table.p - 1) if table_kind(table) == "full" else 1
+    split = 1 < lines and lines * table.size <= budget_limit(ENUMERATION_BUDGET)
+    sums = (_bruhat_sums if split else _coset_sums)(table, vals, acc, distinct)
     return sums.astype(dtype, copy=False)[where]
 
 
-def _coset_sums(table, vals, acc, shifts, split) -> np.ndarray:
-    """s[g] for distinct shifts on any table, each written as g = h r.
-
-    When `split`, r is the representative of the line through g's bottom row
-    (`_bottom_row_lines`): the identity for line 0, whose h have bottom row
-    (0, .., 0, l), and the first swept shift on every other line.  Each such
-    h = [[A, v], [0, l]] is then m u, with m = [[A, 0], [0, l]] its Levi part
-    and u = [[I, A^-1 v], [0, 1]] its radical part.  Otherwise every g is its
-    own h = m, and u and r are the identity.  Write P_z for the permutation
-    x -> x z, so P_h = P_u[P_m] and P_g = R_r[P_h] with R_r = P_r.  The
-    shifts are visited m-major, holding one P_m at a time and P_u for every
-    radical part used other than the identity, at most p^(d - 1) - 1 of
-    them: a full SL_3(F_3) sweep assembles 48 P_m, 8 P_u and 12 R_r.  Per h
-    the sweep composes P_h and scatters A_h[P_h] = f_0, so that
-    A_h(z) = f_0(z h^-1).  Per representative r other than the identity it
-    assembles R_r, scatters its inverse, so that f_0(y g^-1) = A_h[R_r^-1],
-    and gathers F_2 = f_2[R_r], so that f_2(y g) = F_2[P_h].  P_g is composed
-    only for a 4-term shift, whose f_3(y g^2) = f_3[P_g][P_g].  Every row is
-    in y-order, so the sums do not depend on the factors or the
-    representatives.  Per representative used, the sweep holds R_r^-1 and
-    F_2, and R_r only for a 4-term sweep.
-    """
-    if split:
-        p = table.p
-        labels = _bottom_row_lines(table.mats[shifts, -1], p)
-        used, first = np.unique(labels, return_index=True)
-        rep_idx = np.where(used == 0, table.identity_index, shifts[first])
-        r_inv = _inverse_many(table.mats[rep_idx], p)[np.searchsorted(used, labels)]
-        h = _mul_many(table.mats[shifts], r_inv, p)
-        m = h.copy()
-        m[:, :-1, -1] = 0  # the Levi part of h = m u
-        ms = table.indices_of(m)
-        u = table.indices_of(_mul_many(_inverse_many(m, p), h, p))
-        us = np.where(u == table.identity_index, -1, u)  # -1 for the identity
-        rep_of = dict(zip(used.tolist(), rep_idx.tolist()))
-    else:
-        labels, ms, us, rep_of = np.zeros_like(shifts), shifts, np.full_like(shifts, -1), {}
-    order = np.lexsort((labels, us, ms))
-    visits = zip(order.tolist(), ms[order].tolist(), us[order].tolist(), labels[order].tolist())
+def _coset_sums(table, vals, acc, shifts) -> np.ndarray:
+    """s[g] for distinct shifts on any table, one permutation P_g: x -> x g
+    per shift.  Scattering A[P_g] = f_0 gives A(y) = f_0(y g^-1), and
+    f_2(y g) and f_3(y g^2) are f_2[P_g] and f_3[P_g][P_g]."""
     f0, f1, f2, f3 = vals + [None] * (4 - len(vals))
-    identity = np.arange(table.size)
-    reps = {0: (None, None, f2)}  # line label -> R_r if 4-term, R_r^-1, f_2 o R_r
-    radicals = {}  # u -> P_u
-    a_h = np.empty_like(f0)  # A_h(z) = f_0(z h^-1)
+    a = np.empty_like(f0)
     sums = np.empty(len(shifts), dtype=acc)
-    m_done = h_done = None
-    for j, m, u, label in visits:
-        if (m, u) != h_done:
-            if m != m_done:
-                m_done, perm_m = m, table.rmul_perm(m)
-            h_done = m, u
-            if u < 0:
-                perm_h = perm_m
-            else:
-                if u not in radicals:
-                    radicals[u] = table.rmul_perm(u)
-                perm_h = radicals[u].take(perm_m)
-            a_h[perm_h] = f0
-        if label not in reps:
-            r_perm = table.rmul_perm(rep_of[label])
-            r_inv = np.empty_like(r_perm)
-            r_inv[r_perm] = identity
-            reps[label] = (r_perm if f3 is not None else None, r_inv,
-                           None if f2 is None else f2[r_perm])
-        r_perm, r_inv, f2_r = reps[label]
-        row = (a_h[r_inv] if label else a_h) * f1
+    for j, g in enumerate(shifts.tolist()):
+        perm = table.rmul_perm(g)
+        a[perm] = f0
+        row = a * f1
         if f2 is not None:
-            row = row * f2_r[perm_h]
+            row = row * f2[perm]
         if f3 is not None:
-            perm_g = r_perm[perm_h] if label else perm_h
-            row = row * f3[perm_g][perm_g]
+            row = row * f3[perm][perm]
         sums[j] = row.sum(dtype=acc)
     return sums
 
 
 def _bruhat_sums(table, vals, acc, shifts) -> np.ndarray:
-    """s[g] for distinct shifts on a full SL_2(F_p) table.
+    """s[g] for distinct shifts on a full SL_d(F_p) table, d = 2 or 3.
 
-    On the `bruhat_layout` grid, where z -> z b for b in B is a row take,
+    On the `bruhat_layout` grid, where z -> z b for b in H is a row take,
     each shift is g = h r, read from its entries by `bruhat_split`, with r
-    the identity or w u_s.  Substituting y = z h^-1, so that y g = z r and
-    y g^2 = z (r g), gives
+    the identity or w v for some v in H.  Substituting y = z h^-1, so that
+    y g = z r and y g^2 = z (r g), gives
 
-        s[h w u_s] = sum_z D_h(z h^-1 u_-s) f_1(z h^-1) G_s(z) f_3(z r g),
+        s[h w v] = sum_z D_h(z h^-1 v^-1) f_1(z h^-1) F_2[r](z) f_3(z r g),
         s[h] = sum_z E_h(z h^-1) f_1(z h^-1) f_2(z) f_3(z g),
 
-    with E_h = f_0 o P_h^-1, D_h = E_h o W^-1 and G_s = f_2 o U_s o W, P_z
-    being x -> x z.  With r g = h' r', split by `bruhat_split` too,
-    f_3(z r g) = F_3[r'](z h') for F_3[r] = f_3 o P_r.  So each term after f_1
-    is a row take of a stack of f_i o P_r over the representatives, laid out
-    once per sweep, G_s being its layer of w u_s.  The shifts are grouped by
-    h's index (t - 1) p + a in B.  Per h, E_h and f_1 o P_h^-1 are row takes,
+    with E_h = f_0 o P_h^-1, D_h = E_h o W^-1 and F_2[r] = f_2 o P_r =
+    f_2 o P_v o W, P_z being x -> x z.  With r g = h' r', split by
+    `bruhat_split` too, f_3(z r g) = F_3[r'](z h') for F_3[r] = f_3 o P_r.
+    So each term after f_1 is a row take of a stack of f_i o P_r over the
+    representatives, filled in place once per sweep, one layer at a time.
+    The shifts are grouped by h.  Per h, E_h and f_1 o P_h^-1 are row takes,
     D_h one full gather, and the rows of all shifts with that h one stacked
     row take of [D_h; E_h], multiplied in the common dtype of vals.  Integer
     rows are summed in grid order, since integer sums do not depend on their
     order; float and complex rows are first gathered into y-order, from the
-    cell z = y h of each y.  A sweep holds one (p + 1) n stack per term after
-    f_1, and only one h's rows.
+    cell z = y h of each y.  A sweep holds one (lines) n stack per term after
+    f_1, the rows of h^-1 of (lines) h at a time, n ints, and only one h's
+    products.
     """
-    p, layout, coords = table.p, bruhat_layout(table), borel_coordinates(table.p)
-    nb = p * (p - 1)  # rows of the grid, one per element of B
+    layout = bruhat_layout(table)
+    coords, p = layout.coords, table.p
+    nh, nl = len(coords.inverse), len(coords.reps)  # the grid's rows and columns
     dtype = np.result_type(*vals)
-    f0, f1, *rest = (v.astype(dtype, copy=False)[layout.cells].reshape(nb, p + 1) for v in vals)
-    u_rows = coords.factor_rows[0]  # b u_s
-    # Layer k < p of a stack is f o P_r for r = w u_k, layer p is f itself.
-    stacks = [np.concatenate([f.take(u_rows, axis=0).reshape(p, -1).take(layout.w_fwd, axis=1),
-                              f.reshape(1, -1)]).reshape(p + 1, nb, p + 1) for f in rest]
-    de_rows = np.concatenate([u_rows[-np.arange(p)], nb + np.arange(nb)[None]])  # into [D_h; E_h]
-    de = np.empty((2 * nb, p + 1), dtype=dtype)
-    flat = np.arange(table.size).reshape(nb, p + 1)  # the flat index of each cell
+    f0, f1, *rest = (v.astype(dtype, copy=False)[layout.cells].reshape(nh, nl) for v in vals)
+    v_rows = coords.rows(coords.v)  # b v_l
+    stacks = [np.empty((nl, nh, nl), dtype=dtype) for _ in rest]
+    for f, stack in zip(rest, stacks):  # layer l is f o P_r for r = w v_l, layer 0 f itself
+        stack[0] = f
+        for l in range(1, nl):
+            f.take(v_rows[l], axis=0).take(layout.w_fwd, out=stack[l].reshape(-1))
+    de_rows = coords.rows(coords.inverse[coords.v])  # b v_l^-1, into D_h
+    de_rows[0] += nh  # into E_h for r the identity
+    de = np.empty((2 * nh, nl), dtype=dtype)
+    flat = np.arange(table.size).reshape(nh, nl)  # the flat index of each cell
     sums = np.empty(len(shifts), dtype=acc)
-    h_t, h_a, ks, rg = bruhat_split(table.mats[shifts], p)
-    if len(stacks) == 2:  # r g = h' r', and h' = [[t3, a3], [0, 1 / t3]]
-        t3, a3, k3, _ = bruhat_split(rg, p)
-        k3 = k3 * nb
-    hs = (h_t - 1) * p + h_a
+    mats = table.mats[shifts]
+    hs, ks = bruhat_split(mats, p)
+    if len(stacks) == 2:  # r g = h' r'
+        h3, k3 = bruhat_split(_mul_many(coords.reps[ks], mats, p), p)
+        k3 = k3 * nh
     order = np.argsort(hs, kind="stable")
     bounds = np.flatnonzero(np.diff(hs[order], prepend=-1, append=-1))  # where h changes
     into_y_order = not np.issubdtype(acc, np.integer)
-    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+    starts = bounds[:-1]
+    for step, (start, stop) in enumerate(zip(starts.tolist(), bounds[1:].tolist())):
+        if step % nl == 0:  # the rows of h^-1 for the next nl h, n ints
+            inv_chunk = coords.rows(coords.inverse[hs[order[starts[step:step + nl]]]])
         group = order[start:stop]
-        t, a = h_t[group[0]], h_a[group[0]]
-        inv_rows = coords.rows(coords.inverse[t], -a)  # h^-1 = [[1 / t, -a], [0, t]]
-        de[nb:] = f0.take(inv_rows, axis=0)  # E_h
-        de[:nb] = de[nb:].reshape(-1)[layout.w_back].reshape(nb, -1)  # D_h
+        h, inv_rows = hs[group[0]], inv_chunk[step % nl]
+        de[nh:] = f0.take(inv_rows, axis=0)  # E_h
+        de[nh:].take(layout.w_back, out=de[:nh].reshape(-1))  # D_h
         k = ks[group]
         prod = de.take(de_rows.take(inv_rows, axis=1)[k], axis=0)
         prod *= f1.take(inv_rows, axis=0)
         if stacks:
-            prod *= stacks[0][k]  # G_s, or f_2 itself for r the identity
+            prod *= stacks[0][k]  # F_2[r], or f_2 itself for r the identity
         if len(stacks) == 2:  # F_3[r'], row take by h'
-            rows3 = k3[group, None] + coords.rows(t3[group], a3[group])
-            prod *= stacks[1].reshape(-1, p + 1).take(rows3, axis=0)
+            prod *= stacks[1].reshape(-1, nl).take(k3[group, None] + coords.rows(h3[group]), axis=0)
         prod = prod.reshape(len(group), -1)
         if into_y_order:
-            prod = prod.take(layout.compose(flat, coords.rows(t, a)), axis=1)
+            prod = prod.take(layout.compose(flat, coords.rows(h)), axis=1)
         sums[group] = prod.sum(axis=1, dtype=acc)
     return sums
 

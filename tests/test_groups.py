@@ -28,6 +28,7 @@ from progmix.groups import (
     mat_inv,
     mat_mul,
     mat_trace,
+    parabolic_coordinates,
     shear,
     special_linear_group,
     special_linear_order,
@@ -35,7 +36,7 @@ from progmix.groups import (
     trace_values,
     unipotent_subgroup,
 )
-from test_mixing import assert_same_sums, input_functions, parabolic_factor_perms
+from test_mixing import assert_same_sums, input_functions
 
 
 def brute_force_sl2_count(p):
@@ -319,65 +320,90 @@ def test_conjugacy_classes_match_single_orbits():
             assert np.array_equal(table.mats[members], orbit.mats)
 
 
+def parabolic_rows(table):
+    """The elements of the bottom-row stabiliser H = {[[A, u], [0, 1 / det A]]}
+    of a full SL_d(F_p) table, sorted by the entries of A and then of u."""
+    k = table.d - 1
+    h = table.mats[~table.mats[:, k, :k].any(axis=1)]
+    return h[np.lexsort(np.concatenate([h[:, :k, :k].reshape(-1, k * k).T, h[:, :k, k].T])[::-1])]
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_coset_decomposition_over_borel(p):
-    # bruhat_split writes every g of SL_2(F_p) as h r, with h in the Borel
-    # subgroup B and r the identity (k = p) or w u_k = [[0, -1], [1, k]], and
-    # gives r g with no product; checked against matrix products, for g and
-    # again for r g.
-    table, borel = special_linear_group(2, p), borel_subgroup(p)
-    reps = np.array([[[0, p - 1], [1, k]] for k in range(p)] + [np.eye(2, dtype=np.int64)])
-    mats = table.mats
-    for _ in range(2):
-        t, u, k, rg = bruhat_split(mats, p)
-        h = borel.mats[(t - 1) * p + u]  # upper-triangular, at its index in B
-        assert np.array_equal(h[:, 0], np.stack([t, u], axis=1))
-        assert np.array_equal(h @ reps[k] % p, mats)
-        assert np.array_equal(rg, reps[k] @ mats % p)
-        mats = rg
-    # each coset H g is the line through g's bottom row, labelled 1 / k, or
-    # 0 for k = p (`_bottom_row_lines`); every (h, k) pair occurs once
-    t, u, k, _ = bruhat_split(table.mats, p)
-    lines = np.where(k == p, 0, np.where(k == 0, p, borel_coordinates(p).inverse[k % p]))
-    assert np.array_equal(lines, _bottom_row_lines(table.mats[:, -1], p))
-    assert np.bincount(k).tolist() == [p * (p - 1)] * (p + 1)
-    assert len(set(zip(((t - 1) * p + u).tolist(), k.tolist()))) == table.size
+    # bruhat_split writes every g of SL_2(F_p), and of SL_3(F_3) at p = 3, as
+    # h r_l, with h in H, the bottom-row stabiliser (B for d = 2), and l the
+    # line through g's bottom row (`_bottom_row_lines`): r_0 is the identity
+    # and every other r_l = w v_l with v_l in H, so g = h w v_l.  Checked
+    # against matrix products, for g and again for r_l g.
+    for d in (2, 3) if p == 3 else (2,):
+        table, coords = special_linear_group(d, p), parabolic_coordinates(d, p)
+        h_mats = parabolic_rows(table)
+        if d == 2:
+            assert np.array_equal(h_mats, borel_subgroup(p).mats)
+        assert np.array_equal(coords.index(h_mats), np.arange(len(h_mats)))
+        w = np.array([[0, -1], [1, 0]] if d == 2 else [[0, 0, 1], [0, -1, 0], [1, 0, 0]]) % p
+        assert np.array_equal(coords.w, w)
+        v = h_mats[coords.v]
+        assert np.array_equal(v[0], np.eye(d)) and np.array_equal(coords.reps[0], np.eye(d))
+        assert np.array_equal(coords.reps[1:], w @ v[1:] % p)
+        lines = _bottom_row_lines(coords.reps[:, -1], p)
+        assert lines.tolist() == list(range((p**d - 1) // (p - 1)))
+        mats = table.mats
+        for _ in range(2):
+            hs, lines = bruhat_split(mats, p)
+            assert np.array_equal(lines, _bottom_row_lines(mats[:, -1], p))
+            assert np.array_equal(h_mats[hs] @ coords.reps[lines] % p, mats)
+            off = lines > 0
+            assert np.array_equal(h_mats[hs[off]] @ w @ v[lines[off]] % p, mats[off])  # h w v
+            mats = coords.reps[lines] @ mats % p
+        # every (h, l) pair occurs once, and each line holds |H| elements
+        hs, lines = bruhat_split(table.mats, p)
+        assert np.bincount(lines).tolist() == [len(h_mats)] * len(coords.reps)
+        assert len(set(zip(hs.tolist(), lines.tolist()))) == table.size
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_bruhat_layout_matches_permutations(p):
-    table = special_linear_group(2, p)
-    layout = bruhat_layout(table)
-    n, nb = table.size, p * (p - 1)
-    assert sorted(layout.cells.tolist()) == list(range(n))
-    cell = np.empty(n, dtype=np.intp)
-    cell[layout.cells] = np.arange(n)
-    assert np.array_equal(layout.pos, cell)
-    # every element is c_l b, l the line through its first column
-    laid = table.mats[layout.cells].reshape(nb, p + 1, 2, 2)
-    b = np.array([[[t, a], [0, pow(t, -1, p)]] for t in range(1, p) for a in range(p)])
-    lines = [[[1, 0], [l, 1]] for l in range(p)] + [[[0, -1], [1, 0]]]
-    assert np.array_equal(laid, np.einsum("lij,bjk->blik", np.array(lines), b) % p)
-    w = table.index_of(np.array([[0, -1], [1, 0]]))
-    for array, z in ((layout.w_fwd, w), (layout.w_back, int(table.inv_perm()[w]))):
-        assert np.array_equal(array, cell[table.rmul_perm(z)[layout.cells]])
-    # x -> x h for h in B is the row take by rows(h), and layout.compose
-    # gives the permutations of h and of h^-1 that table.rmul_perm assembles
-    values, coords = np.arange(n), borel_coordinates(p)
-    grid = layout.cells.reshape(nb, p + 1)
-    for h in np.flatnonzero(table.mats[:, 1, 0] == 0):
-        (t, a), perm = table.mats[h, 0], table.rmul_perm(int(h))
-        rows = coords.rows(t, a)
-        moved = values[layout.cells].reshape(nb, p + 1).take(rows, axis=0)
-        assert np.array_equal(moved.ravel(), values[perm][layout.cells])
-        assert np.array_equal(layout.compose(grid, rows), perm)
-        inverse = layout.compose(grid, coords.rows(coords.inverse[t], -a))
-        assert np.array_equal(inverse, table.rmul_perm(int(table.inv_perm()[h])))
-        f = np.sin(values)  # any values laid out on the grid
-        assert np.array_equal(layout.compose(f[layout.cells].reshape(nb, -1), rows), f[perm])
-    for array in (layout.cells, layout.pos, layout.w_fwd, layout.w_back):
-        assert not array.flags.writeable
-    assert bruhat_layout(table) is layout
+    # The layout of SL_2(F_p), and of SL_3(F_3) at p = 3: every x is
+    # r_l^-1 b at cell (b, l), and x -> x h for every h in H is the row take
+    # by coords.rows(h), equal to the permutation table.rmul_perm assembles.
+    for d in (2, 3) if p == 3 else (2,):
+        table = special_linear_group(d, p)
+        layout = bruhat_layout(table)
+        coords = layout.coords
+        n, nl = table.size, len(coords.reps)
+        nh = n // nl
+        assert sorted(layout.cells.tolist()) == list(range(n))
+        cell = np.empty(n, dtype=np.intp)
+        cell[layout.cells] = np.arange(n)
+        assert np.array_equal(layout.pos, cell)
+        laid = table.mats[layout.cells].reshape(nh, nl, d, d)
+        h_mats = parabolic_rows(table)
+        reps_inv = np.array([mat_inv(element(r, p)).array() for r in coords.reps])
+        assert np.array_equal(laid, np.einsum("lij,bjk->blik", reps_inv, h_mats) % p)
+        w = table.index_of(coords.w)
+        for array, z in ((layout.w_fwd, w), (layout.w_back, int(table.inv_perm()[w]))):
+            assert np.array_equal(array, cell[table.rmul_perm(z)[layout.cells]])
+        # layout.compose gives the permutations of h and of h^-1 that
+        # table.rmul_perm assembles, and rows of many h broadcast
+        values, grid = np.arange(n), layout.cells.reshape(nh, nl)
+        every = coords.rows(np.arange(nh))
+        assert every.shape == (nh, nh)
+        for h, gi in enumerate(table.indices_of(h_mats).tolist()):
+            rows, perm = coords.rows(h), table.rmul_perm(gi)
+            assert np.array_equal(rows, every[h])
+            moved = values[layout.cells].reshape(nh, nl).take(rows, axis=0)
+            assert np.array_equal(moved.ravel(), values[perm][layout.cells])
+            assert np.array_equal(layout.compose(grid, rows), perm)
+            inverse = layout.compose(grid, coords.rows(coords.inverse[h]))
+            assert np.array_equal(inverse, table.rmul_perm(int(table.inv_perm()[gi])))
+            f = np.sin(values)  # any values laid out on the grid
+            assert np.array_equal(layout.compose(f[layout.cells].reshape(nh, -1), rows), f[perm])
+        for array in (layout.cells, layout.pos, layout.w_fwd, layout.w_back, coords.levi_index,
+                      coords.levi_mul, coords.act, coords.scaled, coords.add, coords.inverse,
+                      coords.w, coords.reps, coords.v):
+            assert not array.flags.writeable
+        assert bruhat_layout(table) is layout and parabolic_coordinates(d, p) is coords
 
 
 def test_coset_decomposition_over_parabolic():
@@ -407,17 +433,15 @@ def test_coset_decomposition_over_parabolic():
 @pytest.mark.parametrize("d, p", [(2, 5), (3, 3)])
 def test_coset_decomposition_within_budget_only(d, p, monkeypatch):
     # shift_sums splits the shifts by their bottom-row lines only when
-    # (cosets) n, plus on SL_3 the p^2 n of the held radical and Levi
-    # permutations, is within the enumeration budget, read at each call on
-    # the same table: split, SL_2 assembles no permutation and all shifts of
-    # SL_3(F_3) 48 Levi + 8 radical + 12 representatives; one short of it,
-    # one permutation per shift.
+    # (lines) n is within the enumeration budget, read at each call on the
+    # same table: split, no permutation is assembled; one short of it, one
+    # permutation per shift.
     table = special_linear_group(d, p)
-    held = (p**d - 1) // (p - 1) + (p**2 if d == 3 else 0)
+    lines = (p**d - 1) // (p - 1)
     fs = input_functions(table, "float", 3, np.random.default_rng([d, p]))
-    monkeypatch.setenv("PROGMIX_BUDGET", str(held * table.size))
-    assert sorted(assert_same_sums(table, fs)) == ([] if d == 2 else parabolic_factor_perms(table))
-    monkeypatch.setenv("PROGMIX_BUDGET", str(held * table.size - 1))
+    monkeypatch.setenv("PROGMIX_BUDGET", str(lines * table.size))
+    assert assert_same_sums(table, fs) == []
+    monkeypatch.setenv("PROGMIX_BUDGET", str(lines * table.size - 1))
     assert sorted(assert_same_sums(table, fs)) == list(range(table.size))
 
 
@@ -456,18 +480,18 @@ def test_table_kind(table, kind):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_borel_coordinates_rows_match_rmul_perm(p):
-    # Element (t - 1) p + a of B is [[t, a], [0, 1 / t]], and rows(t, a) is
-    # x -> x g for that g, for every g, as scalars and broadcast.
+    # Element (t - 1) p + a of B is [[t, a], [0, 1 / t]], and it is row
+    # (t - 1) p + a of parabolic_coordinates(2, p), whose rows(g) is x -> x g
+    # for that g, for every g, as scalars and broadcast.
     table, coords = borel_subgroup(p), borel_coordinates(p)
     assert table.mats[:, 0].tolist() == np.stack([coords.t, coords.a], axis=1).tolist()
     assert table.mats[:, 1, 1].tolist() == coords.inverse[coords.t].tolist()
     perms = np.stack([table.rmul_perm(g) for g in range(table.size)])
-    for g, (t, a) in enumerate(table.mats[:, 0]):
-        assert np.array_equal(coords.rows(t, a), perms[g])  # composed from factor_rows
-        assert np.array_equal(coords.rows(int(t), int(a) - p), perms[g])
-    assert np.array_equal(coords.rows(coords.t, coords.a), perms)
+    rows = parabolic_coordinates(2, p).rows
+    for g in range(table.size):
+        assert np.array_equal(rows(g), perms[g])
+    assert np.array_equal(rows(np.arange(table.size)), perms)
     assert not coords.t.flags.writeable and borel_coordinates(p) is coords
-    assert not any(array.flags.writeable for array in coords.factor_rows)
 
 
 def test_orbit_stabilizer_exhaustive_sl2_f3():

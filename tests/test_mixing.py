@@ -12,8 +12,9 @@ from progmix.groups import (
     CyclicTable,
     _bottom_row_lines,
     GroupTable,
-    borel_coordinates,
     borel_subgroup,
+    bruhat_layout,
+    bruhat_split,
     diagonalisable_set,
     special_linear_group,
     unipotent_subgroup,
@@ -672,37 +673,22 @@ def test_shift_sums_unchanged_on_undecomposed_tables(name, k, kind, monkeypatch)
         assert sorted(assert_same_sums(table, fs)) == (list(range(table.size)) if k > 1 else [])
 
 
-def parabolic_factor_perms(table):
-    """The permutations a split sweep of every shift of SL_3(F_p) assembles:
-    the Levi parts [[A, 0], [0, l]] and radical parts [[I, w], [0, 1]] other
-    than the identity of the bottom-row stabiliser H, and the first element
-    on each line through the bottom row other than H's."""
-    mats = table.mats
-    levi = ~mats[:, :2, 2].any(axis=1) & ~mats[:, 2, :2].any(axis=1)
-    eye = np.eye(2, dtype=mats.dtype)
-    radical = (mats[:, :2, :2] == eye).all(axis=(1, 2)) & ~mats[:, 2, :2].any(axis=1)
-    radical &= mats[:, :2, 2].any(axis=1)
-    lines = _bottom_row_lines(mats[:, 2], table.p)
-    _, first = np.unique(lines, return_index=True)
-    return sorted(np.flatnonzero(levi).tolist() + np.flatnonzero(radical).tolist()
-                  + first[1:].tolist())
-
-
 @pytest.mark.parametrize("name, k, kind", [("borel", k, kind) for k in (2, 3, 4) for kind in KINDS]
                          + [("sl3", k, kind) for k in (3, 4) for kind in ("sign", "float")])
-def test_full_sweeps_over_cosets_match_direct_loop(name, k, kind):
-    # Every shift of B(F_7), one permutation per shift, and of SL_3(F_3),
-    # over the 13 cosets of its bottom-row stabiliser H: each h in H is m u,
-    # so 48 Levi and 8 radical permutations for the 432 h, and 12
-    # representatives other than the identity, each assembled once.
+def test_full_sweeps_over_cosets_match_direct_loop(name, k, kind, monkeypatch):
+    # Every shift of B(F_7), one permutation per shift, and of SL_3(F_3), on
+    # the (|H|, 13) grid of the cosets of its bottom-row stabiliser H, where
+    # every shift is a row take and no permutation is assembled; one unit
+    # below the split guard 13 n, one permutation per shift.
     table, cosets = {"borel": (borel_subgroup(7), 1), "sl3": (special_linear_group(3, 3), 13)}[name]
     fs = input_functions(table, kind, k, np.random.default_rng([k, KINDS.index(kind), cosets]))
     calls = sorted(assert_same_sums(table, fs))
     if name == "borel":
         assert calls == list(range(42))
     else:
-        assert len(calls) == 48 + 8 + 12
-        assert calls == parabolic_factor_perms(table)
+        assert calls == []
+        monkeypatch.setenv("PROGMIX_BUDGET", str(cosets * table.size - 1))
+        assert sorted(assert_same_sums(table, fs)) == list(range(table.size))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -832,21 +818,22 @@ def test_composed_shift_sums_property(problem):
 
 # Tops of |f_0|, |f_1|, |f_2| whose product puts the kernel in int8, int16,
 # int32 and int64 (`kernel_values`), with row sums in int16, int32 and int64
-# (`sum_dtype`) across n = 24, 120 and 336; f_3, if any, has top 1.
+# (`sum_dtype`) across n = 24, 120, 336 and 5616; f_3, if any, has top 1.
 BRUHAT_TOPS = [(1, 1, 1), (5, 5, 5), (6, 5, 5), (181, 181, 1), (2**15, 2**10, 1),
                (2**20, 2**10, 1), (2**16, 2**16, 1)]
 
 
 @st.composite
 def bruhat_problems(draw):
-    """SL_2(F_p), p in {3, 5, 7}, k in {2, 3, 4} functions and a shift array.
+    """SL_2(F_p), p in {3, 5, 7}, or SL_3(F_3), k in {2, 3, 4} functions and a
+    shift array.
 
     The functions are integers with the tops of one of BRUHAT_TOPS, or signs,
     indicators, floats, complex values, or floats and complex values in turn.
-    The shifts are every shift, the diagonalisable set, shifts inside B only
-    (coset 0), or an unsorted array with repeats."""
-    p = draw(st.sampled_from([3, 5, 7]))
-    table = special_linear_group(2, p)
+    The shifts are every shift, the diagonalisable set (SL_2 only), shifts
+    inside H only (coset 0), or an unsorted array with repeats."""
+    d, p = draw(st.sampled_from([(2, 3), (2, 5), (2, 7), (3, 3)]))
+    table = special_linear_group(d, p)
     k = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["tops", "mixed", *KINDS]))
@@ -860,7 +847,8 @@ def bruhat_problems(draw):
         fs = [input_functions(table, ("float", "complex")[i % 2], 1, rng)[0] for i in range(k)]
     else:
         fs = input_functions(table, kind, k, rng)
-    shifts = draw(st.sampled_from(["all", "diagonalisable", "coset 0", "unsorted"]))
+    shifts = draw(st.sampled_from(["all", "diagonalisable", "coset 0", "unsorted"] if d == 2
+                                  else ["all", "coset 0", "unsorted"]))
     if shifts == "all":
         return table, fs, None
     if shifts == "diagonalisable":
@@ -874,10 +862,12 @@ def bruhat_problems(draw):
 @settings(max_examples=60, deadline=None)
 @given(bruhat_problems())
 def test_bruhat_shift_sums_property(problem):
-    # Every sweep of SL_2(F_p), of 2 to 4 terms and any dtype, takes row takes
-    # over the Bruhat layout and assembles no permutation; it matches the
-    # one-permutation-per-shift loop bit for bit, and brute-force
-    # multiplication at p in {3, 5}, exactly for integer inputs.
+    # Every sweep of SL_2(F_p) and SL_3(F_3), of 2 to 4 terms and any dtype,
+    # takes row takes over the Bruhat layout and assembles no permutation; it
+    # matches the one-permutation-per-shift loop bit for bit, and brute-force
+    # multiplication at p in {3, 5}, exactly for integer inputs: every shift
+    # on SL_2, and the first two on SL_3, whose brute force costs n (k - 1)
+    # products per shift.
     table, fs, shifts = problem
 
     def no_permutation(*args):
@@ -891,33 +881,37 @@ def test_bruhat_shift_sums_property(problem):
     assert np.array_equal(got, want)
     if table.p < 7:
         exact = all(f.is_integer_valued for f in fs)
-        brute = brute_shift_sums(table, [f.values.tolist() for f in fs], shifts)
+        some = (np.arange(table.size) if shifts is None else shifts)[:None if table.d == 2 else 2]
+        brute = brute_shift_sums(table, [f.values.tolist() for f in fs], some)
+        got = got[:len(some)]
         assert (got.tolist() == brute) if exact else np.allclose(got, brute, rtol=1e-12)
 
 
 def test_bruhat_sweep_memory_is_linear_in_the_stacks():
-    # A 4-term complex sweep of SL_2(F_23) over the diagonalisable set holds
-    # two (p + 1) n stacks and per h a few (group, n) rows: 15.6 MB peak, or
-    # 53.5 (p + 1) n bytes.  An (|S|, |B|) array of row indices for the whole
-    # shift set is 22.4 MB alone, above the bound.
-    p = 23
-    table = special_linear_group(2, p)
-    bound = 64 * (p + 1) * table.size
-    shifts = table.indices_of(diagonalisable_set(p).mats)
+    # A 4-term complex sweep holds two (lines) n stacks, each filled in place
+    # one layer at a time, and per h a few (group, n) rows.  Over the
+    # diagonalisable set of SL_2(F_23) that is 15.9 MB peak, or
+    # 54.5 (p + 1) n bytes, and over every shift of SL_3(F_3) 6.3 MB, or
+    # 86 (13 n) bytes.  An (|S|, |H|) array of row indices for the whole
+    # shift set is 22.4 MB and 19.4 MB alone, above the bounds.
     rng = np.random.default_rng(23)
-    fs = input_functions(table, "complex", 4, rng)
-    shift_sums(table, fs, shifts[:2])  # build the cached layout
-    tracemalloc.start()
-    try:
-        got = shift_sums(table, fs, shifts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound
-    some = rng.choice(len(shifts), 4, replace=False)
-    assert np.array_equal(got[some], direct_shift_sums(table, fs, shifts[some]))
-    t, a = table.mats[shifts, 0].T
-    assert borel_coordinates(p).rows(t, a).nbytes > bound
+    for d, p, lines, per_cell in ((2, 23, 24, 60), (3, 3, 13, 96)):
+        table = special_linear_group(d, p)
+        bound = per_cell * lines * table.size
+        shifts = table.indices_of(diagonalisable_set(p).mats) if d == 2 else np.arange(table.size)
+        fs = input_functions(table, "complex", 4, rng)
+        shift_sums(table, fs, shifts[:2])  # build the cached layout
+        tracemalloc.start()
+        try:
+            got = shift_sums(table, fs, shifts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+        some = rng.choice(len(shifts), 4, replace=False)
+        assert np.array_equal(got[some], direct_shift_sums(table, fs, shifts[some]))
+        hs = bruhat_split(table.mats[shifts], p)[0]
+        assert bruhat_layout(table).coords.rows(hs).nbytes > bound
 
 
 @st.composite
