@@ -46,7 +46,7 @@ from . import mixing
 from .budget import OP_BUDGET, charge
 from .fields import inv_mod
 from .fourier import dft
-from .groups import GroupTable, borel_coordinates, borel_subgroup, parabolic_coordinates
+from .groups import GroupTable, borel_subgroup, field_inverses, parabolic_coordinates
 
 
 @dataclass
@@ -61,12 +61,12 @@ class BorelContext:
 
 @lru_cache(maxsize=16)
 def borel_context(p: int) -> BorelContext:
-    """The context of B(F_p), every index array a closed form in B's
-    `borel_coordinates`, where element (t - 1) p + a is [[t, a], [0, t^-1]]:
-    shear(s) x = [[t, a + s / t], [0, t^-1]], and diag(1 / t, t) is element
-    (1 / t - 1) p."""
-    coords = borel_coordinates(p)
-    t, a, inverse = coords.t, coords.a, coords.inverse
+    """The context of B(F_p), every index array a closed form in the entries
+    t and a of B's `parabolic_coordinates(2, p).elements`, where element
+    (t - 1) p + a is [[t, a], [0, t^-1]]: shear(s) x = [[t, a + s / t],
+    [0, t^-1]], and diag(1 / t, t) is element (1 / t - 1) p."""
+    h = parabolic_coordinates(2, p).elements
+    t, a, inverse = h[:, 0, 0], h[:, 0, 1], field_inverses(p)
     s = np.arange(p)
     section = (inverse - 1) * p
     section[0] = 0
@@ -132,7 +132,7 @@ def _sheared_layers(ctx: BorelContext, fs):
     one slice of n p values.  The slice is one reused buffer.
     """
     p = ctx.p
-    inverse = borel_coordinates(p).inverse
+    inverse = field_inverses(p)
     grids = [v.reshape(p - 1, p) for v in mixing.kernel_values(fs)]
     s = np.arange(1, p)
     u, lam = np.arange(p)[:, None], np.arange(p)

@@ -21,35 +21,31 @@ F_p^d.  rmul_perm builds that image table once per g and assembles every key
 of x g from the cached row keys of x, with no per-element product or
 reduction mod p; lmul_perm does the same for g x with the columns.
 
-The Borel subgroup.  B = {[[t, a], [0, t^-1]]}, and its element
-[[t, a], [0, t^-1]] has index (t - 1) p + a, which is the sorted order of
-its keys.  borel_coordinates holds t, a and t^-1 for every index, and
-x -> x h for h in B is the index arithmetic of parabolic_coordinates(2, p)
-below, with no lookup and no assembled permutation.  borel_subgroup is built
-from these coordinates, and the sheared kernel of borel gathers x g^i by the
-same index rule, as a closed form in the coordinates of x and g.
-
-Bruhat layout.  For a full SL_d(F_p) table, d = 2 or 3, H is the stabiliser
-of the line through the bottom row, B for d = 2, and the right coset H g is
-labelled by `_bottom_row_lines` of g's bottom row: L = p + 1 lines for
-d = 2 and p^2 + p + 1 for d = 3.  parabolic_coordinates holds H's
-arithmetic, so that x -> x h for h in H is an index array computed in
-O(|H|), and the identity or w v, v in H, as each line's representative r.
-bruhat_layout puts the table on an (|H|, L) grid of left cosets c_l H, so
-that x -> x h for h in H is a row take, and x -> x w one cached index
-array; bruhat_split writes each g as h r from g's entries with one batched
-product and no lookup.  Since x g = (x h) r, no split sweep of
-mixing.shift_sums assembles a permutation.  The layout holds four
-n-element index arrays and no |H| x |H| array: 157 KB at p = 17 and
-952 KB at p = 31 for d = 2, and 180 KB for SL_3(F_3), whose coordinates
-add 31 KB.
+Bruhat layout.  For SL_d(F_p), d = 2 or 3, H is the stabiliser of the
+line through the bottom row, the Borel subgroup B for d = 2, and the right
+coset H g is labelled by `_bottom_row_lines` of g's bottom row: L = p + 1
+lines for d = 2 and p^2 + p + 1 for d = 3.  parabolic_coordinates holds H's
+elements and arithmetic, so that x -> x h for h in H is an index array
+computed in O(|H|), and the identity or w v, v in H, as each line's
+representative r_l.  So G is the disjoint union of the left cosets
+r_l^-1 H, and cell (b, l) of an (|H|, L) grid holds r_l^-1 b:
+special_linear_group enumerates the table from the grid's cells, and
+borel_subgroup is H for d = 2, whose element [[t, a], [0, t^-1]] has index
+(t - 1) p + a, the sorted order of its keys.  bruhat_layout finds each cell
+in the table with one lookup, so that x -> x h for h in H is a row take, and
+x -> x w one cached index array; bruhat_split writes each g as h r from g's
+entries with one batched product and no lookup.  Since x g = (x h) r, no
+split sweep of mixing.shift_sums assembles a permutation, and the sheared
+kernel of borel gathers x g^i on B as a closed form in the entries of x and
+g.  The layout holds four n-element index arrays and no |H| x |H| array:
+157 KB at p = 17 and 952 KB at p = 31 for d = 2, and 180 KB for SL_3(F_3),
+whose coordinates add 62 KB, half of it the elements of H.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -177,12 +173,12 @@ class GroupTable:
         self.d = int(mats.shape[1])
         self.label = label
         keys = self._encode(mats)
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)  # distinct keys, or the table is refused: any sort will do
         keys = keys[order]
         if np.any(np.diff(keys) == 0):
             raise ValueError("duplicate elements in table")
         self._keys = keys
-        self.mats = np.ascontiguousarray(mats[order])
+        self.mats = mats = mats.take(order, axis=0)  # frees the unsorted copy
         self.mats.setflags(write=False)
         self._keys.setflags(write=False)
         self.size = int(len(self.mats))
@@ -352,6 +348,15 @@ def _vectors(d: int, p: int) -> np.ndarray:
     return vectors
 
 
+@lru_cache(maxsize=32)
+def field_inverses(p: int) -> np.ndarray:
+    """t^-1 mod p at index t of [0, p), 0 at 0; cached per prime, read-only."""
+    check_odd_prime(p)
+    inverse = np.array([0] + [inv_mod(t, p) for t in range(1, p)])
+    inverse.setflags(write=False)
+    return inverse
+
+
 def special_linear_order(d: int, p: int) -> int:
     """|SL_d(F_p)| by the closed product formula."""
     order = 1
@@ -360,39 +365,15 @@ def special_linear_order(d: int, p: int) -> int:
     return order // (p - 1)
 
 
-def _enumerate_sl2(p: int) -> np.ndarray:
-    r = np.arange(p, dtype=np.int64)
-    a, b, c, d = np.meshgrid(r, r, r, r, indexing="ij")
-    mask = (a * d - b * c) % p == 1
-    return np.stack([a[mask], b[mask], c[mask], d[mask]], axis=1).reshape(-1, 2, 2)
-
-
-def _enumerate_sl3(p: int) -> np.ndarray:
-    r = np.arange(p, dtype=np.int64)
-    grids = np.meshgrid(*([r] * 6), indexing="ij")
-    lower = np.stack([g.ravel() for g in grids], axis=1)  # rows 2 and 3, p^6 entries
-    d, e, f, g, h, i = (lower[:, j] for j in range(6))
-    chunks = []
-    for a, b, c in product(range(p), repeat=3):
-        det = (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
-        sel = lower[det == 1]
-        block = np.empty((len(sel), 3, 3), dtype=np.int64)
-        block[:, 0] = (a, b, c)
-        block[:, 1] = sel[:, :3]
-        block[:, 2] = sel[:, 3:]
-        chunks.append(block)
-    return np.concatenate(chunks)
-
-
 @lru_cache(maxsize=32)
 def special_linear_group(d: int, p: int) -> GroupTable:
-    """Enumerate SL_d(F_p) as a GroupTable (cached; tables are immutable)."""
+    """SL_d(F_p) as a GroupTable, enumerated from the cells of its Bruhat
+    grid, `ParabolicCoordinates.cell_mats` (cached; tables are immutable)."""
     if d not in (2, 3):
         raise ValueError(f"only d in {{2, 3}} is supported, got {d}")
     check_odd_prime(p)
     charge(p ** (d * d - 1), ENUMERATION_BUDGET, f"enumerating SL_{d}(F_{p})")
-    mats = _enumerate_sl2(p) if d == 2 else _enumerate_sl3(p)
-    table = GroupTable(mats, p, "full")
+    table = GroupTable(parabolic_coordinates(d, p).cell_mats(), p, "full")
     expected = special_linear_order(d, p)
     if table.size != expected:
         raise AssertionError(
@@ -401,39 +382,11 @@ def special_linear_group(d: int, p: int) -> GroupTable:
     return table
 
 
-@dataclass(frozen=True)
-class BorelCoordinates:
-    """t, a and t^-1 at every index of the Borel subgroup B of SL_2(F_p).
-
-    Right multiplication in B is the d = 2 case of `parabolic_coordinates`,
-    whose rows are B's indices.  The arrays are read-only.
-    """
-
-    p: int
-    t: np.ndarray  # upper-left entry of each element of B
-    a: np.ndarray  # upper-right entry of each element of B
-    inverse: np.ndarray  # t^-1 mod p at index t, 0 at 0
-
-
-@lru_cache(maxsize=32)
-def borel_coordinates(p: int) -> BorelCoordinates:
-    """The `BorelCoordinates` of B(F_p), cached per prime: 3 |B| + p ints."""
-    check_odd_prime(p)
-    inverse = np.array([0] + [inv_mod(t, p) for t in range(1, p)])
-    t, a = np.divmod(np.arange(p * (p - 1)), p)
-    coords = BorelCoordinates(p, t + 1, a, inverse)
-    for array in (coords.t, coords.a, inverse):
-        array.setflags(write=False)
-    return coords
-
-
 @lru_cache(maxsize=32)
 def borel_subgroup(p: int) -> GroupTable:
-    """Upper-triangular matrices in SL_2(F_p), order p (p - 1), built from
-    `borel_coordinates`, in their index order."""
-    coords = borel_coordinates(p)
-    mats = np.zeros((p * (p - 1), 2, 2), dtype=np.int64)
-    mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1] = coords.t, coords.a, coords.inverse[coords.t]
+    """Upper-triangular matrices in SL_2(F_p), order p (p - 1): the elements
+    of `parabolic_coordinates(2, p)`, in their row order."""
+    mats = parabolic_coordinates(2, p).elements
     table = GroupTable(mats, p, "borel", check_group=True)
     if not np.array_equal(table.mats, mats):
         raise AssertionError("the (t, a) order of B is not its sorted order")
@@ -586,7 +539,7 @@ def _bottom_row_lines(rows: np.ndarray, p: int) -> np.ndarray:
     c / d, or p when d = 0.
     """
     d = rows.shape[1]
-    inverse = borel_coordinates(p).inverse
+    inverse = field_inverses(p)
     labels = np.empty(len(rows), dtype=np.int64)
     offset = 0
     for k in range(d - 1, -1, -1):
@@ -604,8 +557,9 @@ class ParabolicCoordinates:
     GL_(d-1)(F_p) and u in F_p^(d-1).
 
     Row i q + j of H, q = p^(d - 1), has the i-th block A in key order and
-    the vector u of key j (its base-p digits); for d = 2, H is the Borel
-    subgroup B in the order of `borel_coordinates`.  Since
+    the vector u of key j (its base-p digits), and `elements` holds H in
+    this order; for d = 2, H is the Borel subgroup B, whose element
+    [[t, a], [0, 1 / t]] is row (t - 1) p + a.  Since
     b h = [[A_b A_h, A_b u_h + u_b / det A_h], ..], x -> x h for h in H is
     index arithmetic, `rows`, over four tables of the blocks and vectors, of
     |GL_(d-1)|^2, |H|, |H| and q^2 entries.  reps[l] represents the right
@@ -613,10 +567,12 @@ class ParabolicCoordinates:
     the identity for l = 0, H itself, and else w v_l, with w the antidiagonal
     [[0, -1], [1, 0]] or [[0, 0, 1], [0, -1, 0], [1, 0, 0]], whose bottom row
     is e_1, and v_l the first element of H whose first row lies on line l.
-    So G = H + H w H.  The arrays are read-only.
+    So G = H + H w H, and G is the disjoint union of the left cosets
+    r_l^-1 H, whose elements `cell_mats` lists.  The arrays are read-only.
     """
 
     p: int
+    elements: np.ndarray  # (|H|, d, d): the element b at each row of H
     levi_index: np.ndarray  # index of each block key among the blocks, -1 where singular
     levi_mul: np.ndarray  # [h, b]: q times the index of A_b A_h
     act: np.ndarray  # [j, b]: q times the key of A_b u_j
@@ -641,16 +597,23 @@ class ParabolicCoordinates:
         moved = self.add.take(self.act[j][..., None] + self.scaled[i][..., None, :])
         return (self.levi_mul[i][..., None] + moved).reshape(*np.shape(i), -1)
 
+    def cell_mats(self) -> np.ndarray:
+        """r_l^-1 b at every flat cell b L + l of the (|H|, L) grid, b over
+        the rows of H and l over the lines: each element of SL_d(F_p) once."""
+        mats = _inverse_many(self.reps, self.p)[None] @ self.elements[:, None]
+        mats %= self.p
+        return mats.reshape(-1, *self.reps.shape[1:])
+
 
 @lru_cache(maxsize=32)
 def parabolic_coordinates(d: int, p: int) -> ParabolicCoordinates:
     """The `ParabolicCoordinates` of SL_d(F_p), cached per (d, p): for
-    SL_3(F_3), 48 blocks, |H| = 432 and 13 lines, 31 KB."""
-    k, q = d - 1, p ** (d - 1)
+    SL_3(F_3), 48 blocks, |H| = 432 and 13 lines, 62 KB."""
+    inverse, k, q = field_inverses(p), d - 1, p ** (d - 1)
     weights, vectors = p ** np.arange(k * k - 1, -1, -1), _vectors(k, p)
     blocks = _vectors(k * k, p).reshape(-1, k, k)
     det = _det_many(blocks, p)
-    levi, lam = blocks[det != 0], borel_coordinates(p).inverse[det[det != 0]]
+    levi, lam = blocks[det != 0], inverse[det[det != 0]]
     g = len(levi)
     levi_index = np.full(len(blocks), -1)
     levi_index[det != 0] = np.arange(g)
@@ -664,10 +627,12 @@ def parabolic_coordinates(d: int, p: int) -> ParabolicCoordinates:
     w = np.fliplr(np.diag((-1) ** np.arange(k, -1, -1))) % p
     first = np.unique(_bottom_row_lines(elements[:, 0], p), return_index=True)[1]
     reps = np.concatenate([np.eye(d, dtype=np.int64)[None], w @ elements[first] % p])
-    coords = ParabolicCoordinates(p, levi_index, levi_mul, act, scaled, add, None, w, reps, None)
+    coords = ParabolicCoordinates(p, elements, levi_index, levi_mul, act, scaled, add, None, w,
+                                  reps, None)
     coords = replace(coords, inverse=coords.index(_inverse_many(elements, p)),
                      v=np.concatenate([coords.index(reps[:1]), first]))
-    for array in (levi_index, levi_mul, act, scaled, add, coords.inverse, w, reps, coords.v):
+    for array in (elements, levi_index, levi_mul, act, scaled, add, coords.inverse, w, reps,
+                  coords.v):
         array.setflags(write=False)
     return coords
 
@@ -678,7 +643,8 @@ class BruhatLayout:
 
     Every x is c_l b with c_l = r_l^-1, l the line through the bottom row of
     x^-1 and b in H, the left coset x H being c_l H; r_l and the rows of H
-    are those of `coords`.  Cell (b, l), at flat index b L + l, holds x.  So
+    are those of `coords`.  Cell (b, l), at flat index b L + l, holds
+    x = r_l^-1 b, the matrix `coords.cell_mats()` lists there.  So
     x -> x h for h in H moves whole rows: a function laid out as
     f[cells].reshape(|H|, L) composed with it is a row take by
     `coords.rows(h)`.  The arrays are read-only.
@@ -705,20 +671,17 @@ def bruhat_layout(table) -> BruhatLayout:
 
     Four n-element index arrays: 157 KB at p = 17 and 952 KB at p = 31 for
     SL_2, 180 KB for SL_3(F_3).  No |H| x |H| array is held, because
-    x -> x h for h in H is the O(|H|) arithmetic of `coords.rows`.
+    x -> x h for h in H is the O(|H|) arithmetic of `coords.rows`.  cells is
+    one lookup of `coords.cell_mats()` in the table, pos its inverse, and
+    w_fwd and w_back one lookup each of the cells times w and w^-1.
     """
-    p, n = table.p, table.size
-    coords = parabolic_coordinates(table.d, p)
-
-    def cells_of(mats):  # x^-1 = h r_l, so x = c_l h^-1
-        hs, lines = bruhat_split(_inverse_many(mats, p), p)
-        return coords.inverse[hs] * len(coords.reps) + lines
-
-    pos = cells_of(table.mats)
-    cells = np.empty(n, dtype=np.intp)
-    cells[pos] = np.arange(n)
-    laid = table.mats[cells]
-    w_fwd, w_back = (cells_of(laid @ m % p) for m in (coords.w, _inverse_many(coords.w, p)))
+    coords = parabolic_coordinates(table.d, table.p)
+    laid = coords.cell_mats()
+    cells = table.indices_of(laid)
+    pos = np.empty(table.size, dtype=np.intp)
+    pos[cells] = np.arange(table.size)
+    w_fwd, w_back = (pos[table.indices_of(laid @ m)]
+                     for m in (coords.w, _inverse_many(coords.w, table.p)))
     for array in (cells, pos, w_fwd, w_back):
         array.setflags(write=False)
     return BruhatLayout(coords, cells, pos, w_fwd, w_back)

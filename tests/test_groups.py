@@ -1,15 +1,17 @@
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
+from progmix import groups
+from progmix.borel import borel_context
 from progmix.budget import BudgetExceededError
 from progmix.groups import (
     CyclicTable,
     GroupTable,
     borel_subgroup,
     borel_character,
-    borel_coordinates,
     bruhat_layout,
     bruhat_split,
     _as_array,
@@ -23,6 +25,7 @@ from progmix.groups import (
     diagonalisable_set,
     distinct_conjugate_count,
     element,
+    field_inverses,
     identity_element,
     is_regular_semisimple,
     mat_inv,
@@ -39,15 +42,32 @@ from progmix.groups import (
 from test_mixing import assert_same_sums, input_functions
 
 
-def brute_force_sl2_count(p):
-    count = 0
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p == 1:
-                        count += 1
-    return count
+def enumerate_sl2(p):
+    """SL_2(F_p) by brute force: all p^4 matrices, filtered by determinant,
+    in lexicographic order of their entries."""
+    r = np.arange(p, dtype=np.int64)
+    a, b, c, d = np.meshgrid(r, r, r, r, indexing="ij")
+    mask = (a * d - b * c) % p == 1
+    return np.stack([a[mask], b[mask], c[mask], d[mask]], axis=1).reshape(-1, 2, 2)
+
+
+def enumerate_sl3(p):
+    """SL_3(F_p) by brute force: all p^9 matrices, one first row at a time,
+    filtered by determinant, in lexicographic order of their entries."""
+    r = np.arange(p, dtype=np.int64)
+    grids = np.meshgrid(*([r] * 6), indexing="ij")
+    lower = np.stack([g.ravel() for g in grids], axis=1)  # rows 2 and 3, p^6 entries
+    d, e, f, g, h, i = (lower[:, j] for j in range(6))
+    chunks = []
+    for a, b, c in product(range(p), repeat=3):
+        det = (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
+        sel = lower[det == 1]
+        block = np.empty((len(sel), 3, 3), dtype=np.int64)
+        block[:, 0] = (a, b, c)
+        block[:, 1] = sel[:, :3]
+        block[:, 2] = sel[:, 3:]
+        chunks.append(block)
+    return np.concatenate(chunks)
 
 
 def test_group_orders_match_formula():
@@ -58,8 +78,14 @@ def test_group_orders_match_formula():
 
 
 def test_enumeration_against_independent_brute_force():
-    for p in (3, 5):
-        assert special_linear_group(2, p).size == brute_force_sl2_count(p)
+    # The tables, enumerated from the cells of the Bruhat grid, equal brute
+    # force over all p^(d^2) matrices element for element, and B its
+    # upper-triangular rows.
+    for d, p in [(2, 3), (2, 5), (2, 7), (2, 11), (2, 13), (3, 3), (3, 5)]:
+        oracle = enumerate_sl2(p) if d == 2 else enumerate_sl3(p)
+        assert np.array_equal(special_linear_group(d, p).mats, oracle)
+        if d == 2:
+            assert np.array_equal(borel_subgroup(p).mats, oracle[oracle[:, 1, 0] == 0])
 
 
 def test_sl3_order():
@@ -87,6 +113,40 @@ def test_enumeration_budget(monkeypatch):
             special_linear_group(2, 7)
     finally:
         special_linear_group.cache_clear()
+
+
+@pytest.mark.parametrize("d, p", [(2, 7), (3, 3)])
+def test_enumeration_budget_boundary(d, p, monkeypatch):
+    # The enumeration is charged p^(d^2 - 1) units before anything is
+    # allocated: at the charge the table builds, and one unit short the call
+    # is refused before the parabolic coordinates are reached.
+    cost, expected = p ** (d * d - 1), special_linear_group(d, p).mats
+    special_linear_group.cache_clear()
+    try:
+        monkeypatch.setenv("PROGMIX_BUDGET", str(cost))
+        assert np.array_equal(special_linear_group(d, p).mats, expected)
+        special_linear_group.cache_clear()
+        monkeypatch.setenv("PROGMIX_BUDGET", str(cost - 1))
+
+        def refuse(*args):
+            raise AssertionError("parabolic coordinates built before the charge")
+
+        monkeypatch.setattr(groups, "parabolic_coordinates", refuse)
+        with pytest.raises(BudgetExceededError, match=f"needs {cost} work units"):
+            special_linear_group(d, p)
+    finally:
+        special_linear_group.cache_clear()
+
+
+@pytest.mark.parametrize("p", [2, 4, 9])
+def test_every_constructor_refuses_a_bad_modulus(p):
+    builds = [lambda: special_linear_group(2, p), lambda: special_linear_group(3, p),
+              lambda: borel_subgroup(p), lambda: borel_context(p),
+              lambda: parabolic_coordinates(2, p), lambda: parabolic_coordinates(3, p),
+              lambda: field_inverses(p)]
+    for build in builds:
+        with pytest.raises(ValueError, match="odd prime"):
+            build()
 
 
 def test_element_product_inverse_trace():
@@ -379,8 +439,11 @@ def test_bruhat_layout_matches_permutations(p):
         assert np.array_equal(layout.pos, cell)
         laid = table.mats[layout.cells].reshape(nh, nl, d, d)
         h_mats = parabolic_rows(table)
+        assert np.array_equal(coords.elements, h_mats)
+        assert np.array_equal(coords.index(coords.elements), np.arange(nh))
         reps_inv = np.array([mat_inv(element(r, p)).array() for r in coords.reps])
         assert np.array_equal(laid, np.einsum("lij,bjk->blik", reps_inv, h_mats) % p)
+        assert np.array_equal(coords.cell_mats(), table.mats[layout.cells])
         w = table.index_of(coords.w)
         for array, z in ((layout.w_fwd, w), (layout.w_back, int(table.inv_perm()[w]))):
             assert np.array_equal(array, cell[table.rmul_perm(z)[layout.cells]])
@@ -399,9 +462,9 @@ def test_bruhat_layout_matches_permutations(p):
             assert np.array_equal(inverse, table.rmul_perm(int(table.inv_perm()[gi])))
             f = np.sin(values)  # any values laid out on the grid
             assert np.array_equal(layout.compose(f[layout.cells].reshape(nh, -1), rows), f[perm])
-        for array in (layout.cells, layout.pos, layout.w_fwd, layout.w_back, coords.levi_index,
-                      coords.levi_mul, coords.act, coords.scaled, coords.add, coords.inverse,
-                      coords.w, coords.reps, coords.v):
+        for array in (layout.cells, layout.pos, layout.w_fwd, layout.w_back, coords.elements,
+                      coords.levi_index, coords.levi_mul, coords.act, coords.scaled, coords.add,
+                      coords.inverse, coords.w, coords.reps, coords.v):
             assert not array.flags.writeable
         assert bruhat_layout(table) is layout and parabolic_coordinates(d, p) is coords
 
@@ -483,15 +546,18 @@ def test_borel_coordinates_rows_match_rmul_perm(p):
     # Element (t - 1) p + a of B is [[t, a], [0, 1 / t]], and it is row
     # (t - 1) p + a of parabolic_coordinates(2, p), whose rows(g) is x -> x g
     # for that g, for every g, as scalars and broadcast.
-    table, coords = borel_subgroup(p), borel_coordinates(p)
-    assert table.mats[:, 0].tolist() == np.stack([coords.t, coords.a], axis=1).tolist()
-    assert table.mats[:, 1, 1].tolist() == coords.inverse[coords.t].tolist()
+    table, inverse = borel_subgroup(p), field_inverses(p)
+    t, a = np.divmod(np.arange(table.size), p)
+    t += 1
+    assert inverse.tolist() == [0] + [pow(x, -1, p) for x in range(1, p)]
+    assert table.mats[:, 0].tolist() == np.stack([t, a], axis=1).tolist()
+    assert table.mats[:, 1].tolist() == np.stack([0 * t, inverse[t]], axis=1).tolist()
     perms = np.stack([table.rmul_perm(g) for g in range(table.size)])
     rows = parabolic_coordinates(2, p).rows
     for g in range(table.size):
         assert np.array_equal(rows(g), perms[g])
     assert np.array_equal(rows(np.arange(table.size)), perms)
-    assert not coords.t.flags.writeable and borel_coordinates(p) is coords
+    assert not inverse.flags.writeable and field_inverses(p) is inverse
 
 
 def test_orbit_stabilizer_exhaustive_sl2_f3():
