@@ -106,34 +106,24 @@ def test_unsupported_dimension_rejected():
 
 
 def test_enumeration_budget(monkeypatch):
-    monkeypatch.setenv("PROGMIX_BUDGET", "100")
-    special_linear_group.cache_clear()
-    try:
-        with pytest.raises(BudgetExceededError, match="budget of 100"):
-            special_linear_group(2, 7)
-    finally:
-        special_linear_group.cache_clear()
-
-
-@pytest.mark.parametrize("d, p", [(2, 7), (3, 3)])
-def test_enumeration_budget_boundary(d, p, monkeypatch):
     # The enumeration is charged p^(d^2 - 1) units before anything is
-    # allocated: at the charge the table builds, and one unit short the call
-    # is refused before the parabolic coordinates are reached.
-    cost, expected = p ** (d * d - 1), special_linear_group(d, p).mats
-    special_linear_group.cache_clear()
+    # allocated: at the charge the table builds, and one unit short it is
+    # refused before the parabolic coordinates are reached.
+    def refuse(*args):
+        raise AssertionError("parabolic coordinates built before the charge")
+
     try:
-        monkeypatch.setenv("PROGMIX_BUDGET", str(cost))
-        assert np.array_equal(special_linear_group(d, p).mats, expected)
-        special_linear_group.cache_clear()
-        monkeypatch.setenv("PROGMIX_BUDGET", str(cost - 1))
-
-        def refuse(*args):
-            raise AssertionError("parabolic coordinates built before the charge")
-
-        monkeypatch.setattr(groups, "parabolic_coordinates", refuse)
-        with pytest.raises(BudgetExceededError, match=f"needs {cost} work units"):
-            special_linear_group(d, p)
+        for d, p in [(2, 7), (3, 3)]:
+            cost, expected = p ** (d * d - 1), special_linear_group(d, p).mats
+            special_linear_group.cache_clear()
+            with monkeypatch.context() as patch:
+                patch.setenv("PROGMIX_BUDGET", str(cost))
+                assert np.array_equal(special_linear_group(d, p).mats, expected)
+                special_linear_group.cache_clear()
+                patch.setenv("PROGMIX_BUDGET", str(cost - 1))
+                patch.setattr(groups, "parabolic_coordinates", refuse)
+                with pytest.raises(BudgetExceededError, match=f"needs {cost} work units"):
+                    special_linear_group(d, p)
     finally:
         special_linear_group.cache_clear()
 
